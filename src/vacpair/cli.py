@@ -3,8 +3,11 @@ and the closed-form/oracle validation suite.
 
 Exit codes: 0 success, 1 validation or accuracy failure, 2 usage error.
 A configuration file (flat key=value lines, keys mirroring the long flags)
-can be supplied with --config or the VACPAIR_CONFIG environment variable;
-explicit flags override file values.
+can be supplied with --config or the VACPAIR_CONFIG environment variable.
+Its lines are parsed as flags placed ahead of the command line's, so file
+values are checked like flags (a bad value exits 2), they may supply
+sweep's required --xmin, --xmax and --points, and explicit flags override
+them.  Keys the command has no flag for are ignored.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +103,9 @@ def _add_config_flags(p: argparse.ArgumentParser, with_x: bool) -> None:
                    help="rotationally averaged polarizabilities in the pair energy")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser,
+                               dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subparsers of the commands that take --config."""
     parser = argparse.ArgumentParser(
         prog="vacpair",
         description="Vacuum-induced two-atom entanglement and Casimir-Polder energy")
@@ -123,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run the oracle-equivalence suite")
     p_val.add_argument("--level", choices=("fast", "full"), default="fast")
-    return parser
+    return parser, {"point": p_point, "sweep": p_sweep}
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -140,91 +145,70 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    path = args.config or os.environ.get("VACPAIR_CONFIG")
-    if not path:
-        return
-    if args.config is None and not os.path.exists(path):
-        return  # silently skip a dangling environment default
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
+def _config_flags(command: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """The command's configuration file as flag tokens, to go ahead of argv.
+
+    Parsed with the command's own parser, file values get the same type,
+    choice and required checks as flags, and an explicit flag still wins.
+    Keys must name one of the command's flags exactly (so `x` does not
+    prefix-match `--xmin` under sweep); other keys are ignored.
+    """
+    pre = argparse.ArgumentParser(prog=command.prog, add_help=False)
+    pre.add_argument("--config")
+    given = pre.parse_known_args(argv)[0].config
+    path = given or os.environ.get("VACPAIR_CONFIG")
+    if not path or (given is None and not os.path.exists(path)):
+        return []  # no file, or a dangling environment default
+    actions = command._option_string_actions
+    tokens = []
     for key, text in _load_config_file(path).items():
-        if not hasattr(args, key) or key in explicit:
+        flag = "--" + key.replace("_", "-")
+        action = actions.get(flag)
+        if action is None or action.dest == "help":
             continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, text.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, float) or current is None:
-            try:
-                setattr(args, key, float(text))
-            except ValueError:
-                setattr(args, key, text)
-        elif isinstance(current, int):
-            setattr(args, key, int(text))
-        else:
-            setattr(args, key, text)
+        if action.nargs != 0:
+            tokens.append(f"{flag}={text}")  # one token: a leading minus is no flag
+        elif text.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+        elif text.lower() not in ("0", "false", "no", "off"):
+            raise DomainError(f"{path}: {key} must be true or false, got {text!r}")
+    return tokens
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    cfg: model.PairConfiguration
-    r_over_a0: float  # nan when no dimensional information was given
-
-
-def _resolve_atoms(args) -> tuple[model.TwoLevelAtom, model.TwoLevelAtom] | None:
+def _resolve_geometry(args):
+    """n_a, n_b, the separation direction, and the atoms (None if not given)."""
     n_a = _unit(_parse_vec(args.dipole_a), "dipole-a")
     n_b = (_unit(_parse_vec(args.dipole_b), "dipole-b")
            if args.dipole_b else n_a.copy())
+    atoms = None
     if args.preset:
         factory = _PRESETS[args.preset]
-        return factory(orientation=n_a), factory(orientation=n_b)
-    if args.omega0 is not None or args.dmag_a is not None or args.dmag_b is not None:
+        atoms = factory(orientation=n_a), factory(orientation=n_b)
+    elif args.omega0 is not None or args.dmag_a is not None or args.dmag_b is not None:
         if args.omega0 is None or args.dmag_a is None or args.dmag_b is None:
             raise DomainError(
                 "custom dimensional atoms need --omega0, --dmag-a and --dmag-b")
-        return (model.TwoLevelAtom(args.omega0, args.dmag_a * n_a),
-                model.TwoLevelAtom(args.omega0, args.dmag_b * n_b))
-    return None
+        atoms = (model.TwoLevelAtom(args.omega0, args.dmag_a * n_a),
+                 model.TwoLevelAtom(args.omega0, args.dmag_b * n_b))
+    return n_a, n_b, _unit(_parse_vec(args.sep_dir), "sep-dir"), atoms
 
 
-def _resolve_configuration(args, x: float | None) -> _Resolved:
-    atoms = _resolve_atoms(args)
-    sep_dir = _unit(_parse_vec(args.sep_dir), "sep-dir")
-    if args.r is not None:
-        if x is not None:
-            raise DomainError("give either --x or --r, not both")
-        if atoms is None:
-            raise DomainError("--r needs a preset or custom dimensional atoms")
-        r_atomic = args.r if args.units == "atomic" else args.r / BOHR_RADIUS_SI
-        if r_atomic <= 0:
-            raise DomainError("separation must be positive")
-        cfg = model.reduce(atoms[0], atoms[1], r_atomic * sep_dir)
-        return _Resolved(cfg=cfg, r_over_a0=r_atomic)
-    if x is None:
-        raise DomainError("a separation is required: --x or --r")
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x}")
-    n_a = _unit(_parse_vec(args.dipole_a), "dipole-a")
-    n_b = (_unit(_parse_vec(args.dipole_b), "dipole-b")
-           if args.dipole_b else n_a.copy())
+def _coupled(args, n_a, n_b, r_hat, atoms):
+    """mu, and x -> (configuration, r_over_a0) at that coupling."""
     if args.mu is not None:
-        mu = args.mu
-        r_over_a0 = float("nan")
         if atoms is not None:
             raise DomainError("give either --mu or dimensional atoms, not both")
-    elif atoms is not None:
-        k0 = atoms[0].wavenumber()
-        mu = (atoms[0].dipole_magnitude * atoms[1].dipole_magnitude * k0**3
-              / atoms[0].omega0)
-        r_over_a0 = x / k0
-    else:
+        mu, k0 = args.mu, float("nan")  # so r_over_a0 = x / k0 is nan
+    elif atoms is None:
         raise DomainError("a coupling is required: --mu, a preset, or atom flags")
-    cfg = model.PairConfiguration(x=x, n_a=n_a, n_b=n_b, r_hat=sep_dir, mu=mu)
-    return _Resolved(cfg=cfg, r_over_a0=r_over_a0)
+    else:  # mu does not depend on the separation, so reduce at the unit one
+        mu, k0 = model.reduce(*atoms, r_hat).mu, atoms[0].wavenumber()
+    return mu, lambda x: (model.PairConfiguration(x=x, n_a=n_a, n_b=n_b,
+                                                  r_hat=r_hat, mu=mu), x / k0)
 
 
-def _evaluate_row(resolved: _Resolved, isotropic: bool) -> SweepRow:
-    cfg = resolved.cfg
+def _evaluate_row(cfg: model.PairConfiguration, r_over_a0: float,
+                  isotropic: bool) -> SweepRow:
     full = entanglement.concurrence_full(cfg)
     near = entanglement.concurrence_near(cfg)
     far = entanglement.concurrence_far(cfg)
@@ -232,7 +216,7 @@ def _evaluate_row(resolved: _Resolved, isotropic: bool) -> SweepRow:
     w = casimir.wcp(cfg, isotropic=isotropic)
     return SweepRow(
         x=cfg.x,
-        r_over_a0=resolved.r_over_a0,
+        r_over_a0=r_over_a0,
         concurrence_full=full.raw,
         concurrence_near=near.raw,
         concurrence_far=far.raw,
@@ -246,9 +230,24 @@ def _evaluate_row(resolved: _Resolved, isotropic: bool) -> SweepRow:
 
 
 def cmd_point(args) -> int:
-    resolved = _resolve_configuration(args, getattr(args, "x", None))
-    row = _evaluate_row(resolved, args.isotropic)
-    cfg = resolved.cfg
+    n_a, n_b, r_hat, atoms = _resolve_geometry(args)
+    if args.r is not None:
+        if args.x is not None:
+            raise DomainError("give either --x or --r, not both")
+        if atoms is None:
+            raise DomainError("--r needs a preset or custom dimensional atoms")
+        r_atomic = args.r if args.units == "atomic" else args.r / BOHR_RADIUS_SI
+        if r_atomic <= 0:
+            raise DomainError("separation must be positive")
+        cfg, r_over_a0 = model.reduce(*atoms, r_atomic * r_hat), r_atomic
+    elif args.x is None:
+        raise DomainError("a separation is required: --x or --r")
+    elif args.x <= 0:
+        raise DomainError(f"x must be positive, got {args.x}")
+    else:
+        _, pair_at = _coupled(args, n_a, n_b, r_hat, atoms)
+        cfg, r_over_a0 = pair_at(args.x)
+    row = _evaluate_row(cfg, r_over_a0, args.isotropic)
     print(f"# vacpair point (v{__version__}); atomic units, "
           f"wcp_energy in hbar*omega0")
     entries = [("x", _fmt(row.x))]
@@ -299,24 +298,21 @@ def cmd_sweep(args) -> int:
     else:
         xs = np.linspace(args.xmin, args.xmax, args.points)
 
-    rows = []
-    for x in xs:
-        resolved = _resolve_configuration(args, float(x))
-        rows.append(_evaluate_row(resolved, args.isotropic))
+    mu, pair_at = _coupled(args, *_resolve_geometry(args))
+    rows = [_evaluate_row(*pair_at(x), args.isotropic) for x in map(float, xs)]
 
     lines = [
         f"# vacpair sweep v{__version__}",
         "# units: Hartree atomic units (Gaussian convention); "
         "wcp_energy in units of hbar*omega0",
-        f"# config: mu={_fmt(resolved.cfg.mu)} "
+        f"# config: mu={_fmt(mu)} "
         f"dipole_a={args.dipole_a} dipole_b={args.dipole_b or args.dipole_a} "
         f"sep_dir={args.sep_dir} preset={args.preset or '-'} "
         f"scale={args.scale} isotropic={args.isotropic}",
         ",".join(columns),
     ]
     for row in rows:
-        values = {f.name: getattr(row, f.name) for f in fields(SweepRow)}
-        lines.append(",".join(_fmt(values[c]) for c in columns))
+        lines.append(",".join(_fmt(getattr(row, c)) for c in columns))
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
@@ -334,11 +330,11 @@ def cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, configurable = _build_parsers()
     try:
-        if args.command in ("point", "sweep"):
-            _apply_config_file(args, argv)
+        if argv and argv[0] in configurable:
+            argv[1:1] = _config_flags(configurable[argv[0]], argv[1:])
+        args = parser.parse_args(argv)
         if args.command == "point":
             return cmd_point(args)
         if args.command == "sweep":

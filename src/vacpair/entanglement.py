@@ -21,7 +21,8 @@ import numpy as np
 from . import oracle
 from .errors import DomainError
 from .kernel import contracted_tensor
-from .model import PairConfiguration, Validity, ValidityReport, perturbative_validity
+from .model import (PairConfiguration, Validity, ValidityReport,
+                    _validity_from_margin, perturbative_validity, reduce)
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -115,15 +116,15 @@ def amplitude_c_ee(cfg: PairConfiguration) -> float:
     return -cfg.mu / np.pi * t
 
 
-def _result(raw: float, regime: Regime, cfg: PairConfiguration) -> ConcurrenceResult:
-    validity = perturbative_validity(cfg)
+def _result(raw: float, regime: Regime, validity: ValidityReport) -> ConcurrenceResult:
     return ConcurrenceResult(raw=raw, value=float(np.clip(raw, 0.0, 1.0)),
                              regime=regime, validity=validity)
 
 
 def concurrence_full(cfg: PairConfiguration) -> ConcurrenceResult:
     """Vacuum-induced concurrence C = 2 |c_ee|, valid at any separation."""
-    return _result(concurrence_raw(cfg), Regime.FULL, cfg)
+    raw = concurrence_raw(cfg)  # also the validity margin, so classify it here
+    return _result(raw, Regime.FULL, _validity_from_margin(raw))
 
 
 def near_zone_orientation_factor(cfg: PairConfiguration) -> float:
@@ -139,20 +140,18 @@ def far_zone_orientation_factor(cfg: PairConfiguration) -> float:
 def concurrence_near(cfg: PairConfiguration) -> ConcurrenceResult:
     """Near-zone law mu |n_a.n_b - 3 (n_a.r)(n_b.r)| / x^3 (for x << 1)."""
     raw = cfg.mu * abs(near_zone_orientation_factor(cfg)) / cfg.x**3
-    return _result(raw, Regime.NEAR, cfg)
+    return _result(raw, Regime.NEAR, perturbative_validity(cfg))
 
 
 def concurrence_far(cfg: PairConfiguration) -> ConcurrenceResult:
     """Far-zone law (8 mu / pi) |n_a.n_b - 2 (n_a.r)(n_b.r)| / x^4 (for x >> 1)."""
     raw = (8.0 * cfg.mu / np.pi) * abs(far_zone_orientation_factor(cfg)) / cfg.x**4
-    return _result(raw, Regime.FAR, cfg)
+    return _result(raw, Regime.FAR, perturbative_validity(cfg))
 
 
 def concurrence_dimensional(atom_a, atom_b, separation) -> ConcurrenceResult:
     """Full concurrence straight from dimensional atoms and a separation vector."""
-    from .model import reduce as _reduce
-
-    return concurrence_full(_reduce(atom_a, atom_b, separation))
+    return concurrence_full(reduce(atom_a, atom_b, separation))
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +301,12 @@ def effective_density_matrix(cfg: PairConfiguration) -> TwoQubitState:
     the field degrees of freedom are eliminated and the pair is left in a
     pure superposition, so rho^2 = rho exactly.
     """
-    validity = perturbative_validity(cfg)
+    cee = amplitude_c_ee(cfg)
+    validity = _validity_from_margin(2.0 * abs(cee))
     if validity.flag is Validity.INVALID:
         raise DomainError(
             f"effective state undefined outside the weak-coupling regime "
             f"(margin {validity.margin:.3g})")
-    cee = amplitude_c_ee(cfg)
     psi = np.zeros(4, dtype=complex)
     psi[3] = 1.0
     psi[0] = cee

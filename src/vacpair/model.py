@@ -225,6 +225,16 @@ _MARGIN_OK = 0.1
 _MARGIN_WARN = 1.0
 
 
+def _validity_from_margin(margin: float) -> ValidityReport:
+    if margin <= _MARGIN_OK:
+        flag = Validity.OK
+    elif margin <= _MARGIN_WARN:
+        flag = Validity.WARN
+    else:
+        flag = Validity.INVALID
+    return ValidityReport(flag=flag, margin=margin)
+
+
 def perturbative_validity(cfg: PairConfiguration) -> ValidityReport:
     """Check whether the weak-coupling expansion is trustworthy.
 
@@ -233,11 +243,4 @@ def perturbative_validity(cfg: PairConfiguration) -> ValidityReport:
     """
     from .entanglement import concurrence_raw
 
-    margin = abs(concurrence_raw(cfg))
-    if margin <= _MARGIN_OK:
-        flag = Validity.OK
-    elif margin <= _MARGIN_WARN:
-        flag = Validity.WARN
-    else:
-        flag = Validity.INVALID
-    return ValidityReport(flag=flag, margin=margin)
+    return _validity_from_margin(concurrence_raw(cfg))

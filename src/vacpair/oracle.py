@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 from .kernel import angular_kernel_contracted
 from .model import PairConfiguration, _as_vec3
 
@@ -137,10 +137,7 @@ def modesum_first_order(x: float, n_a=None, n_b=None, r_hat=None, *,
     orientations.  When the closed-form identity holds this equals
     (1/pi) T(x) from the kernel module.
     """
-    if cfg is not None:
-        a, b = cfg.cos_ab, cfg.proj_product
-    else:
-        a, b = _alignment((n_a, n_b, r_hat))
+    a, b = _alignment(cfg if cfg is not None else (n_a, n_b, r_hat))
     raw, err, used = _modesum(x, a, b, power=1, resonance=resonance,
                               n_segments=n_segments, order=gauss_order)
     return QuadratureReport(value=-raw / np.pi, abs_err_est=err / np.pi,
@@ -158,10 +155,7 @@ def modesum_second_order(x: float, n_a=None, n_b=None, r_hat=None, *,
     to the derivative of the first-order sum with respect to its resonance
     parameter.
     """
-    if cfg is not None:
-        a, b = cfg.cos_ab, cfg.proj_product
-    else:
-        a, b = _alignment((n_a, n_b, r_hat))
+    a, b = _alignment(cfg if cfg is not None else (n_a, n_b, r_hat))
     raw, err, used = _modesum(x, a, b, power=2, resonance=1.0,
                               n_segments=n_segments, order=gauss_order)
     return QuadratureReport(value=raw / np.pi, abs_err_est=err / np.pi,
@@ -211,72 +205,13 @@ def field_correlator(x: float, cos_ab: float = 1.0, proj_product: float = 0.0,
     """Equal-time vacuum field correlator contracted with two orientations.
 
     Evaluates the Abel-summed radial integral int_0^inf dk k^3 K(k x), in
-    units of hbar c k0^4 / pi.  The closed-form value is
-    (-4 cos_ab + 8 proj_product) / x^4.
+    units of hbar c k0^4 / pi: the mode sum without its resonance
+    denominator.  The closed-form value is (-4 cos_ab + 8 proj_product) / x^4.
     """
-    if not (np.isfinite(x) and x > 0):
-        raise DomainError(f"x must be finite and positive, got {x}")
-    if n_segments is None:
-        n_segments = _default_segments(x)
-
-    def integrand(k):
-        k = np.asarray(k, dtype=float)
-        return k**3 * angular_kernel_contracted(k * x, cos_ab, proj_product)
-
-    half_period = np.pi / x
-    head, head_err = quad(integrand, 0.0, half_period, limit=400,
-                          epsabs=0.0, epsrel=1e-12)
-    tail, tail_err, used = _oscillatory_tail(integrand, half_period,
-                                             half_period, n_segments,
-                                             gauss_order)
-    return QuadratureReport(value=head + tail, abs_err_est=head_err + tail_err,
-                            intervals_used=used + 1, accelerated=True)
-
-
-def principal_value_quadrature(func, pole: float, half_width: float,
-                               lower: float, upper: float,
-                               check_tol: float = 1e-8) -> QuadratureReport:
-    """Principal value of int func across one simple pole.
-
-    Integrates outside the symmetric window [pole - delta, pole + delta]
-    adaptively and handles the window analytically: with h(k) = (k - pole)
-    * func(k) smooth, the window contributes 2 (h' delta + h''' delta^3 / 18)
-    from the odd-part cancellation, with derivatives taken by central
-    differences.  The result must be stable under delta -> delta/2, otherwise
-    an AccuracyError is raised.
-    """
-    if not (lower < pole < upper):
-        raise DomainError("pole must lie inside (lower, upper)")
-    if not (0 < half_width < min(pole - lower, upper - pole)):
-        raise DomainError("window must fit inside the integration range")
-
-    def regular(k):
-        return (k - pole) * func(k)
-
-    def window_series(delta):
-        h = delta / 4.0
-        offsets = np.array([-2.0, -1.0, 1.0, 2.0])
-        p = np.array([regular(pole + o * h) for o in offsets])
-        d1 = (8.0 * (p[2] - p[1]) - (p[3] - p[0])) / (12.0 * h)
-        d3 = (p[3] - 2.0 * p[2] + 2.0 * p[1] - p[0]) / (2.0 * h**3)
-        return 2.0 * (d1 * delta + d3 * delta**3 / 18.0)
-
-    results = []
-    for delta in (half_width, half_width / 2.0):
-        left, el = quad(func, lower, pole - delta, limit=800,
-                        epsabs=0.0, epsrel=1e-12)
-        right, er = quad(func, pole + delta, upper, limit=800,
-                         epsabs=0.0, epsrel=1e-12)
-        results.append((left + right + window_series(delta), el + er))
-    spread = abs(results[0][0] - results[1][0])
-    scale = max(1.0, abs(results[1][0]))
-    if spread > check_tol * scale:
-        raise AccuracyError(
-            f"principal value not window independent (spread {spread:.2e})",
-            value=results[1][0], abs_err_est=spread)
-    return QuadratureReport(value=results[1][0],
-                            abs_err_est=spread + results[1][1],
-                            intervals_used=2, accelerated=False)
+    value, err, used = _modesum(x, cos_ab, proj_product, power=0, resonance=1.0,
+                                n_segments=n_segments, order=gauss_order)
+    return QuadratureReport(value=value, abs_err_est=err, intervals_used=used,
+                            accelerated=True)
 
 
 # ---------------------------------------------------------------------------

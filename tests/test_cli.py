@@ -17,6 +17,14 @@ def run_cli(args):
     return cli.main(list(args))
 
 
+def exit_code(args):
+    """run_cli's return value, or the status an argparse error exits with."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 def run_subprocess(args):
     return subprocess.run([sys.executable, "-m", "vacpair.cli", *args],
                           capture_output=True, text=True)
@@ -177,6 +185,55 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mu 1e-4\n")
         assert run_cli(["point", "--x", "1", "--config", str(cfg)]) == 2
+
+    def test_abbreviated_config_flag_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = 3e-4\n")
+        assert run_cli(["point", "--x", "1", "--conf", str(cfg)]) == 0
+        assert float(parse_point_report(capsys.readouterr().out)["mu"]) == 3e-4
+
+    def test_negative_vector_component(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = 1e-4\ndipole-a = -1,0,0\n")
+        assert run_cli(["point", "--x", "1", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("line, argv", [
+        ("mu = abc", ["point", "--x", "1"]),
+        ("preset = bogus", ["point", "--r", "10"]),
+        ("units = Atomic", ["point", "--preset", "hydrogen-1s2p", "--r", "10"]),
+        ("isotropic = maybe", ["point", "--mu", "1e-4", "--x", "1"]),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, line, argv):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert exit_code([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_sweep_range_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("mu = 1e-4\nxmin = 1\nxmax = 2\npoints = 3\n")
+        assert run_cli(["sweep", "--config", str(cfg)]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert [float(r["x"]) for r in rows] == pytest.approx([1.0, 2**0.5, 2.0])
+
+    def test_one_file_serves_point_and_sweep(self, tmp_path, capsys,
+                                             monkeypatch):
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text("mu = 1e-4\nx = 0.5\nxmin = 1\nxmax = 2\npoints = 2\n")
+        monkeypatch.setenv("VACPAIR_CONFIG", str(cfg))
+        assert run_cli(["point"]) == 0
+        assert float(parse_point_report(capsys.readouterr().out)["x"]) == 0.5
+        assert run_cli(["sweep", "--points", "4"]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 4
+
+    def test_command_and_help_keys_are_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = 1e-4\ncommand = sweep\nhelp = yes\n")
+        assert run_cli(["point", "--x", "1", "--config", str(cfg)]) == 0
+        assert "concurrence_full" in capsys.readouterr().out
 
 
 class TestArgparseContract:

@@ -10,8 +10,9 @@ from vacpair import (DomainError, Regime, SpinCorrelators, TwoQubitState,
                      concurrence_far, concurrence_full, concurrence_near,
                      correlators_from_state, effective_density_matrix,
                      entanglement_of_formation, hydrogen_1s2p,
-                     pair_from_alignment, palma_concurrence, reduce,
-                     wootters_concurrence)
+                     pair_from_alignment, palma_concurrence,
+                     perturbative_validity, reduce, wootters_concurrence)
+from vacpair import entanglement
 from vacpair.entanglement import cross_coherence, regularized_local_population
 
 from conftest import (random_density_matrix, random_rotation, random_unit,
@@ -54,6 +55,27 @@ class TestConcurrenceRegimes:
         assert res.raw == pytest.approx(2.0 * abs(amplitude_c_ee(cfg)), rel=1e-15)
         assert res.regime is Regime.FULL
         assert res.validity.flag is Validity.OK
+
+    def test_full_evaluates_the_tensor_once(self, monkeypatch):
+        calls = []
+        original = entanglement.contracted_tensor
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(entanglement, "contracted_tensor", counted)
+        concurrence_full(transverse_pair(1.0, mu=0.01))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("x, mu, flag", [(1.0, 1e-4, Validity.OK),
+                                             (1.0, 0.5, Validity.WARN),
+                                             (0.01, 1.0, Validity.INVALID)])
+    def test_full_validity_is_perturbative_validity(self, x, mu, flag):
+        cfg = transverse_pair(x, mu=mu)
+        validity = concurrence_full(cfg).validity
+        assert validity.flag is flag
+        assert validity == perturbative_validity(cfg)
 
     def test_near_zone_closed_forms(self):
         cfg = transverse_pair(0.5, mu=2.0)

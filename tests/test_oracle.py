@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from vacpair import AccuracyError, DomainError, pair_from_alignment
+from vacpair import DomainError, pair_from_alignment
 from vacpair.entanglement import regularized_local_population
 from vacpair.kernel import contracted_tensor
 from vacpair.oracle import (_default_segments, aux_integral_rep,
                             dispersion_integral_real_axis, field_correlator,
                             local_population, modesum_first_order,
-                            modesum_second_order, principal_value_quadrature)
+                            modesum_second_order)
 
 from conftest import STANDARD_GRID, longitudinal_pair, transverse_pair
 
@@ -130,45 +130,6 @@ class TestFieldCorrelator:
     def test_longitudinal_closed_form(self):
         assert field_correlator(2.0, 1.0, 1.0).value == pytest.approx(
             4.0 / 2.0**4, rel=1e-6)
-
-
-class TestPrincipalValue:
-    def test_antisymmetric_pole(self):
-        rep = principal_value_quadrature(lambda k: 1.0 / (k - 1.0), 1.0, 0.01,
-                                         0.5, 1.5)
-        assert abs(rep.value) < 1e-10
-
-    def test_rational_function_with_known_value(self):
-        # PV int_1^4 k/(k-2) dk = 3 + 2 ln 2 by partial fractions
-        rep = principal_value_quadrature(lambda k: k / (k - 2.0), 2.0, 0.01,
-                                         1.0, 4.0)
-        assert rep.value == pytest.approx(3.0 + 2.0 * np.log(2.0), rel=1e-9)
-
-    def test_oscillatory_numerator(self):
-        # PV int_0^20 sin(k)/(k - 3) dk computed against a subtracted form:
-        # sin(k)/(k-3) = [sin(k) - sin(3)]/(k-3) + sin(3)/(k-3), the first
-        # part is regular and the second integrates to sin(3) ln(17/3)
-        from scipy.integrate import quad
-
-        def regular(k):
-            if abs(k - 3.0) < 1e-8:
-                return np.cos(3.0)
-            return (np.sin(k) - np.sin(3.0)) / (k - 3.0)
-
-        ref = quad(regular, 0.0, 20.0, limit=400)[0] + np.sin(3.0) * np.log(17.0 / 3.0)
-        rep = principal_value_quadrature(lambda k: np.sin(k) / (k - 3.0), 3.0,
-                                         0.02, 0.0, 20.0)
-        assert rep.value == pytest.approx(ref, rel=1e-9)
-
-    def test_double_pole_rejected(self):
-        with pytest.raises(AccuracyError):
-            principal_value_quadrature(lambda k: 1.0 / (k - 1.0) ** 2, 1.0,
-                                       0.01, 0.5, 1.5)
-
-    def test_window_validation(self):
-        with pytest.raises(DomainError):
-            principal_value_quadrature(lambda k: 1.0 / (k - 1.0), 1.0, 1.0,
-                                       0.5, 1.5)
 
 
 class TestHonestErrors:
