@@ -67,17 +67,13 @@ def _pattern_coefficients(p: float, q: float) -> np.ndarray:
     return np.array([p * p, 2 * p * q, q * q + 2 * p * q, 2 * q * q, q * q])
 
 
-_ISO_WEIGHT = 1.0 / 9.0
-
-
-def _coefficient_sets(cfg: PairConfiguration, isotropic: bool):
+def _channels(cfg: PairConfiguration, isotropic: bool):
+    """The overall weight and the (weight, p, q) channels summed under it."""
     if isotropic:
         # rotational average: 2 transverse channels (p = q = 1) and one
         # longitudinal (p = 0, q = -2), each polarizability carrying a 1/3
-        return _ISO_WEIGHT * (2.0 * _pattern_coefficients(1.0, 1.0)
-                              + _pattern_coefficients(0.0, -2.0))
-    p, q = _orientation_pq(cfg)
-    return _pattern_coefficients(p, q)
+        return 1.0 / 9.0, ((2.0, 1.0, 1.0), (1.0, 0.0, -2.0))
+    return 1.0, ((1.0, *_orientation_pq(cfg)),)
 
 
 def _radial_integral(x: float, coeffs: np.ndarray) -> tuple[float, float]:
@@ -105,21 +101,18 @@ def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour
     dimensional units.
     """
     method = PotentialMethod(method)
-    prefactor = -(2.0 / np.pi) * cfg.mu**2 * hbar_omega0
-    if method is PotentialMethod.ROTATED_CONTOUR:
-        j, err = _radial_integral(cfg.x, _coefficient_sets(cfg, isotropic))
-    elif method is PotentialMethod.PRINCIPAL_VALUE_ORACLE:
-        if isotropic:
-            r1 = oracle.dispersion_integral_real_axis(cfg.x, 1.0, 1.0)
-            r2 = oracle.dispersion_integral_real_axis(cfg.x, 0.0, -2.0)
-            j = _ISO_WEIGHT * (2.0 * r1.value + r2.value)
-            err = _ISO_WEIGHT * (2.0 * r1.abs_err_est + r2.abs_err_est)
-        else:
-            p, q = _orientation_pq(cfg)
-            rep = oracle.dispersion_integral_real_axis(cfg.x, p, q)
-            j, err = rep.value, rep.abs_err_est
-    else:
+    if method is PotentialMethod.NEAR_CLOSED_FORM:
         return vdw_near(cfg, hbar_omega0=hbar_omega0)
+    prefactor = -(2.0 / np.pi) * cfg.mu**2 * hbar_omega0
+    weight, channels = _channels(cfg, isotropic)
+    if method is PotentialMethod.ROTATED_CONTOUR:
+        coeffs = sum(w * _pattern_coefficients(p, q) for w, p, q in channels)
+        j, err = _radial_integral(cfg.x, weight * coeffs)
+    else:
+        reps = [(w, oracle.dispersion_integral_real_axis(cfg.x, p, q))
+                for w, p, q in channels]
+        j = weight * sum(w * rep.value for w, rep in reps)
+        err = weight * sum(w * rep.abs_err_est for w, rep in reps)
     return PotentialResult(r=cfg.x, energy=prefactor * j, method=method,
                            abs_err_est=abs(prefactor) * err)
 
@@ -133,7 +126,7 @@ def vdw_near(cfg: PairConfiguration, hbar_omega0: float = 1.0) -> PotentialResul
     W = -V^2 / (2 hbar omega0), i.e. -(mu^2 kappa^2 / 2) hbar omega0 / x^6
     in reduced variables.
     """
-    kappa = cfg.cos_ab - 3.0 * cfg.proj_product
+    kappa = _orientation_pq(cfg)[1]
     energy = -0.5 * (cfg.mu * kappa) ** 2 / cfg.x**6 * hbar_omega0
     return PotentialResult(r=cfg.x, energy=energy,
                            method=PotentialMethod.NEAR_CLOSED_FORM,

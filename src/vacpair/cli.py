@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,33 +23,15 @@ from .errors import AccuracyError, DomainError
 
 BOHR_RADIUS_SI = 5.29177210903e-11  # m
 
+# Numeric columns serialize at 17 digits.  Concurrence columns carry the
+# unclamped law values so emitted curves obey their power laws even past the
+# weak-coupling breakdown flagged by `validity`; `concurrence_clamped` is the
+# [0, 1] version behind `eof`.
 CSV_COLUMNS = ("x", "r_over_a0", "concurrence_full", "concurrence_near",
                "concurrence_far", "eof", "wcp_energy", "validity")
 EXTRA_COLUMNS = ("wcp_abs_err", "concurrence_clamped", "margin")
 
 _PRESETS = {"hydrogen-1s2p": model.hydrogen_1s2p}
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One evaluated configuration; numeric columns serialize at 17 digits.
-
-    Concurrence columns carry the unclamped law values so emitted curves obey
-    their power laws even past the weak-coupling breakdown flagged by
-    `validity`; `concurrence_clamped` is the [0, 1] version behind `eof`.
-    """
-
-    x: float
-    r_over_a0: float
-    concurrence_full: float
-    concurrence_near: float
-    concurrence_far: float
-    eof: float
-    wcp_energy: float
-    validity: str
-    wcp_abs_err: float
-    concurrence_clamped: float
-    margin: float
 
 
 def _fmt(value) -> str:
@@ -208,25 +189,16 @@ def _coupled(args, n_a, n_b, r_hat, atoms):
 
 
 def _evaluate_row(cfg: model.PairConfiguration, r_over_a0: float,
-                  isotropic: bool) -> SweepRow:
+                  isotropic: bool) -> dict[str, float | str]:
+    """The CSV_COLUMNS and EXTRA_COLUMNS values of one configuration, by name."""
     full = entanglement.concurrence_full(cfg)
     near = entanglement.concurrence_near(cfg)
     far = entanglement.concurrence_far(cfg)
     eof = entanglement.entanglement_of_formation(full.value)
     w = casimir.wcp(cfg, isotropic=isotropic)
-    return SweepRow(
-        x=cfg.x,
-        r_over_a0=r_over_a0,
-        concurrence_full=full.raw,
-        concurrence_near=near.raw,
-        concurrence_far=far.raw,
-        eof=eof,
-        wcp_energy=w.energy,
-        validity=full.validity.flag.value,
-        wcp_abs_err=w.abs_err_est,
-        concurrence_clamped=full.value,
-        margin=full.validity.margin,
-    )
+    return dict(zip(CSV_COLUMNS + EXTRA_COLUMNS, (
+        cfg.x, r_over_a0, full.raw, near.raw, far.raw, eof, w.energy,
+        full.validity.flag.value, w.abs_err_est, full.value, full.validity.margin)))
 
 
 def cmd_point(args) -> int:
@@ -239,29 +211,26 @@ def cmd_point(args) -> int:
         r_atomic = args.r if args.units == "atomic" else args.r / BOHR_RADIUS_SI
         if r_atomic <= 0:
             raise DomainError("separation must be positive")
-        cfg, r_over_a0 = model.reduce(*atoms, r_atomic * r_hat), r_atomic
+        x = r_atomic * atoms[0].wavenumber()
     elif args.x is None:
         raise DomainError("a separation is required: --x or --r")
     elif args.x <= 0:
         raise DomainError(f"x must be positive, got {args.x}")
     else:
-        _, pair_at = _coupled(args, n_a, n_b, r_hat, atoms)
-        cfg, r_over_a0 = pair_at(args.x)
-    row = _evaluate_row(cfg, r_over_a0, args.isotropic)
+        x = args.x
+    mu, pair_at = _coupled(args, n_a, n_b, r_hat, atoms)
+    row = _evaluate_row(*pair_at(x), args.isotropic)
     print(f"# vacpair point (v{__version__}); atomic units, "
           f"wcp_energy in hbar*omega0")
-    entries = [("x", _fmt(row.x))]
-    if np.isfinite(row.r_over_a0):
-        entries.append(("r_over_a0", _fmt(row.r_over_a0)))
+    entries = [("x", _fmt(row["x"]))]
+    if np.isfinite(row["r_over_a0"]):
+        entries.append(("r_over_a0", _fmt(row["r_over_a0"])))
+    entries.append(("mu", _fmt(mu)))
+    entries += [(k, _fmt(row[k])) for k in ("concurrence_full", "concurrence_clamped",
+                                            "concurrence_near", "concurrence_far", "eof")]
     entries += [
-        ("mu", _fmt(cfg.mu)),
-        ("concurrence_full", _fmt(row.concurrence_full)),
-        ("concurrence_clamped", _fmt(row.concurrence_clamped)),
-        ("concurrence_near", _fmt(row.concurrence_near)),
-        ("concurrence_far", _fmt(row.concurrence_far)),
-        ("eof", _fmt(row.eof)),
-        ("wcp_energy", f"{_fmt(row.wcp_energy)} (abs err {row.wcp_abs_err:.2e})"),
-        ("validity", f"{row.validity} (margin {_fmt(row.margin)})"),
+        ("wcp_energy", f"{_fmt(row['wcp_energy'])} (abs err {row['wcp_abs_err']:.2e})"),
+        ("validity", f"{row['validity']} (margin {_fmt(row['margin'])})"),
     ]
     width = max(len(k) for k, _ in entries)
     for key, val in entries:
@@ -312,7 +281,7 @@ def cmd_sweep(args) -> int:
         ",".join(columns),
     ]
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, c)) for c in columns))
+        lines.append(",".join(_fmt(row[c]) for c in columns))
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)

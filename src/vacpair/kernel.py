@@ -25,22 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .model import ATOMIC, PhysicalConstants, TwoLevelAtom, _as_vec3
+from .model import ATOMIC, PhysicalConstants, TwoLevelAtom, _as_unit3, _as_vec3
 from .specfun import aux
-
-_UNIT_TOL = 1e-12
 
 
 def tau_components(x: float) -> tuple[float, float]:
     """(tau_trans, tau_long) at dimensionless separation x > 0."""
     if not (np.isfinite(x) and x > 0):
         raise DomainError(f"x must be finite and positive, got {x}")
-    v = aux(x)
-    f, g = v.f, v.g
-    x3 = x**3
-    tau_t = (x - x * x * f + f + x * g) / x3
-    tau_l = -2.0 * (f + x * g) / x3
-    return tau_t, tau_l
+    # the transverse pair has cos_ab = 1, proj_product = 0; the longitudinal 1, 1
+    return contracted_tensor(x, 1.0, 0.0), contracted_tensor(x, 1.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +50,7 @@ class DipoleTensor:
 
 def dipole_tensor(x: float, r_hat=(0.0, 0.0, 1.0)) -> DipoleTensor:
     """Dimensionless dipole coupling tensor at separation x along r_hat."""
-    r = _as_vec3(r_hat, "r_hat")
-    if abs(np.linalg.norm(r) - 1.0) > _UNIT_TOL:
-        raise DomainError("r_hat must be a unit vector to 1e-12")
+    r = _as_unit3(r_hat, "r_hat")
     tau_t, tau_l = tau_components(x)
     proj = np.outer(r, r)
     m = tau_t * (np.eye(3) - proj) + tau_l * proj
@@ -70,12 +62,7 @@ def dipole_tensor(x: float, r_hat=(0.0, 0.0, 1.0)) -> DipoleTensor:
 
 def contract(tensor: DipoleTensor, n_a, n_b) -> float:
     """T(x) = sum_mn (n_a)_m tau_mn (n_b)_n; bilinear in both orientations."""
-    a = _as_vec3(n_a, "n_a")
-    b = _as_vec3(n_b, "n_b")
-    for name, v in (("n_a", a), ("n_b", b)):
-        if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
-            raise DomainError(f"{name} must be a unit vector to 1e-12")
-    return float(a @ tensor.matrix @ b)
+    return float(_as_unit3(n_a, "n_a") @ tensor.matrix @ _as_unit3(n_b, "n_b"))
 
 
 def contracted_tensor(x: float, cos_ab: float, proj_product: float) -> float:

@@ -51,6 +51,13 @@ def _as_vec3(v, name: str) -> np.ndarray:
     return arr
 
 
+def _as_unit3(v, name: str) -> np.ndarray:
+    arr = _as_vec3(v, name)
+    if abs(np.linalg.norm(arr) - 1.0) > _UNIT_TOL:
+        raise DomainError(f"{name} must be a unit vector to 1e-12")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class TwoLevelAtom:
     """A two-level atom: transition frequency and a real transition dipole."""
@@ -119,9 +126,7 @@ class PairConfiguration:
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise DomainError(f"mu must be finite and nonnegative, got {self.mu}")
         for name in ("n_a", "n_b", "r_hat"):
-            v = _as_vec3(getattr(self, name), name)
-            if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
-                raise DomainError(f"{name} must be a unit vector to 1e-12")
+            v = _as_unit3(getattr(self, name), name)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
@@ -147,15 +152,6 @@ def pair_from_alignment(x: float, mu: float, cos_ab: float = 1.0,
     r_hat = np.array([0.0, 0.0, 1.0])
     if abs(cos_ab) > 1:
         raise DomainError("cos_ab must lie in [-1, 1]")
-    if abs(proj_product) < 1e-15:
-        if abs(cos_ab - 1.0) < 1e-15:
-            n_a = np.array([1.0, 0.0, 0.0])
-            n_b = n_a.copy()
-        else:
-            n_a = np.array([1.0, 0.0, 0.0])
-            s = np.sqrt(max(0.0, 1.0 - cos_ab**2))
-            n_b = np.array([cos_ab, s, 0.0])
-        return PairConfiguration(x=x, n_a=n_a, n_b=n_b, r_hat=r_hat, mu=mu)
     ca = np.sqrt(abs(proj_product))
     cb = np.sign(proj_product) * ca
     sa = np.sqrt(1 - ca * ca)

@@ -12,6 +12,7 @@ paths; its job is to be simple, direct and independent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError
 from .kernel import angular_kernel_contracted
-from .model import PairConfiguration, _as_vec3
-
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+from .model import PairConfiguration
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,9 @@ class QuadratureReport:
     accelerated: bool
 
 
+@functools.cache
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GAUSS_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _gauss_segments(func, edges: np.ndarray, order: int) -> np.ndarray:
@@ -89,14 +87,6 @@ def _oscillatory_tail(func, start: float, half_period: float, n_segments: int,
     return value, err, n_segments
 
 
-def _alignment(cfg_or_vectors) -> tuple[float, float]:
-    if isinstance(cfg_or_vectors, PairConfiguration):
-        return cfg_or_vectors.cos_ab, cfg_or_vectors.proj_product
-    n_a, n_b, r_hat = (_as_vec3(v, n) for v, n in
-                       zip(cfg_or_vectors, ("n_a", "n_b", "r_hat")))
-    return float(n_a @ n_b), float((n_a @ r_hat) * (n_b @ r_hat))
-
-
 def _default_segments(x: float) -> int:
     # the tail must reach past kappa ~ 25 before asymptotic alternation is
     # clean, which costs ~ x/pi segments per unit kappa
@@ -125,8 +115,7 @@ def _modesum(x: float, cos_ab: float, proj_product: float, power: int,
     return head + tail, head_err + tail_err, used + 1
 
 
-def modesum_first_order(x: float, n_a=None, n_b=None, r_hat=None, *,
-                        cfg: PairConfiguration | None = None,
+def modesum_first_order(x: float, *, cfg: PairConfiguration,
                         resonance: float = 1.0,
                         n_segments: int | None = None,
                         gauss_order: int = 24) -> QuadratureReport:
@@ -137,15 +126,14 @@ def modesum_first_order(x: float, n_a=None, n_b=None, r_hat=None, *,
     orientations.  When the closed-form identity holds this equals
     (1/pi) T(x) from the kernel module.
     """
-    a, b = _alignment(cfg if cfg is not None else (n_a, n_b, r_hat))
-    raw, err, used = _modesum(x, a, b, power=1, resonance=resonance,
-                              n_segments=n_segments, order=gauss_order)
+    raw, err, used = _modesum(x, cfg.cos_ab, cfg.proj_product, power=1,
+                              resonance=resonance, n_segments=n_segments,
+                              order=gauss_order)
     return QuadratureReport(value=-raw / np.pi, abs_err_est=err / np.pi,
                             intervals_used=used, accelerated=True)
 
 
-def modesum_second_order(x: float, n_a=None, n_b=None, r_hat=None, *,
-                         cfg: PairConfiguration | None = None,
+def modesum_second_order(x: float, *, cfg: PairConfiguration,
                          n_segments: int | None = None,
                          gauss_order: int = 24) -> QuadratureReport:
     """Cross-coherence kernel with squared denominator, per unit coupling.
@@ -155,9 +143,9 @@ def modesum_second_order(x: float, n_a=None, n_b=None, r_hat=None, *,
     to the derivative of the first-order sum with respect to its resonance
     parameter.
     """
-    a, b = _alignment(cfg if cfg is not None else (n_a, n_b, r_hat))
-    raw, err, used = _modesum(x, a, b, power=2, resonance=1.0,
-                              n_segments=n_segments, order=gauss_order)
+    raw, err, used = _modesum(x, cfg.cos_ab, cfg.proj_product, power=2,
+                              resonance=1.0, n_segments=n_segments,
+                              order=gauss_order)
     return QuadratureReport(value=raw / np.pi, abs_err_est=err / np.pi,
                             intervals_used=used, accelerated=True)
 

@@ -264,9 +264,7 @@ def run_validation(level: str = "fast") -> list[CheckResult]:
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     fast = level == "fast"
     results = []
-    results += _aux_checks((0.05, 1.0, 10.0) if fast else (0.01, 0.05, 0.1, 0.5,
-                                                           1.0, 2.0, 5.0, 10.0,
-                                                           30.0, 100.0))
+    results += _aux_checks((0.05, 1.0, 10.0) if fast else _STANDARD_GRID)
     results += _derivative_checks((0.5, 2.0) if fast else (0.1, 0.5, 1.0, 2.0,
                                                            5.0, 10.0, 50.0))
     results += _trig_reconstruction((0.1, 1.0, 10.0, 100.0))

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vacpair
 from vacpair import pair_from_alignment
+
+# the CLI tests that start `python -m vacpair.cli` in a child process need the
+# child to import the package these tests import, installed or not
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(vacpair.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
 
 # the standard separation grid used by the oracle-equivalence suites
 STANDARD_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0)

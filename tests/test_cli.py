@@ -93,6 +93,21 @@ class TestPoint:
         values = parse_point_report(out)
         assert float(values["r_over_a0"]) == pytest.approx(10.0, rel=1e-12)
 
+    def test_mu_with_preset_at_r_is_usage_error(self, capsys):
+        assert run_cli(["point", "--mu", "1e-4", "--preset", "hydrogen-1s2p",
+                        "--r", "10"]) == 2
+        assert "give either --mu or dimensional atoms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", ["0.3", "10", "2500", "3e5"])
+    def test_r_prints_what_its_x_prints(self, capsys, r):
+        geometry = ["--preset", "hydrogen-1s2p", "--dipole-a=0.3,-0.4,1.1",
+                    "--dipole-b=-0.2,0.9,0.5", "--sep-dir=1,2,3"]
+        assert run_cli(["point", "--r", r, *geometry]) == 0
+        by_r = capsys.readouterr().out
+        x = parse_point_report(by_r)["x"]
+        assert run_cli(["point", "--x", x, *geometry]) == 0
+        assert capsys.readouterr().out == by_r
+
 
 class TestSweep:
     def test_two_point_degenerate(self, capsys):

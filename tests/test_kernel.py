@@ -39,6 +39,13 @@ class TestDipoleTensor:
         assert trans == pytest.approx(tau_t, rel=1e-7)
         assert long_ == pytest.approx(tau_l, rel=1e-7)
 
+    @pytest.mark.parametrize("x", [1e-3, 0.01, 0.5, 7.0, 100.0, 1e3, 1e6])
+    def test_components_are_the_contracted_tensor(self, x):
+        # one formula for T(x): the aligned-frame components are its values
+        # at (cos_ab, proj_product) = (1, 0) and (1, 1), bit for bit
+        assert tau_components(x) == (contracted_tensor(x, 1.0, 0.0),
+                                     contracted_tensor(x, 1.0, 1.0))
+
     def test_near_zone_limits(self):
         tau_t, tau_l = tau_components(0.01)
         assert tau_t * 0.01**3 == pytest.approx(np.pi / 2, rel=1e-2)

@@ -41,10 +41,6 @@ class TestModesumFirstOrder:
             assert rep.value == pytest.approx(contracted_tensor(x, a, b) / np.pi,
                                               rel=1e-6)
 
-    def test_accepts_explicit_vectors(self):
-        rep = modesum_first_order(1.0, [1, 0, 0], [1, 0, 0], [0, 0, 1])
-        assert rep.value == pytest.approx((1.0 + G_1) / np.pi, rel=1e-8)
-
     def test_deterministic(self):
         a = modesum_first_order(0.7, cfg=transverse_pair(0.7))
         b = modesum_first_order(0.7, cfg=transverse_pair(0.7))
