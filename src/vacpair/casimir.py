@@ -160,11 +160,8 @@ def fit_powerlaw(curve, window: tuple[float, float]) -> PowerLawFit:
         raise DomainError("values change sign or vanish inside the window")
     lx = np.log(sel[:, 0])
     ly = np.log(np.abs(vals))
-    (slope, intercept), cov = np.polyfit(lx, ly, 1, cov=True)
+    slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     dof = len(sel) - 2
-    if dof > 0 and np.max(np.abs(resid)) > 0:
-        stderr = float(np.sqrt(np.sum(resid**2) / dof / np.sum((lx - lx.mean()) ** 2)))
-    else:
-        stderr = 0.0
+    stderr = float(np.sqrt(np.sum(resid**2) / dof / np.sum((lx - lx.mean()) ** 2)))
     return PowerLawFit(slope=float(slope), stderr=stderr, n_points=len(sel))

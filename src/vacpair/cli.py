@@ -57,17 +57,17 @@ def _unit(vec: np.ndarray, name: str) -> np.ndarray:
     return vec / n
 
 
-def _add_config_flags(p: argparse.ArgumentParser, with_x: bool) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, separation: bool) -> None:
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--preset", choices=sorted(_PRESETS),
                    help="named dimensional atom pair")
     p.add_argument("--mu", type=float, help="dimensionless coupling strength")
-    if with_x:
+    if separation:
         p.add_argument("--x", type=float, help="dimensionless separation k0*R")
-    p.add_argument("--r", type=float,
-                   help="dimensional separation (needs a preset or atom flags)")
-    p.add_argument("--units", choices=("atomic", "si"), default="atomic",
-                   help="units of --r (default atomic)")
+        p.add_argument("--r", type=float,
+                       help="dimensional separation (needs a preset or atom flags)")
+        p.add_argument("--units", choices=("atomic", "si"), default="atomic",
+                       help="units of --r (default atomic)")
     p.add_argument("--omega0", type=float,
                    help="transition frequency of a custom atom pair (atomic units)")
     p.add_argument("--dmag-a", type=float,
@@ -94,10 +94,10 @@ def _build_parsers() -> tuple[argparse.ArgumentParser,
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_point = sub.add_parser("point", help="evaluate one configuration")
-    _add_config_flags(p_point, with_x=True)
+    _add_config_flags(p_point, separation=True)
 
     p_sweep = sub.add_parser("sweep", help="sweep the separation, emit CSV")
-    _add_config_flags(p_sweep, with_x=False)
+    _add_config_flags(p_sweep, separation=False)
     p_sweep.add_argument("--xmin", type=float, required=True)
     p_sweep.add_argument("--xmax", type=float, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
@@ -253,8 +253,6 @@ def _selected_columns(args) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    if args.r is not None:
-        raise DomainError("sweep varies the separation; --r is not applicable")
     if not (np.isfinite(args.xmin) and np.isfinite(args.xmax)):
         raise DomainError("xmin and xmax must be finite")
     if args.xmin <= 0 or args.xmin >= args.xmax:

@@ -127,25 +127,15 @@ def concurrence_full(cfg: PairConfiguration) -> ConcurrenceResult:
     return _result(raw, Regime.FULL, _validity_from_margin(raw))
 
 
-def near_zone_orientation_factor(cfg: PairConfiguration) -> float:
-    """n_a.n_b - 3 (n_a.r)(n_b.r), the electrostatic dipole pattern."""
-    return cfg.cos_ab - 3.0 * cfg.proj_product
-
-
-def far_zone_orientation_factor(cfg: PairConfiguration) -> float:
-    """n_a.n_b - 2 (n_a.r)(n_b.r), the radiation-zone pattern."""
-    return cfg.cos_ab - 2.0 * cfg.proj_product
-
-
 def concurrence_near(cfg: PairConfiguration) -> ConcurrenceResult:
     """Near-zone law mu |n_a.n_b - 3 (n_a.r)(n_b.r)| / x^3 (for x << 1)."""
-    raw = cfg.mu * abs(near_zone_orientation_factor(cfg)) / cfg.x**3
+    raw = cfg.mu * abs(cfg.cos_ab - 3.0 * cfg.proj_product) / cfg.x**3
     return _result(raw, Regime.NEAR, perturbative_validity(cfg))
 
 
 def concurrence_far(cfg: PairConfiguration) -> ConcurrenceResult:
     """Far-zone law (8 mu / pi) |n_a.n_b - 2 (n_a.r)(n_b.r)| / x^4 (for x >> 1)."""
-    raw = (8.0 * cfg.mu / np.pi) * abs(far_zone_orientation_factor(cfg)) / cfg.x**4
+    raw = (8.0 * cfg.mu / np.pi) * abs(cfg.cos_ab - 2.0 * cfg.proj_product) / cfg.x**4
     return _result(raw, Regime.FAR, perturbative_validity(cfg))
 
 
@@ -180,7 +170,8 @@ def wootters_concurrence(state: TwoQubitState | np.ndarray,
     the general path otherwise; "xstate" and "general" force one path.  The
     general path computes the a_i as the singular values of
     sqrt(rho) (sy x sy) sqrt(rho*), which carries no square-root error
-    amplification when an eigenvalue of the product is close to zero.
+    amplification when an eigenvalue of the product is close to zero;
+    sqrt(rho*) is conj(sqrt(rho)) since rho is Hermitian.
     """
     if not isinstance(state, TwoQubitState):
         state = TwoQubitState(np.asarray(state))
@@ -189,7 +180,8 @@ def wootters_concurrence(state: TwoQubitState | np.ndarray,
         raise DomainError(f"unknown method {method!r}")
     if method == "xstate" or (method == "auto" and state.is_x_structured()):
         return _xstate_concurrence(m)
-    core = _matrix_sqrt(m) @ _SY_SY @ _matrix_sqrt(m.conj())
+    root = _matrix_sqrt(m)
+    core = root @ _SY_SY @ root.conj()
     a = np.linalg.svd(core, compute_uv=False)
     return float(max(0.0, a[0] - a[1] - a[2] - a[3]))
 

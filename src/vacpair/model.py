@@ -9,7 +9,8 @@ unity.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,12 +131,12 @@ class PairConfiguration:
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
-    @property
+    @cached_property
     def cos_ab(self) -> float:
         """n_a . n_b"""
         return float(self.n_a @ self.n_b)
 
-    @property
+    @cached_property
     def proj_product(self) -> float:
         """(n_a . r_hat)(n_b . r_hat)"""
         return float((self.n_a @ self.r_hat) * (self.n_b @ self.r_hat))

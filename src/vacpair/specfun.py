@@ -17,6 +17,7 @@ f(x) = int_0^inf exp(-x t)/(1+t^2) dt, g(x) = int_0^inf t exp(-x t)/(1+t^2) dt.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError
@@ -26,6 +27,8 @@ EULER_GAMMA = 0.5772156649015329
 _BRANCH_CUTOVER = 4.0
 _SERIES_MAX_TERMS = 100
 _CF_MAX_ITER = 400
+# the Lentz factor cannot settle closer to 1 than a rounding step or two
+_CF_TOL = 2 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def _fg_continued_fraction(x: float) -> tuple[float, float, float]:
         c = b + a / c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if abs(delta - 1.0) <= _CF_TOL:
             break
     else:
         raise AccuracyError(f"continued fraction failed to converge at x={x}")
@@ -113,39 +116,39 @@ def _fg_continued_fraction(x: float) -> tuple[float, float, float]:
     return f, g, err
 
 
+def _branch(x: float, series: bool) -> tuple[float, float, float, float, float]:
+    """(Si, Ci, f, g, abs_err) at x > 0 from one branch, the others by conversion."""
+    if series:
+        si_v, cin, err = _si_cin_series(x)
+        ci_v = EULER_GAMMA + math.log(x) - cin
+        s, c = math.sin(x), math.cos(x)
+        rest = math.pi / 2 - si_v
+        f = ci_v * s + rest * c
+        g = -ci_v * c + rest * s
+        return si_v, ci_v, f, g, err + 2e-16 * (abs(ci_v) + abs(rest))
+    f, g, err = _fg_continued_fraction(x)
+    s, c = math.sin(x), math.cos(x)
+    return math.pi / 2 - (f * c + g * s), f * s - g * c, f, g, err
+
+
 def si(x: float) -> float:
     """Sine integral Si(x) = int_0^x sin(t)/t dt for x >= 0."""
     x = _check_arg(x, "si", allow_zero=True)
     if x == 0.0:
         return 0.0
-    if x < _BRANCH_CUTOVER:
-        return _si_cin_series(x)[0]
-    f, g, _ = _fg_continued_fraction(x)
-    return math.pi / 2 - (f * math.cos(x) + g * math.sin(x))
+    return _branch(x, x < _BRANCH_CUTOVER)[0]
 
 
 def ci(x: float) -> float:
     """Cosine integral Ci(x) = gamma + ln(x) + int_0^x (cos t - 1)/t dt for x > 0."""
     x = _check_arg(x, "ci", allow_zero=False)
-    if x < _BRANCH_CUTOVER:
-        _, cin, _ = _si_cin_series(x)
-        return EULER_GAMMA + math.log(x) - cin
-    f, g, _ = _fg_continued_fraction(x)
-    return f * math.sin(x) - g * math.cos(x)
+    return _branch(x, x < _BRANCH_CUTOVER)[1]
 
 
 def aux(x: float) -> AuxFunValue:
     """Auxiliary functions f and g with derivatives of f, for x > 0."""
     x = _check_arg(x, "aux", allow_zero=False)
-    if x < _BRANCH_CUTOVER:
-        si_v, cin, err = _si_cin_series(x)
-        ci_v = EULER_GAMMA + math.log(x) - cin
-        s, c = math.sin(x), math.cos(x)
-        f = ci_v * s + (math.pi / 2 - si_v) * c
-        g = -ci_v * c + (math.pi / 2 - si_v) * s
-        err = err + 2e-16 * (abs(ci_v) + abs(math.pi / 2 - si_v))
-    else:
-        f, g, err = _fg_continued_fraction(x)
+    _, _, f, g, err = _branch(x, x < _BRANCH_CUTOVER)
     if not (0.0 < f < math.pi / 2) or g <= 0.0:
         raise AccuracyError(f"auxiliary function out of theoretical range at x={x}",
                             value=(f, g))

@@ -247,12 +247,8 @@ def _far_correlator_checks():
 
 def _seam_checks():
     # evaluate both evaluation branches at the cutover point itself
-    x = 4.0
-    si_series, cin, _ = specfun._si_cin_series(x)
-    ci_series = specfun.EULER_GAMMA + np.log(x) - cin
-    f_cf, g_cf, _ = specfun._fg_continued_fraction(x)
-    si_cf = np.pi / 2 - (f_cf * np.cos(x) + g_cf * np.sin(x))
-    ci_cf = f_cf * np.sin(x) - g_cf * np.cos(x)
+    si_series, ci_series, *_ = specfun._branch(4.0, True)
+    si_cf, ci_cf, *_ = specfun._branch(4.0, False)
     return [
         _compare("si branch seam at x=4", si_cf, si_series, 1e-13, relative=False),
         _compare("ci branch seam at x=4", ci_cf, ci_series, 1e-13, relative=False),

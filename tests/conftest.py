@@ -6,11 +6,21 @@ import pytest
 
 import vacpair
 from vacpair import pair_from_alignment
+# the tests draw X states the way `vacpair validate` does
+from vacpair.validate import _random_x_state as random_x_state
 
 # the CLI tests that start `python -m vacpair.cli` in a child process need the
 # child to import the package these tests import, installed or not
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (str(Path(vacpair.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
+
+
+def pytest_configure(config):
+    # a library warning fails the test that raised it instead of leaking into
+    # the summary; set here, not in pyproject.toml, so that it holds for this
+    # suite only (the benchmark self-tests count wcp's warnings as data)
+    config.addinivalue_line("filterwarnings", "error")
+
 
 # the standard separation grid used by the oracle-equivalence suites
 STANDARD_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0)
@@ -41,17 +51,6 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
-
-
-def random_x_state(rng):
-    """Random positive-semidefinite X-structured density matrix."""
-    diag = rng.dirichlet(np.ones(4))
-    m = np.diag(diag).astype(complex)
-    m[0, 3] = rng.uniform() * np.sqrt(diag[0] * diag[3]) * np.exp(2j * np.pi * rng.uniform())
-    m[3, 0] = np.conj(m[0, 3])
-    m[1, 2] = rng.uniform() * np.sqrt(diag[1] * diag[2]) * np.exp(2j * np.pi * rng.uniform())
-    m[2, 1] = np.conj(m[1, 2])
-    return m
 
 
 def random_density_matrix(rng):

@@ -244,6 +244,23 @@ class TestConfigFile:
         _, rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 4
 
+    def test_one_dimensional_file_serves_point_and_sweep(self, tmp_path, capsys):
+        # r and units are point's flags; sweep ignores them like any other key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = hydrogen-1s2p\nr = 10\nunits = atomic\n"
+                       "xmin = 0.01\nxmax = 0.1\npoints = 3\n")
+        assert run_cli(["point", "--config", str(cfg)]) == 0
+        report = parse_point_report(capsys.readouterr().out)
+        assert float(report["r_over_a0"]) == pytest.approx(10.0, rel=1e-12)
+        assert run_cli(["sweep", "--config", str(cfg)]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert [float(r["x"]) for r in rows] == pytest.approx([0.01, 0.1**1.5, 0.1])
+
+    @pytest.mark.parametrize("flag", ["--r=10", "--units=si"])
+    def test_sweep_rejects_separation_flags(self, flag):
+        assert exit_code(["sweep", "--preset", "hydrogen-1s2p", "--xmin", "0.01",
+                          "--xmax", "0.1", "--points", "3", flag]) == 2
+
     def test_command_and_help_keys_are_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mu = 1e-4\ncommand = sweep\nhelp = yes\n")

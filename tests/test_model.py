@@ -136,6 +136,11 @@ class TestPairConfiguration:
         assert cfg.cos_ab == pytest.approx(a, abs=1e-12)
         assert cfg.proj_product == pytest.approx(b, abs=1e-12)
 
+    def test_invariants_computed_once(self):
+        cfg = pair_from_alignment(2.0, 1.0, 0.5, 0.2)
+        assert cfg.cos_ab is cfg.cos_ab
+        assert cfg.proj_product is cfg.proj_product
+
 
 class TestPerturbativeValidity:
     def test_weak_coupling_ok(self):

@@ -143,6 +143,13 @@ class TestAux:
         assert v.f * math.cos(x) + v.g * math.sin(x) == pytest.approx(
             math.pi / 2 - si(x), abs=1e-12)
 
+    def test_continued_fraction_converges_up_to_1e12(self):
+        # a stopping test tighter than rounding allows made some of these raise
+        for x in np.geomspace(1.07e11, 1e12, 200):
+            v = aux(x)
+            assert abs(v.f * x - 1.0) <= 1e-12
+            assert abs(v.g * x * x - 1.0) <= 1e-12
+
     def test_error_estimate_present(self):
         assert aux(1.0).abs_err_est >= 0
         assert aux(100.0).abs_err_est >= 0
