@@ -8,33 +8,30 @@ from .casimir import (PotentialMethod, PotentialResult, PowerLawFit,
                       fit_powerlaw, vdw_near, wcp)
 from .entanglement import (ConcurrenceResult, Regime, SpinCorrelators,
                            TwoQubitState, amplitude_c_ee,
-                           c1_c2_from_amplitudes, concurrence_dimensional,
-                           concurrence_far, concurrence_full, concurrence_near,
+                           c1_c2_from_amplitudes, concurrence_far,
+                           concurrence_full, concurrence_near,
                            correlators_from_state, effective_density_matrix,
                            entanglement_of_formation, palma_concurrence,
                            wootters_concurrence)
 from .errors import (AccuracyError, DomainError, FrequencyMismatchError,
                      PoleError)
 from .kernel import (DipoleTensor, contract, contracted_tensor,
-                     dipole_potential, dipole_potential_matrix, dipole_tensor,
-                     polarizability, polarizability_imaginary,
-                     vacuum_mode_correlator)
-from .model import (ATOMIC, PairConfiguration, PhysicalConstants,
-                    TwoLevelAtom, Validity, ValidityReport, hydrogen_1s2p,
-                    pair_from_alignment, perturbative_validity, reduce)
+                     dipole_potential_matrix, dipole_tensor, polarizability,
+                     polarizability_imaginary, vacuum_mode_correlator)
+from .model import (PairConfiguration, TwoLevelAtom, Validity, ValidityReport,
+                    hydrogen_1s2p, pair_from_alignment, perturbative_validity,
+                    reduce)
 from .oracle import QuadratureReport
 from .specfun import AuxFunValue, aux, ci, si
 
 __all__ = [
-    "ATOMIC", "AccuracyError", "AuxFunValue", "ConcurrenceResult",
-    "DipoleTensor", "DomainError", "FrequencyMismatchError",
-    "PairConfiguration", "PhysicalConstants", "PoleError", "PotentialMethod",
-    "PotentialResult", "PowerLawFit", "QuadratureReport", "Regime",
-    "SpinCorrelators", "TwoLevelAtom", "TwoQubitState", "Validity",
+    "AccuracyError", "AuxFunValue", "ConcurrenceResult", "DipoleTensor",
+    "DomainError", "FrequencyMismatchError", "PairConfiguration", "PoleError",
+    "PotentialMethod", "PotentialResult", "PowerLawFit", "QuadratureReport",
+    "Regime", "SpinCorrelators", "TwoLevelAtom", "TwoQubitState", "Validity",
     "ValidityReport", "amplitude_c_ee", "aux", "c1_c2_from_amplitudes", "ci",
-    "concurrence_dimensional", "concurrence_far", "concurrence_full",
-    "concurrence_near", "contract", "contracted_tensor",
-    "correlators_from_state", "dipole_potential", "dipole_potential_matrix",
+    "concurrence_far", "concurrence_full", "concurrence_near", "contract",
+    "contracted_tensor", "correlators_from_state", "dipole_potential_matrix",
     "dipole_tensor", "effective_density_matrix", "entanglement_of_formation",
     "fit_powerlaw", "hydrogen_1s2p", "pair_from_alignment",
     "palma_concurrence", "perturbative_validity", "polarizability",

@@ -47,7 +47,7 @@ class PotentialResult:
     """Interaction energy at one separation.
 
     r is the dimensionless separation x = k0 R; energy is in units of
-    hbar omega0 unless a dimensional scale was supplied.
+    hbar omega0.
     """
 
     r: float
@@ -85,25 +85,24 @@ def _radial_integral(x: float, coeffs: np.ndarray) -> tuple[float, float]:
     val, err = quad(integrand, 0.0, np.inf, limit=400,
                     epsabs=1e-300, epsrel=1e-11)
     if not np.isfinite(val):
-        raise AccuracyError(f"dispersion integral failed at x={x}", value=val)
+        raise AccuracyError(f"dispersion integral failed at x={x}")
     return val, err
 
 
 def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour",
-        isotropic: bool = False, hbar_omega0: float = 1.0) -> PotentialResult:
+        isotropic: bool = False) -> PotentialResult:
     """Casimir-Polder energy of the configured pair.
 
     method "rotated_contour" is the production path (imaginary-wavenumber
     integral, relative accuracy ~1e-10); "principal_value_oracle" evaluates
     the equivalent real-axis finite-part integral as an independent check.
     isotropic=True uses rotationally averaged polarizabilities instead of the
-    fixed dipole orientations.  hbar_omega0 rescales the output energy to
-    dimensional units.
+    fixed dipole orientations.  The energy is in units of hbar omega0.
     """
     method = PotentialMethod(method)
     if method is PotentialMethod.NEAR_CLOSED_FORM:
-        return vdw_near(cfg, hbar_omega0=hbar_omega0)
-    prefactor = -(2.0 / np.pi) * cfg.mu**2 * hbar_omega0
+        return vdw_near(cfg)
+    prefactor = -(2.0 / np.pi) * cfg.mu**2
     weight, channels = _channels(cfg, isotropic)
     if method is PotentialMethod.ROTATED_CONTOUR:
         coeffs = sum(w * _pattern_coefficients(p, q) for w, p, q in channels)
@@ -117,7 +116,7 @@ def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour
                            abs_err_est=abs(prefactor) * err)
 
 
-def vdw_near(cfg: PairConfiguration, hbar_omega0: float = 1.0) -> PotentialResult:
+def vdw_near(cfg: PairConfiguration) -> PotentialResult:
     """Electrostatic (London) limit of the pair energy.
 
     Second-order perturbation theory on the static dipole-dipole coupling
@@ -127,7 +126,7 @@ def vdw_near(cfg: PairConfiguration, hbar_omega0: float = 1.0) -> PotentialResul
     in reduced variables.
     """
     kappa = _orientation_pq(cfg)[1]
-    energy = -0.5 * (cfg.mu * kappa) ** 2 / cfg.x**6 * hbar_omega0
+    energy = -0.5 * (cfg.mu * kappa) ** 2 / cfg.x**6
     return PotentialResult(r=cfg.x, energy=energy,
                            method=PotentialMethod.NEAR_CLOSED_FORM,
                            abs_err_est=0.0)

@@ -22,7 +22,7 @@ from . import oracle
 from .errors import DomainError
 from .kernel import contracted_tensor
 from .model import (PairConfiguration, Validity, ValidityReport,
-                    _validity_from_margin, perturbative_validity, reduce)
+                    _validity_from_margin, perturbative_validity)
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -57,12 +57,12 @@ class TwoQubitState:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def is_x_structured(self, tol: float = 1e-12) -> bool:
+    def is_x_structured(self) -> bool:
         """True when only the main and anti diagonal carry weight."""
         mask = np.zeros((4, 4), dtype=bool)
         mask[np.arange(4), np.arange(4)] = True
         mask[np.arange(4), 3 - np.arange(4)] = True
-        return float(np.abs(self.matrix[~mask]).sum()) < tol
+        return float(np.abs(self.matrix[~mask]).sum()) < 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,11 +137,6 @@ def concurrence_far(cfg: PairConfiguration) -> ConcurrenceResult:
     """Far-zone law (8 mu / pi) |n_a.n_b - 2 (n_a.r)(n_b.r)| / x^4 (for x >> 1)."""
     raw = (8.0 * cfg.mu / np.pi) * abs(cfg.cos_ab - 2.0 * cfg.proj_product) / cfg.x**4
     return _result(raw, Regime.FAR, perturbative_validity(cfg))
-
-
-def concurrence_dimensional(atom_a, atom_b, separation) -> ConcurrenceResult:
-    """Full concurrence straight from dimensional atoms and a separation vector."""
-    return concurrence_full(reduce(atom_a, atom_b, separation))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,4 @@ class PoleError(DomainError):
 
 
 class AccuracyError(RuntimeError):
-    """A quadrature failed to reach its target accuracy.
-
-    Carries the partial result so callers can decide whether to use it.
-    """
-
-    def __init__(self, message, value=None, abs_err_est=None):
-        super().__init__(message)
-        self.value = value
-        self.abs_err_est = abs_err_est
+    """A numerical evaluation failed to reach its target accuracy."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .model import ATOMIC, PhysicalConstants, TwoLevelAtom, _as_unit3, _as_vec3
+from .model import SPEED_OF_LIGHT, TwoLevelAtom, _as_unit3, _as_vec3
 from .specfun import aux
 
 
@@ -98,33 +98,24 @@ def dipole_potential_matrix(k: float, r_vec) -> np.ndarray:
     return k**3 * (a_coef * (np.eye(3) - proj) - b_coef * (np.eye(3) - 3.0 * proj))
 
 
-def dipole_potential(k: float, r_vec, l: int, m: int) -> float:
-    """Component (l, m) of the oscillating dipole-dipole potential."""
-    if l not in (0, 1, 2) or m not in (0, 1, 2):
-        raise DomainError("component indices must be 0, 1 or 2")
-    return float(dipole_potential_matrix(k, r_vec)[l, m])
-
-
-def polarizability(k: float, atom: TwoLevelAtom,
-                   constants: PhysicalConstants = ATOMIC) -> float:
+def polarizability(k: float, atom: TwoLevelAtom) -> float:
     """Dynamic isotropic polarizability alpha(k) = 2 w0 d^2 / (3 hbar (w0^2 - w_k^2)).
 
-    Raises PoleError at the resonance w_k = ck = w0; use the imaginary-frequency
-    form for pole-free integrations.
+    hbar = 1 in the package's units.  Raises PoleError at the resonance
+    w_k = ck = w0; use the imaginary-frequency form for pole-free integrations.
     """
     if not (np.isfinite(k) and k >= 0):
         raise DomainError(f"k must be finite and nonnegative, got {k}")
     w0 = atom.omega0
-    wk = constants.c * k
+    wk = SPEED_OF_LIGHT * k
     denom = w0 * w0 - wk * wk
     if abs(denom) < 1e-12 * w0 * w0:
         raise PoleError(f"polarizability pole at ck = omega0 (k = {k})")
     d2 = atom.dipole_magnitude**2
-    return 2.0 * w0 * d2 / (3.0 * constants.hbar * denom)
+    return 2.0 * w0 * d2 / (3.0 * denom)
 
 
-def polarizability_imaginary(u: float, atom: TwoLevelAtom,
-                             constants: PhysicalConstants = ATOMIC) -> float:
+def polarizability_imaginary(u: float, atom: TwoLevelAtom) -> float:
     """alpha(i u): the polarizability continued to imaginary wavenumber.
 
     Positive for all real u, which is what makes rotated-contour dispersion
@@ -134,7 +125,7 @@ def polarizability_imaginary(u: float, atom: TwoLevelAtom,
         raise DomainError(f"u must be finite, got {u}")
     w0 = atom.omega0
     d2 = atom.dipole_magnitude**2
-    return 2.0 * w0 * d2 / (3.0 * constants.hbar * (w0 * w0 + (constants.c * u) ** 2))
+    return 2.0 * w0 * d2 / (3.0 * (w0 * w0 + (SPEED_OF_LIGHT * u) ** 2))
 
 
 def _polarization_basis(k_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,13 +138,12 @@ def _polarization_basis(k_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def vacuum_mode_correlator(k_vec, j: int, r_a, r_b, volume: float = 1.0,
-                           constants: PhysicalConstants = ATOMIC) -> np.ndarray:
+def vacuum_mode_correlator(k_vec, j: int, r_a, r_b) -> np.ndarray:
     """Equal-time field correlator of one vacuum mode, as a 3x3 matrix.
 
     Entry (m, l) is (2 pi hbar c / V) (e_kj)_m (e_kj)_l k exp(i k.(r_a - r_b))
-    for polarization j in {0, 1}.  The quantization volume is a formal
-    parameter that cancels in mode sums.
+    for polarization j in {0, 1}, with hbar = 1 and the quantization volume
+    V = 1: V is a formal parameter that cancels in mode sums.
     """
     k = _as_vec3(k_vec, "k_vec")
     knorm = float(np.linalg.norm(k))
@@ -161,13 +151,11 @@ def vacuum_mode_correlator(k_vec, j: int, r_a, r_b, volume: float = 1.0,
         raise DomainError("k_vec must be nonzero")
     if j not in (0, 1):
         raise DomainError("polarization index must be 0 or 1")
-    if volume <= 0:
-        raise DomainError("volume must be positive")
     ra = _as_vec3(r_a, "r_a")
     rb = _as_vec3(r_b, "r_b")
     e = _polarization_basis(k / knorm)[j]
     phase = np.exp(1j * float(k @ (ra - rb)))
-    return (2.0 * np.pi * constants.hbar * constants.c / volume) * knorm * phase * np.outer(e, e)
+    return 2.0 * np.pi * SPEED_OF_LIGHT * knorm * phase * np.outer(e, e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Physical constants, atom/geometry records and the dimensionless reduction.
+"""Atom/geometry records and the dimensionless reduction.
 
-Internal unit system: Hartree atomic units with the Gaussian electromagnetic
-convention (hbar = e = m_e = 1, c = 1/alpha).  In these units the Bohr radius
-is 1 and all quantities of interest stay within a few orders of magnitude of
-unity.
+The unit system is fixed: Hartree atomic units with the Gaussian
+electromagnetic convention (hbar = e = m_e = 1, c = 1/alpha).  In these
+units the Bohr radius is 1 and all quantities of interest stay within a few
+orders of magnitude of unity; hbar = 1 drops out of every formula.
 """
 
 from __future__ import annotations
@@ -17,30 +17,9 @@ import numpy as np
 from .errors import DomainError, FrequencyMismatchError
 
 FINE_STRUCTURE = 7.2973525693e-3  # CODATA 2018
+SPEED_OF_LIGHT = 1.0 / FINE_STRUCTURE  # alpha = e^2/(hbar c) with e = hbar = 1
 
 _UNIT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants in a consistent unit system."""
-
-    hbar: float = 1.0
-    c: float = 1.0 / FINE_STRUCTURE
-    fine_structure: float = FINE_STRUCTURE
-    bohr_radius: float = 1.0
-
-    def __post_init__(self):
-        for name in ("hbar", "c", "fine_structure", "bohr_radius"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise DomainError(f"constant {name} must be finite and positive, got {v}")
-        # alpha = e^2/(hbar c); with e = 1 this pins fine_structure to 1/(hbar c)
-        if abs(self.fine_structure * self.hbar * self.c - 1.0) > 1e-9:
-            raise DomainError("inconsistent constants: fine_structure != e^2/(hbar c)")
-
-
-ATOMIC = PhysicalConstants()
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
@@ -85,9 +64,9 @@ class TwoLevelAtom:
             return np.array([1.0, 0.0, 0.0])
         return self.dipole / d
 
-    def wavenumber(self, constants: PhysicalConstants = ATOMIC) -> float:
+    def wavenumber(self) -> float:
         """Transition wavenumber k0 = omega0 / c."""
-        return self.omega0 / constants.c
+        return self.omega0 / SPEED_OF_LIGHT
 
 
 def hydrogen_1s2p(orientation=(1.0, 0.0, 0.0)) -> TwoLevelAtom:
@@ -150,9 +129,10 @@ def pair_from_alignment(x: float, mu: float, cos_ab: float = 1.0,
     coplanar dipoles with the requested n_a.n_b and projection product.
     Requires a geometry consistent with unit vectors.
     """
+    for name, v in (("cos_ab", cos_ab), ("proj_product", proj_product)):
+        if not abs(v) <= 1:  # also rejects NaN
+            raise DomainError(f"{name} must lie in [-1, 1], got {v}")
     r_hat = np.array([0.0, 0.0, 1.0])
-    if abs(cos_ab) > 1:
-        raise DomainError("cos_ab must lie in [-1, 1]")
     ca = np.sqrt(abs(proj_product))
     cb = np.sign(proj_product) * ca
     sa = np.sqrt(1 - ca * ca)
@@ -172,8 +152,7 @@ def pair_from_alignment(x: float, mu: float, cos_ab: float = 1.0,
     return PairConfiguration(x=x, n_a=n_a, n_b=n_b, r_hat=r_hat, mu=mu)
 
 
-def reduce(atom_a: TwoLevelAtom, atom_b: TwoLevelAtom, separation,
-           constants: PhysicalConstants = ATOMIC) -> PairConfiguration:
+def reduce(atom_a: TwoLevelAtom, atom_b: TwoLevelAtom, separation) -> PairConfiguration:
     """Reduce a dimensional two-atom setup to its dimensionless configuration.
 
     The reduction is exact: x = k0 |R|, mu = |d_A||d_B| k0^3/(hbar omega0),
@@ -190,9 +169,8 @@ def reduce(atom_a: TwoLevelAtom, atom_b: TwoLevelAtom, separation,
     r = float(np.linalg.norm(sep))
     if r == 0.0:
         raise DomainError("separation must be nonzero")
-    k0 = atom_a.wavenumber(constants)
-    mu = (atom_a.dipole_magnitude * atom_b.dipole_magnitude * k0**3
-          / (constants.hbar * atom_a.omega0))
+    k0 = atom_a.wavenumber()
+    mu = atom_a.dipole_magnitude * atom_b.dipole_magnitude * k0**3 / atom_a.omega0
     return PairConfiguration(
         x=k0 * r,
         n_a=atom_a.orientation,

@@ -33,6 +33,10 @@ class QuadratureReport:
     accelerated: bool
 
 
+# Gauss-Legendre order of the oscillatory-tail segments
+_GAUSS_ORDER = 24
+
+
 @functools.cache
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
@@ -118,7 +122,7 @@ def _modesum(x: float, cos_ab: float, proj_product: float, power: int,
 def modesum_first_order(x: float, *, cfg: PairConfiguration,
                         resonance: float = 1.0,
                         n_segments: int | None = None,
-                        gauss_order: int = 24) -> QuadratureReport:
+                        gauss_order: int = _GAUSS_ORDER) -> QuadratureReport:
     """Direct quadrature of the first-order vacuum mode sum, per unit coupling.
 
     Evaluates -(1/pi) * int_0^inf dk k^3/(resonance + k) K(k x) where K is the
@@ -135,7 +139,7 @@ def modesum_first_order(x: float, *, cfg: PairConfiguration,
 
 def modesum_second_order(x: float, *, cfg: PairConfiguration,
                          n_segments: int | None = None,
-                         gauss_order: int = 24) -> QuadratureReport:
+                         gauss_order: int = _GAUSS_ORDER) -> QuadratureReport:
     """Cross-coherence kernel with squared denominator, per unit coupling.
 
     Evaluates (1/pi) * int_0^inf dk k^3/(1 + k)^2 K(k x): the one-photon
@@ -187,9 +191,8 @@ def aux_integral_rep(x: float, which: str) -> QuadratureReport:
                             intervals_used=int(info["last"]), accelerated=False)
 
 
-def field_correlator(x: float, cos_ab: float = 1.0, proj_product: float = 0.0,
-                     n_segments: int | None = None,
-                     gauss_order: int = 24) -> QuadratureReport:
+def field_correlator(x: float, cos_ab: float = 1.0,
+                     proj_product: float = 0.0) -> QuadratureReport:
     """Equal-time vacuum field correlator contracted with two orientations.
 
     Evaluates the Abel-summed radial integral int_0^inf dk k^3 K(k x), in
@@ -197,7 +200,7 @@ def field_correlator(x: float, cos_ab: float = 1.0, proj_product: float = 0.0,
     denominator.  The closed-form value is (-4 cos_ab + 8 proj_product) / x^4.
     """
     value, err, used = _modesum(x, cos_ab, proj_product, power=0, resonance=1.0,
-                                n_segments=n_segments, order=gauss_order)
+                                n_segments=None, order=_GAUSS_ORDER)
     return QuadratureReport(value=value, abs_err_est=err, intervals_used=used,
                             accelerated=True)
 
@@ -222,10 +225,7 @@ def _pi_coefficients(p: float, q: float, x: float) -> np.ndarray:
     ])
 
 
-def dispersion_integral_real_axis(x: float, p: float, q: float,
-                                  delta: float = 0.005,
-                                  n_segments: int | None = None,
-                                  gauss_order: int = 24) -> QuadratureReport:
+def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureReport:
     """The dispersion-energy integral J(x) evaluated on the real wavenumber axis.
 
     The integrand Im[N(kappa)] / (kappa - 1)^2, with
@@ -240,8 +240,8 @@ def dispersion_integral_real_axis(x: float, p: float, q: float,
     """
     if not (np.isfinite(x) and x > 0):
         raise DomainError(f"x must be finite and positive, got {x}")
-    if n_segments is None:
-        n_segments = max(400, int(100 + 30 * x))
+    delta = 0.005  # half width of the finite-part window around the pole
+    n_segments = max(400, int(100 + 30 * x))
     pi_c = _pi_coefficients(p, q, x)
 
     def n_complex(kappa):
@@ -270,7 +270,7 @@ def dispersion_integral_real_axis(x: float, p: float, q: float,
                             limit=800, epsabs=0.0, epsrel=1e-12)
     tail, tail_err, used = _oscillatory_tail(w, 1.0 + delta + half_period,
                                              half_period, n_segments,
-                                             gauss_order)
+                                             _GAUSS_ORDER)
     left += spike
     left_err += spike_err
     window = sum(2.0 * np.imag(coef[k]) * delta ** (k - 1) / (k - 1)

@@ -112,7 +112,8 @@ def _fg_continued_fraction(x: float) -> tuple[float, float, float]:
         raise AccuracyError(f"continued fraction failed to converge at x={x}")
     f = -h.imag
     g = h.real
-    err = (abs(delta - 1.0) + 1e-16) * abs(h) * 4.0
+    # the last step's distance from 1 plus one rounding per step taken
+    err = (abs(delta - 1.0) + i * sys.float_info.epsilon) * abs(h) * 4.0
     return f, g, err
 
 
@@ -150,8 +151,7 @@ def aux(x: float) -> AuxFunValue:
     x = _check_arg(x, "aux", allow_zero=False)
     _, _, f, g, err = _branch(x, x < _BRANCH_CUTOVER)
     if not (0.0 < f < math.pi / 2) or g <= 0.0:
-        raise AccuracyError(f"auxiliary function out of theoretical range at x={x}",
-                            value=(f, g))
+        raise AccuracyError(f"auxiliary function out of theoretical range at x={x}")
     return AuxFunValue(
         x=x,
         f=f,

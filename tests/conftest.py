@@ -6,7 +6,9 @@ import pytest
 
 import vacpair
 from vacpair import pair_from_alignment
-# the tests draw X states the way `vacpair validate` does
+# the tests draw X states and use the standard separation grid the way
+# `vacpair validate` does
+from vacpair.validate import _STANDARD_GRID as STANDARD_GRID
 from vacpair.validate import _random_x_state as random_x_state
 
 # the CLI tests that start `python -m vacpair.cli` in a child process need the
@@ -20,10 +22,6 @@ def pytest_configure(config):
     # the summary; set here, not in pyproject.toml, so that it holds for this
     # suite only (the benchmark self-tests count wcp's warnings as data)
     config.addinivalue_line("filterwarnings", "error")
-
-
-# the standard separation grid used by the oracle-equivalence suites
-STANDARD_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0)
 
 
 def transverse_pair(x, mu=1e-4):

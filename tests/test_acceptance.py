@@ -21,7 +21,7 @@ from vacpair.entanglement import (amplitude_c_ee, c1_c2_from_amplitudes,
                                   correlators_from_state,
                                   effective_density_matrix, palma_concurrence)
 from vacpair.kernel import contracted_tensor
-from vacpair.model import ATOMIC
+from vacpair.model import FINE_STRUCTURE
 from vacpair.oracle import aux_integral_rep, modesum_first_order
 from vacpair.specfun import aux
 
@@ -189,7 +189,7 @@ def _hydrogen_near_far_ratios():
     r_far = x_far / k0
     cfg_far = reduce(atom, atom, [0.0, 0.0, r_far])
     from vacpair.entanglement import concurrence_far
-    far_ratio = concurrence_far(cfg_far).raw / (ATOMIC.fine_structure * r_far**-4)
+    far_ratio = concurrence_far(cfg_far).raw / (FINE_STRUCTURE * r_far**-4)
     return near_ratio, far_ratio
 
 

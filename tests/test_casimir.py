@@ -11,20 +11,19 @@ from vacpair.oracle import field_correlator
 from conftest import transverse_pair
 
 
-def london_oracle(mu, kappa, x, hbar_omega0=1.0):
+def london_oracle(mu, kappa, x):
     """Second-order shift from diagonalizing the 4x4 static Hamiltonian.
 
     H = hbar w0 (Sz_A + Sz_B) + V sx_A sx_B with V = mu kappa / x^3 in
-    reduced units; the ground-level shift is read off the exact spectrum.
+    reduced units (hbar w0 = 1); the ground-level shift is read off the
+    exact spectrum.
     """
-    w0 = hbar_omega0
-    v = mu * kappa / x**3 * hbar_omega0
+    v = mu * kappa / x**3
     sz = np.diag([0.5, -0.5])
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     eye = np.eye(2)
-    h = (w0 * (np.kron(sz, eye) + np.kron(eye, sz))
-         + v * np.kron(sx, sx))
-    return np.linalg.eigvalsh(h)[0] - (-w0)
+    h = np.kron(sz, eye) + np.kron(eye, sz) + v * np.kron(sx, sx)
+    return np.linalg.eigvalsh(h)[0] + 1.0
 
 
 class TestVdwNear:
@@ -115,11 +114,6 @@ class TestWcp:
         res = wcp(cfg, method="near_closed_form")
         assert res.method is PotentialMethod.NEAR_CLOSED_FORM
         assert res.energy == vdw_near(cfg).energy
-
-    def test_dimensional_scale(self):
-        cfg = transverse_pair(1.0)
-        assert wcp(cfg, hbar_omega0=0.375).energy == pytest.approx(
-            0.375 * wcp(cfg).energy, rel=1e-12)
 
 
 class TestFarZoneCorrelatorForm:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vacpair import (ATOMIC, DomainError, FrequencyMismatchError,
-                     PairConfiguration, PhysicalConstants, TwoLevelAtom,
-                     Validity, concurrence_full, hydrogen_1s2p,
+from vacpair import (DomainError, FrequencyMismatchError, PairConfiguration,
+                     TwoLevelAtom, Validity, concurrence_full, hydrogen_1s2p,
                      pair_from_alignment, perturbative_validity, reduce)
+from vacpair.model import FINE_STRUCTURE, SPEED_OF_LIGHT
 
 HYDROGEN_DIPOLE = 128.0 * np.sqrt(2.0) / 243.0
 HYDROGEN_K0 = 0.0027365072134875002  # 0.375 * alpha, alpha = 7.2973525693e-3
@@ -15,20 +15,9 @@ HYDROGEN_K0 = 0.0027365072134875002  # 0.375 * alpha, alpha = 7.2973525693e-3
 
 class TestConstants:
     def test_fine_structure_identity(self):
-        # alpha = e^2/(hbar c) with e = 1 in the internal convention
-        assert ATOMIC.fine_structure == pytest.approx(1.0 / (ATOMIC.hbar * ATOMIC.c),
-                                                      rel=1e-12)
-        assert ATOMIC.fine_structure == pytest.approx(1.0 / 137.036, rel=1e-5)
-
-    def test_all_positive(self):
-        for v in (ATOMIC.hbar, ATOMIC.c, ATOMIC.fine_structure, ATOMIC.bohr_radius):
-            assert v > 0
-
-    def test_inconsistent_rejected(self):
-        with pytest.raises(DomainError):
-            PhysicalConstants(hbar=1.0, c=100.0, fine_structure=0.5, bohr_radius=1.0)
-        with pytest.raises(DomainError):
-            PhysicalConstants(hbar=-1.0)
+        # alpha = e^2/(hbar c) with e = hbar = 1 in the internal convention
+        assert FINE_STRUCTURE == pytest.approx(1.0 / SPEED_OF_LIGHT, rel=1e-12)
+        assert FINE_STRUCTURE == pytest.approx(1.0 / 137.036, rel=1e-5)
 
 
 class TestTwoLevelAtom:
@@ -106,13 +95,13 @@ class TestReduce:
         via_reduction = concurrence_full(cfg).raw
         # dimensional evaluation, spelled out in dimensional quantities
         from vacpair import contracted_tensor
-        k0 = a.omega0 / ATOMIC.c
+        k0 = a.omega0 / SPEED_OF_LIGHT
         r = np.linalg.norm(sep)
         rhat = sep / r
         na, nb = a.orientation, b.orientation
         t = contracted_tensor(k0 * r, float(na @ nb),
                               float((na @ rhat) * (nb @ rhat)))
-        dimensional = (2.0 / (np.pi * ATOMIC.hbar * a.omega0)
+        dimensional = (2.0 / (np.pi * a.omega0)  # hbar = 1
                        * a.dipole_magnitude * b.dipole_magnitude * k0**3 * abs(t))
         assert via_reduction == pytest.approx(dimensional, rel=1e-12)
 
@@ -128,6 +117,12 @@ class TestPairConfiguration:
             pair_from_alignment(-1.0, 1.0)
         with pytest.raises(DomainError):
             pair_from_alignment(1.0, -1.0)
+        # an invariant no pair of unit vectors has names itself
+        for a, b, name in ((1.0, 2.0, "proj_product"), (1.0, -1.5, "proj_product"),
+                           (1.0, float("nan"), "proj_product"),
+                           (float("nan"), 0.0, "cos_ab"), (1.5, 0.0, "cos_ab")):
+            with pytest.raises(DomainError, match=name):
+                pair_from_alignment(1.0, 1e-4, a, b)
 
     @pytest.mark.parametrize("a,b", [(1.0, 0.0), (1.0, 1.0), (1.0, 0.25),
                                      (0.0, 0.0), (-0.5, 0.2)])

@@ -153,3 +153,17 @@ class TestAux:
     def test_error_estimate_present(self):
         assert aux(1.0).abs_err_est >= 0
         assert aux(100.0).abs_err_est >= 0
+
+    def test_error_estimate_bounds_true_error(self):
+        # f and g at 40 digits from the mpmath Si and Ci; the continued
+        # fraction's estimate used to count only its last step's rounding
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for x in np.geomspace(1e-3, 1e4, 500):
+                v = aux(x)
+                t = mp.mpf(float(x))
+                rest, c = mp.pi / 2 - mp.si(t), mp.ci(t)
+                f = c * mp.sin(t) + rest * mp.cos(t)
+                g = -c * mp.cos(t) + rest * mp.sin(t)
+                assert abs(v.f - f) <= v.abs_err_est, x
+                assert abs(v.g - g) <= v.abs_err_est, x
