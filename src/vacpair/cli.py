@@ -310,7 +310,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"vacpair: error: {exc}", file=sys.stderr)
         return 2
-    except AccuracyError as exc:
+    except (AccuracyError, ArithmeticError) as exc:
+        # ArithmeticError: x**n overflows or underflows to 0 at extreme x
         print(f"vacpair: accuracy failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

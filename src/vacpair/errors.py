@@ -9,9 +9,5 @@ class FrequencyMismatchError(DomainError):
     """The two atoms do not share a single transition frequency."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested exactly at (or too close to) a resonance pole."""
-
-
 class AccuracyError(RuntimeError):
     """A numerical evaluation failed to reach its target accuracy."""

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
-from .kernel import angular_kernel_contracted
 from .model import PairConfiguration
 
 
@@ -97,6 +96,37 @@ def _default_segments(x: float) -> int:
     return max(360, int(60 + 9.0 * x))
 
 
+# ---------------------------------------------------------------------------
+# Polarization-summed, angle-integrated kernel of exp(+-i k.R).
+#
+# (1/4pi) int dOmega sum_j (e_kj)_m (e_kj)_n exp(i k.R)
+#     = delta_mn S1(rho) - Rhat_m Rhat_n S2(rho),   rho = k R,
+# with S1 = sin(rho)/rho - sin(rho)/rho^3 + cos(rho)/rho^2 and
+# S2 = sin(rho)/rho - 3 sin(rho)/rho^3 + 3 cos(rho)/rho^2.  Power series are
+# used below rho = 0.3 where the closed forms cancel catastrophically.
+# ---------------------------------------------------------------------------
+
+_RHO_SERIES = 0.3
+
+
+def angular_kernel(rho):
+    """(S1, S2) of the polarization-and-angle integrated mode kernel."""
+    rho = np.asarray(rho, dtype=float)
+    s1 = np.empty_like(rho)
+    s2 = np.empty_like(rho)
+    small = np.abs(rho) < _RHO_SERIES
+    r2 = rho[small] ** 2
+    s1[small] = (2.0 / 3.0 - 2.0 * r2 / 15.0 + r2 * r2 / 140.0
+                 - r2**3 / 5670.0 + r2**4 / 399168.0)
+    s2[small] = (-r2 / 15.0 + r2 * r2 / 210.0
+                 - r2**3 / 7560.0 + r2**4 / 498960.0)
+    r = rho[~small]
+    s, c = np.sin(r), np.cos(r)
+    s1[~small] = s / r - s / r**3 + c / r**2
+    s2[~small] = s / r - 3.0 * s / r**3 + 3.0 * c / r**2
+    return s1, s2
+
+
 def _modesum(x: float, cos_ab: float, proj_product: float, power: int,
              resonance: float, n_segments: int | None, order: int):
     if not (np.isfinite(x) and x > 0):
@@ -108,8 +138,8 @@ def _modesum(x: float, cos_ab: float, proj_product: float, power: int,
 
     def integrand(k):
         k = np.asarray(k, dtype=float)
-        return (k**3 / (resonance + k) ** power
-                * angular_kernel_contracted(k * x, cos_ab, proj_product))
+        s1, s2 = angular_kernel(k * x)
+        return k**3 / (resonance + k) ** power * (cos_ab * s1 - proj_product * s2)
 
     half_period = np.pi / x
     head, head_err = quad(integrand, 0.0, half_period,

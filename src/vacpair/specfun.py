@@ -150,7 +150,8 @@ def aux(x: float) -> AuxFunValue:
     """Auxiliary functions f and g with derivatives of f, for x > 0."""
     x = _check_arg(x, "aux", allow_zero=False)
     _, _, f, g, err = _branch(x, x < _BRANCH_CUTOVER)
-    if not (0.0 < f < math.pi / 2) or g <= 0.0:
+    # f = pi/2 - O(x ln x), so below x ~ 1e-17 it rounds to fl(pi/2) itself
+    if not (0.0 < f <= math.pi / 2) or g <= 0.0:
         raise AccuracyError(f"auxiliary function out of theoretical range at x={x}")
     return AuxFunValue(
         x=x,

@@ -1,7 +1,5 @@
 """Command-line contract: flags, exit codes, CSV emission, validation runner."""
 
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -23,11 +21,6 @@ def exit_code(args):
         return run_cli(args)
     except SystemExit as exc:
         return exc.code
-
-
-def run_subprocess(args):
-    return subprocess.run([sys.executable, "-m", "vacpair.cli", *args],
-                          capture_output=True, text=True)
 
 
 def parse_csv(text):
@@ -269,19 +262,37 @@ class TestConfigFile:
 
 
 class TestArgparseContract:
-    def test_unknown_flag_exits_2(self):
-        proc = run_subprocess(["point", "--bogus", "1"])
-        assert proc.returncode == 2
-        assert proc.stderr.strip() != ""
+    # in process: argparse exits through SystemExit, whose code is the status
+    # the process would end with (test_c10 checks that status end to end)
+    def test_unknown_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["point", "--bogus", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip() != ""
 
-    def test_no_command_exits_2(self):
-        proc = run_subprocess([])
-        assert proc.returncode == 2
-        assert proc.stderr.strip() != ""
+    def test_no_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip() != ""
 
-    def test_version(self):
-        proc = run_subprocess(["--version"])
-        assert proc.returncode == 0
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--version"])
+        assert exc.value.code == 0
+
+
+class TestExtremeSeparation:
+    def test_tiny_x_reports_invalid_row(self, capsys):
+        # f(1e-18) rounds to pi/2 exactly, a correct value
+        assert run_cli(["point", "--mu", "1e-4", "--x", "1e-18"]) == 0
+        assert "validity            = INVALID" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("x", ["1e100", "1e-200"])
+    def test_overflow_and_underflow_are_accuracy_failures(self, capsys, x):
+        # x**4 overflows at 1e100; x**2 underflows to 0 at 1e-200
+        assert run_cli(["point", "--mu", "1e-4", "--x", x]) == 1
+        assert "vacpair: accuracy failure" in capsys.readouterr().err
 
 
 class TestValidateCommand:

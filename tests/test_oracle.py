@@ -6,10 +6,10 @@ import pytest
 from vacpair import DomainError, pair_from_alignment
 from vacpair.entanglement import regularized_local_population
 from vacpair.kernel import contracted_tensor
-from vacpair.oracle import (_default_segments, aux_integral_rep,
-                            dispersion_integral_real_axis, field_correlator,
-                            local_population, modesum_first_order,
-                            modesum_second_order)
+from vacpair.oracle import (_default_segments, angular_kernel,
+                            aux_integral_rep, dispersion_integral_real_axis,
+                            field_correlator, local_population,
+                            modesum_first_order, modesum_second_order)
 
 from conftest import STANDARD_GRID, longitudinal_pair, transverse_pair
 
@@ -17,6 +17,23 @@ G_1 = 0.343377961556427
 # exact antiderivative of k^3/(1+k)^2 on [0, L], times 2/(3 pi)
 LOCAL_POP_RATIO_10_100 = 132.64183531800975
 LOCAL_POP_RATIO_100_1000 = 103.47697989996128
+
+
+class TestAngularKernel:
+    def test_values_at_origin(self):
+        s1, s2 = angular_kernel(np.array([1e-12]))
+        assert s1[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert abs(s2[0]) < 1e-20
+
+    @pytest.mark.parametrize("rho", [0.1, 0.25, 0.299])
+    def test_series_matches_direct_formula(self, rho):
+        # below the switch the kernel comes from the series; compare with the
+        # direct trigonometric form evaluated at the same point
+        s1, s2 = (v[0] for v in angular_kernel(np.array([rho])))
+        s, c = np.sin(rho), np.cos(rho)
+        assert s1 == pytest.approx(s / rho - s / rho**3 + c / rho**2, abs=1e-12)
+        assert s2 == pytest.approx(s / rho - 3 * s / rho**3 + 3 * c / rho**2,
+                                   abs=1e-12)
 
 
 class TestModesumFirstOrder:
