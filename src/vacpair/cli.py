@@ -188,14 +188,27 @@ def _coupled(args, n_a, n_b, r_hat, atoms):
                                                   r_hat=r_hat, mu=mu), x / k0)
 
 
+def _column(name: str, law, cfg: model.PairConfiguration, **kwargs):
+    """law(cfg, **kwargs), with a failure inside it reported as an
+    AccuracyError that names the column and x."""
+    try:
+        return law(cfg, **kwargs)
+    except AccuracyError as exc:  # the library's messages name x
+        raise AccuracyError(f"{name}: {exc}") from None
+    except ArithmeticError as exc:
+        # a power of x that overflows, or underflows to 0 and is divided by
+        raise AccuracyError(f"{name}: out of floating-point range at x={cfg.x!r} "
+                            f"({type(exc).__name__})") from None
+
+
 def _evaluate_row(cfg: model.PairConfiguration, r_over_a0: float,
                   isotropic: bool) -> dict[str, float | str]:
     """The CSV_COLUMNS and EXTRA_COLUMNS values of one configuration, by name."""
-    full = entanglement.concurrence_full(cfg)
-    near = entanglement.concurrence_near(cfg)
-    far = entanglement.concurrence_far(cfg)
+    full = _column("concurrence_full", entanglement.concurrence_full, cfg)
+    near = _column("concurrence_near", entanglement.concurrence_near, cfg)
+    far = _column("concurrence_far", entanglement.concurrence_far, cfg)
     eof = entanglement.entanglement_of_formation(full.value)
-    w = casimir.wcp(cfg, isotropic=isotropic)
+    w = _column("wcp_energy", casimir.wcp, cfg, isotropic=isotropic)
     return dict(zip(CSV_COLUMNS + EXTRA_COLUMNS, (
         cfg.x, r_over_a0, full.raw, near.raw, far.raw, eof, w.energy,
         full.validity.flag.value, w.abs_err_est, full.value, full.validity.margin)))
@@ -311,7 +324,7 @@ def main(argv=None) -> int:
         print(f"vacpair: error: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, ArithmeticError) as exc:
-        # ArithmeticError: x**n overflows or underflows to 0 at extreme x
+        # ArithmeticError: outside a row, e.g. k0**3 of atoms with an extreme omega0
         print(f"vacpair: accuracy failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

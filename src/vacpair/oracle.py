@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .model import PairConfiguration
@@ -34,6 +33,14 @@ class QuadratureReport:
 
 # Gauss-Legendre order of the oscillatory-tail segments
 _GAUSS_ORDER = 24
+
+
+def _quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on first use: the production modules
+    import this one, and they need only numpy."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
 
 
 @functools.cache
@@ -142,8 +149,8 @@ def _modesum(x: float, cos_ab: float, proj_product: float, power: int,
         return k**3 / (resonance + k) ** power * (cos_ab * s1 - proj_product * s2)
 
     half_period = np.pi / x
-    head, head_err = quad(integrand, 0.0, half_period,
-                          limit=400, epsabs=0.0, epsrel=1e-12)
+    head, head_err = _quad(integrand, 0.0, half_period,
+                           limit=400, epsabs=0.0, epsrel=1e-12)
     tail, tail_err, used = _oscillatory_tail(integrand, half_period,
                                              half_period, n_segments, order)
     return head + tail, head_err + tail_err, used + 1
@@ -192,8 +199,8 @@ def local_population(cutoff: float) -> QuadratureReport:
     """
     if not (np.isfinite(cutoff) and cutoff > 1):
         raise DomainError(f"cutoff must exceed 1, got {cutoff}")
-    val, err = quad(lambda k: k**3 / (1.0 + k) ** 2, 0.0, cutoff,
-                    limit=200, epsabs=0.0, epsrel=1e-12)
+    val, err = _quad(lambda k: k**3 / (1.0 + k) ** 2, 0.0, cutoff,
+                     limit=200, epsabs=0.0, epsrel=1e-12)
     scale = 2.0 / (3.0 * np.pi)
     return QuadratureReport(value=scale * val, abs_err_est=scale * err,
                             intervals_used=1, accelerated=False)
@@ -215,8 +222,8 @@ def aux_integral_rep(x: float, which: str) -> QuadratureReport:
         integrand = lambda th: np.exp(-x * np.tan(th))
     else:
         integrand = lambda th: np.tan(th) * np.exp(-x * np.tan(th))
-    val, err, info = quad(integrand, 0.0, np.pi / 2, limit=800,
-                          epsabs=1e-14, epsrel=1e-13, full_output=True)[:3]
+    val, err, info = _quad(integrand, 0.0, np.pi / 2, limit=800,
+                           epsabs=1e-14, epsrel=1e-13, full_output=True)[:3]
     return QuadratureReport(value=val, abs_err_est=err,
                             intervals_used=int(info["last"]), accelerated=False)
 
@@ -236,8 +243,30 @@ def field_correlator(x: float, cos_ab: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# Real-axis evaluation of the dispersion-energy radial integral.
+# The dispersion-energy radial integral J(x), on the rotated contour and on
+# the real wavenumber axis.
 # ---------------------------------------------------------------------------
+
+def dispersion_integral_rotated(x: float, p: float, q: float) -> QuadratureReport:
+    """The dispersion-energy integral J(x) by adaptive quadrature on the rotated contour.
+
+    J(x) = int_0^inf (p v^2/x + q v/x^2 + q/x^3)^2 exp(-2 v x) / (1 + v^2)^2 dv,
+    the square of v^3 times the radiation pattern p/(vx) + q/(vx)^2 + q/(vx)^3
+    at imaginary wavenumber i v.  The integrand decays exponentially and
+    has no pole on the half line, so one adaptive pass handles it.
+    """
+    if not (np.isfinite(x) and x > 0):
+        raise DomainError(f"x must be finite and positive, got {x}")
+
+    def integrand(v):
+        pattern = p * v * v / x + q * v / x**2 + q / x**3
+        return pattern * pattern * np.exp(-2.0 * v * x) / (1.0 + v * v) ** 2
+
+    val, err, info = _quad(integrand, 0.0, np.inf, limit=400, epsabs=0.0,
+                           epsrel=1e-13, full_output=True)[:3]
+    return QuadratureReport(value=val, abs_err_est=err,
+                            intervals_used=int(info["last"]), accelerated=False)
+
 
 def _pi_coefficients(p: float, q: float, x: float) -> np.ndarray:
     """Coefficients (kappa^4 .. kappa^0) of the outgoing-wave polynomial.
@@ -291,13 +320,13 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
     coef = np.array([(ring * np.exp(-1j * k * theta)).mean() / radius**k
                      for k in range(12)])
 
-    left, left_err = quad(w, 0.0, 1.0 - delta, limit=800,
-                          epsabs=0.0, epsrel=1e-12)
+    left, left_err = _quad(w, 0.0, 1.0 - delta, limit=800,
+                           epsabs=0.0, epsrel=1e-12)
     # the first stretch right of the window still feels the pole spike, so it
     # gets adaptive treatment before the fixed-order oscillatory partition
     half_period = np.pi / (2.0 * x)
-    spike, spike_err = quad(w, 1.0 + delta, 1.0 + delta + half_period,
-                            limit=800, epsabs=0.0, epsrel=1e-12)
+    spike, spike_err = _quad(w, 1.0 + delta, 1.0 + delta + half_period,
+                             limit=800, epsabs=0.0, epsrel=1e-12)
     tail, tail_err, used = _oscillatory_tail(w, 1.0 + delta + half_period,
                                              half_period, n_segments,
                                              _GAUSS_ORDER)

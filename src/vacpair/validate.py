@@ -205,6 +205,14 @@ def _casimir_checks(fast=True):
                         entanglement.regularized_local_population(100.0), 1e-9))
     if fast:
         return out
+    # both sides of the x = 2 seam between the f, g reduction and the
+    # Laguerre rule; mixed orientations, so every moment enters
+    a, b = _GEOMETRIES["mixed"]
+    for x in (0.01, 0.5, 1.99, 2.01, 10.0, 100.0):
+        closed = casimir.wcp(pair_from_alignment(x, 1.0, a, b)).energy
+        direct = oracle.dispersion_integral_rotated(x, a - b, a - 3 * b).value
+        out.append(_compare(f"wcp closed form vs oracle.dispersion_integral_rotated "
+                            f"x={x}", closed, -(2.0 / np.pi) * direct, 1e-10))
     for x in (0.5, 1.0, 2.0, 5.0):
         cfgx = pair_from_alignment(x, 1e-4, 1.0, 0.0)
         rot = casimir.wcp(cfgx, method="rotated_contour").energy

@@ -1,12 +1,18 @@
-"""Pair interaction energy: London limit, retardation scaling, fitting."""
+"""Pair interaction energy: London limit, retardation scaling, the closed
+form against mpmath and the quadrature oracle, fitting."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vacpair import (DomainError, PotentialMethod, concurrence_far,
-                     concurrence_full, concurrence_near, fit_powerlaw,
-                     pair_from_alignment, vdw_near, wcp)
-from vacpair.oracle import field_correlator
+from vacpair import (AccuracyError, DomainError, PairConfiguration,
+                     PotentialMethod, concurrence_far, concurrence_full,
+                     concurrence_near, fit_powerlaw, pair_from_alignment,
+                     vdw_near, wcp)
+from vacpair.oracle import dispersion_integral_rotated, field_correlator
 
 from conftest import transverse_pair
 
@@ -114,6 +120,96 @@ class TestWcp:
         res = wcp(cfg, method="near_closed_form")
         assert res.method is PotentialMethod.NEAR_CLOSED_FORM
         assert res.energy == vdw_near(cfg).energy
+
+
+def mp_wcp(cfg, isotropic):
+    """(W, the sum of the magnitudes of its terms) at 100 digits.
+
+    J(x) = sum_n c_n I_n(2x) / x^(6-n), with c_n the coefficients of v^n in
+    v^6 [p/(vx) + q/(vx)^2 + q/(vx)^3]^2 (p = a - b, q = a - 3b) or their
+    rotational average, and the moments I_n(s) = int v^n e^(-sv)/(1+v^2)^2 dv
+    reduced exactly to f and g at s, which come from the mpmath Si and Ci.
+    The reduction loses about 4 log10(s) digits, 50 at x = 1e12.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(100):
+        x = mp.mpf(cfg.x)
+        s = 2 * x
+        rest, c = mp.pi / 2 - mp.si(s), mp.ci(s)
+        f = c * mp.sin(s) + rest * mp.cos(s)
+        g = -c * mp.cos(s) + rest * mp.sin(s)
+        i0, i1 = (f + s * g) / 2, (1 - s * f) / 2
+        moments = (i0, i1, f - i0, g - i1, 1 / s - 2 * f + i0)
+
+        def pattern(p, q):
+            return (q * q, 2 * q * q, q * q + 2 * p * q, 2 * p * q, p * p)
+
+        if isotropic:
+            coeffs = [(2 * t + l) / 9 for t, l in zip(pattern(1, 1), pattern(0, -2))]
+        else:
+            a, b = mp.mpf(cfg.cos_ab), mp.mpf(cfg.proj_product)
+            coeffs = pattern(a - b, a - 3 * b)
+        terms = [c_n * moments[n] / x ** (6 - n) for n, c_n in enumerate(coeffs)]
+        factor = 2 * mp.mpf(cfg.mu) ** 2 / mp.pi
+        return -factor * mp.fsum(terms), factor * mp.fsum(abs(t) for t in terms)
+
+
+def check_against_mpmath(cfg, isotropic):
+    """The conditioned error is at most 1e-12 and abs_err_est bounds the true error."""
+    res = wcp(cfg, isotropic=isotropic)
+    value, scale = mp_wcp(cfg, isotropic)
+    err = float(abs(res.energy - value))
+    assert err <= 1e-12 * float(scale), (cfg.x, err / float(scale))
+    assert err <= res.abs_err_est, (cfg.x, err, res.abs_err_est)
+
+
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: np.asarray(v) / np.linalg.norm(v))
+
+
+class TestWcpClosedForm:
+    @settings(max_examples=120, deadline=None)
+    @given(log_x=st.floats(math.log(1e-6), math.log(1e12)), n_a=unit_vectors,
+           n_b=unit_vectors, r_hat=unit_vectors, isotropic=st.booleans())
+    def test_matches_mpmath(self, log_x, n_a, n_b, r_hat, isotropic):
+        cfg = PairConfiguration(x=math.exp(log_x), n_a=n_a, n_b=n_b, r_hat=r_hat,
+                                mu=1e-3)
+        check_against_mpmath(cfg, isotropic)
+
+    @pytest.mark.parametrize("x", [math.nextafter(2.0, 0.0), 2.0,
+                                   math.nextafter(2.0, 3.0)])
+    @pytest.mark.parametrize("geometry", [(1.0, 0.0, False), (1.0, 1.0, False),
+                                          (1.0, 0.25, False), (1.0, 0.0, True)])
+    def test_seam_between_reduction_and_laguerre(self, x, geometry):
+        # below x = 2 the moments come from f, g at 2x, from x = 2 on from the
+        # Laguerre rule
+        a, b, isotropic = geometry
+        cfg = pair_from_alignment(x, 1e-3, a, b)
+        check_against_mpmath(cfg, isotropic)
+        at_seam = wcp(pair_from_alignment(2.0, 1e-3, a, b), isotropic=isotropic).energy
+        assert wcp(cfg, isotropic=isotropic).energy == pytest.approx(at_seam, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [0.01, 0.5, 1.99, 2.01, 10.0, 100.0])
+    def test_matches_rotated_contour_quadrature(self, x):
+        cfg = pair_from_alignment(x, 1.0, 1.0, 0.25)
+        j = dispersion_integral_rotated(x, 0.75, 0.25).value
+        assert wcp(cfg).energy == pytest.approx(-(2.0 / np.pi) * j, rel=1e-10)
+
+    def test_huge_x_underflows_to_zero(self):
+        # the true |W| is below 1e-400; no power of x may overflow on the way
+        res = wcp(transverse_pair(1e60))
+        assert res.energy == 0.0
+        assert res.abs_err_est == 0.0
+
+    def test_tiny_x_energy_that_fits_is_returned(self):
+        # x^-6 overflows at x = 1e-52, but mu^2 x^-6 does not
+        x, mu = 1e-52, 1e-4
+        london = -0.5 * (mu / x**3) ** 2
+        assert wcp(transverse_pair(x, mu=mu)).energy == pytest.approx(london, rel=1e-12)
+
+    def test_overflowing_energy_is_an_accuracy_error(self):
+        with pytest.raises(AccuracyError, match=r"wcp.*x=1e-60"):
+            wcp(transverse_pair(1e-60))
 
 
 class TestFarZoneCorrelatorForm:

@@ -1,5 +1,7 @@
 """Command-line contract: flags, exit codes, CSV emission, validation runner."""
 
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -290,9 +292,56 @@ class TestExtremeSeparation:
 
     @pytest.mark.parametrize("x", ["1e100", "1e-200"])
     def test_overflow_and_underflow_are_accuracy_failures(self, capsys, x):
-        # x**4 overflows at 1e100; x**2 underflows to 0 at 1e-200
+        # x**4 overflows at 1e100 in the far-zone law; x**2 underflows to 0 at
+        # 1e-200 in T(x), which concurrence_full evaluates first
+        column = {"1e100": "concurrence_far", "1e-200": "concurrence_full"}[x]
         assert run_cli(["point", "--mu", "1e-4", "--x", x]) == 1
-        assert "vacpair: accuracy failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"vacpair: accuracy failure: {column}: ")
+        assert f"x={float(x)!r}" in err
+
+    def test_huge_x_prints_its_row_without_warnings(self, capsys):
+        # |W| < 1e-400 underflows to 0; no power of x may overflow on the way
+        assert run_cli(["point", "--mu", "1e-4", "--x", "1e60"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert parse_point_report(captured.out)["wcp_energy"].startswith("-0 ")
+
+    def test_overflowing_energy_names_wcp_and_x(self, capsys):
+        assert run_cli(["point", "--mu", "1e-4", "--x", "1e-60"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vacpair: accuracy failure: wcp_energy: wcp")
+        assert "x=1e-60" in err
+
+
+# run in a child, where nothing has imported scipy yet
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from vacpair.cli import main
+assert main(["point", "--mu", "1e-4", "--x", "1.5"]) == 0
+assert main(["point", "--mu", "1e-4", "--x", "1.5", "--isotropic"]) == 0
+assert main(["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e3",
+             "--points", "50"]) == 0
+"""
+
+
+class TestScipyFreePath:
+    def test_point_and_sweep_run_with_scipy_blocked(self):
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        _, rows = parse_csv(proc.stdout[proc.stdout.index("# vacpair sweep"):])
+        assert len(rows) == 50
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, vacpair.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestValidateCommand:

@@ -8,6 +8,7 @@ from vacpair.entanglement import regularized_local_population
 from vacpair.kernel import contracted_tensor
 from vacpair.oracle import (_default_segments, angular_kernel,
                             aux_integral_rep, dispersion_integral_real_axis,
+                            dispersion_integral_rotated,
                             field_correlator, local_population,
                             modesum_first_order, modesum_second_order)
 
@@ -170,3 +171,20 @@ class TestDispersionRealAxis:
         # J(1) for the transverse pattern, frozen from the imaginary-axis path
         rep = dispersion_integral_real_axis(1.0, 1.0, 1.0)
         assert rep.value == pytest.approx(0.8440557973344244, rel=1e-9)
+
+
+class TestDispersionRotated:
+    def test_frozen_value(self):
+        # the same J(1) as the real-axis path's reference
+        rep = dispersion_integral_rotated(1.0, 1.0, 1.0)
+        assert rep.value == pytest.approx(0.8440557973344244, rel=1e-12)
+        assert rep.abs_err_est <= 1e-12 * rep.value
+
+    def test_agrees_with_real_axis_path(self):
+        rot = dispersion_integral_rotated(2.0, 0.75, 0.25)
+        real = dispersion_integral_real_axis(2.0, 0.75, 0.25)
+        assert abs(rot.value - real.value) <= rot.abs_err_est + real.abs_err_est
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            dispersion_integral_rotated(0.0, 1.0, 1.0)
