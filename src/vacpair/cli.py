@@ -324,7 +324,7 @@ def main(argv=None) -> int:
         print(f"vacpair: error: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, ArithmeticError) as exc:
-        # ArithmeticError: outside a row, e.g. k0**3 of atoms with an extreme omega0
+        # ArithmeticError: any other set-up arithmetic outside a row
         print(f"vacpair: accuracy failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -9,12 +9,13 @@ orders of magnitude of unity; hbar = 1 drops out of every formula.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, FrequencyMismatchError
+from .errors import AccuracyError, DomainError, FrequencyMismatchError
 
 FINE_STRUCTURE = 7.2973525693e-3  # CODATA 2018
 SPEED_OF_LIGHT = 1.0 / FINE_STRUCTURE  # alpha = e^2/(hbar c) with e = hbar = 1
@@ -159,7 +160,8 @@ def reduce(atom_a: TwoLevelAtom, atom_b: TwoLevelAtom, separation) -> PairConfig
     orientations are passed through unchanged.
 
     Raises FrequencyMismatchError unless the atoms share omega0 to a relative
-    1e-9, and DomainError for zero separation.
+    1e-9, DomainError for zero separation, and AccuracyError where mu falls
+    outside the floating-point range.
     """
     if abs(atom_a.omega0 - atom_b.omega0) > 1e-9 * abs(atom_a.omega0):
         raise FrequencyMismatchError(
@@ -170,7 +172,14 @@ def reduce(atom_a: TwoLevelAtom, atom_b: TwoLevelAtom, separation) -> PairConfig
     if r == 0.0:
         raise DomainError("separation must be nonzero")
     k0 = atom_a.wavenumber()
-    mu = atom_a.dipole_magnitude * atom_b.dipole_magnitude * k0**3 / atom_a.omega0
+    d_a, d_b = atom_a.dipole_magnitude, atom_b.dipole_magnitude
+    try:
+        mu = d_a * d_b * k0**3 / atom_a.omega0
+    except OverflowError:  # k0**3
+        mu = math.inf
+    if not math.isfinite(mu):
+        raise AccuracyError(f"reduce: mu is out of floating-point range at "
+                            f"omega0={atom_a.omega0!r}, |d_A|={d_a!r}, |d_B|={d_b!r}")
     return PairConfiguration(
         x=k0 * r,
         n_a=atom_a.orientation,

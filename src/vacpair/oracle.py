@@ -1,10 +1,17 @@
 """Independent brute-force validators for every closed form in the package.
 
-These evaluators work directly on the defining radial integrals, using
-zero-partitioned segment quadrature with iterated averaging of the
-alternating partial sums (an Euler-type acceleration).  That machinery sums
-the conditionally convergent and Abel-summable oscillatory tails that arise
-from vacuum mode sums, where naive truncation fails.
+These evaluators work directly on the defining integrals, with numpy alone
+and nothing from the production closed forms.  Two engines do the work:
+
+* a globally adaptive Gauss-Legendre quadrature (`_quad`: the 21-point
+  rule, with the 10-point one for its error estimate, as QUADPACK's QAG
+  pairs Gauss and Kronrod rules) for the smooth and the exponentially
+  decaying integrals, and for the head of each mode sum; breakpoints start
+  its partition where an integrand has a narrow peak;
+* zero-partitioned segment quadrature of the oscillatory tails, with
+  iterated averaging of the alternating partial sums (an Euler-type
+  acceleration).  It sums the conditionally convergent and Abel-summable
+  tails that arise from vacuum mode sums, where naive truncation fails.
 
 Oracle code is allowed to be slow compared to the closed-form production
 paths; its job is to be simple, direct and independent.
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .model import PairConfiguration
 
 
@@ -33,19 +40,79 @@ class QuadratureReport:
 
 # Gauss-Legendre order of the oscillatory-tail segments
 _GAUSS_ORDER = 24
-
-
-def _quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on first use: the production modules
-    import this one, and they need only numpy."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(func, a, b, **kwargs)
+# the orders of _quad's rule and of its embedded error estimate
+_QUAD_ORDERS = (21, 10)
+# _quad's rounding floor per interval, in ulps of the integral of |f|
+_QUAD_ROUNDING = 50.0 * np.finfo(float).eps
 
 
 @functools.cache
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
+
+
+def _gauss_pair(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error estimates of func's integrals over [lo[i], hi[i]]."""
+    (x_hi, w_hi), (x_lo, w_lo) = (_gauss_rule(n) for n in _QUAD_ORDERS)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = mid[:, None] + half[:, None] * np.concatenate((x_hi, x_lo))
+    vals = np.asarray(func(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    n = x_hi.size
+    value = half * (vals[:, :n] @ w_hi)
+    coarse = half * (vals[:, n:] @ w_lo)
+    rounding = _QUAD_ROUNDING * half * (np.abs(vals[:, :n]) @ w_hi)
+    return value, np.maximum(np.abs(value - coarse), rounding)
+
+
+def _quad(func, a: float, b: float, *, where: str, epsrel: float,
+          epsabs: float = 0.0, limit: int, points=()) -> tuple[float, float, int]:
+    """Globally adaptive Gauss-Legendre quadrature of func over [a, b].
+
+    func takes and returns 1-d arrays.  Each interval's value is the
+    21-point Gauss-Legendre rule (A&S 25.4.29); its error estimate is the
+    difference from the 10-point rule, floored at 50 ulps of the 21-point
+    integral of |f|, the rounding QUADPACK (Piessens et al., 1983) allows for.
+    While the summed estimate exceeds max(epsabs, epsrel |I|), each pass
+    bisects the intervals of largest error that together hold the excess
+    and evaluates all the new halves in one call of func.  b = inf maps
+    [a, inf) onto [0, 1) by v = a + t/(1 - t).  The interior breakpoints
+    `points` (ascending, inside (a, b)) start the partition.  Returns
+    (value, abs_err_est, intervals); needing more than `limit` intervals
+    raises AccuracyError naming `where`, the oracle and its x.
+    """
+    if np.isinf(b):
+        half_line, start = func, a
+
+        def func(t):
+            return half_line(start + t / (1.0 - t)) / (1.0 - t) ** 2
+
+        points = [(p - start) / (1.0 + p - start) for p in points]
+        a, b = 0.0, 1.0
+    edges = np.array([a, *points, b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    value, err = _gauss_pair(func, lo, hi)
+    while True:
+        total, total_err = value.sum(), err.sum()
+        excess = total_err - max(epsabs, epsrel * abs(total))
+        if excess <= 0.0:
+            return float(total), float(total_err), lo.size
+        worst = np.argsort(err)[::-1]
+        n_split = min(int(np.searchsorted(np.cumsum(err[worst]), excess)) + 1,
+                      lo.size)
+        if lo.size + n_split > limit:
+            raise AccuracyError(
+                f"{where}: the adaptive quadrature needs more than {limit} "
+                f"intervals (estimate {total_err:.3g} for {total:.17g})")
+        split, keep = worst[:n_split], worst[n_split:]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_value, new_err = _gauss_pair(func, new_lo, new_hi)
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        value = np.concatenate((value[keep], new_value))
+        err = np.concatenate((err[keep], new_err))
 
 
 def _gauss_segments(func, edges: np.ndarray, order: int) -> np.ndarray:
@@ -60,21 +127,33 @@ def _gauss_segments(func, edges: np.ndarray, order: int) -> np.ndarray:
     return half * (vals @ gw)
 
 
-def _euler_average(terms: np.ndarray) -> tuple[float, float]:
+def _euler_average(terms: np.ndarray, lengths) -> tuple[float, float, list[float]]:
     """Sum an (eventually) alternating series by iterated averaging.
 
     Repeated pairwise means of the partial sums converge to the Abel value
-    even when term magnitudes grow polynomially.  Returns (value, diff_est)
-    where diff_est is the last averaging increment.
+    even when term magnitudes grow polynomially.  Returns (value, diff_est,
+    truncated) where diff_est is the last averaging increment and
+    truncated[i] is the value for terms[:lengths[i]].  After m rounds, s[2]
+    depends only on the first m + 3 partial sums, so one pass reads each
+    truncated value off at round lengths[i] - 3, bit for bit what a pass
+    over terms[:lengths[i]] would give.
     """
     s = np.cumsum(terms)
+    lengths = [min(n, s.size) for n in lengths]
+    # a length of at most 3 takes no round: its value is its last partial sum
+    truncated = {n: s[n - 1] for n in lengths if n <= 3}
+    wanted = {n - 3 for n in lengths if n > 3}
     prev = s[-1]
     diff = np.inf
+    rounds = 0
     while s.size > 3:
         s = 0.5 * (s[:-1] + s[1:])
+        rounds += 1
+        if rounds in wanted:
+            truncated[rounds + 3] = s[2]
         diff = abs(s[-1] - prev)
         prev = s[-1]
-    return float(prev), float(diff)
+    return float(prev), float(diff), [float(truncated[n]) for n in lengths]
 
 
 def _oscillatory_tail(func, start: float, half_period: float, n_segments: int,
@@ -82,13 +161,12 @@ def _oscillatory_tail(func, start: float, half_period: float, n_segments: int,
     """Integrate func from start to infinity by half-period partitioning."""
     edges = start + half_period * np.arange(n_segments + 1)
     terms = _gauss_segments(func, edges, order)
-    value, diff = _euler_average(terms)
     # error estimate, three components: spread of the accelerated value over
     # several truncation lengths (tail truncation), an embedded lower-order
     # rule on each segment (quadrature truncation), and round-off accumulated
     # over the (possibly huge) alternating terms
-    truncations = [_euler_average(terms[: max(4, (n_segments * frac) // 8)])[0]
-                   for frac in (4, 5, 6, 7)]
+    value, diff, truncations = _euler_average(
+        terms, [max(4, (n_segments * frac) // 8) for frac in (4, 5, 6, 7)])
     spread = max(abs(value - t) for t in truncations)
     embedded = _gauss_segments(func, edges, max(8, order - 8))
     quad_err = float(np.abs(terms - embedded).sum())
@@ -134,7 +212,7 @@ def angular_kernel(rho):
     return s1, s2
 
 
-def _modesum(x: float, cos_ab: float, proj_product: float, power: int,
+def _modesum(name: str, x: float, cos_ab: float, proj_product: float, power: int,
              resonance: float, n_segments: int | None, order: int):
     if not (np.isfinite(x) and x > 0):
         raise DomainError(f"x must be finite and positive, got {x}")
@@ -149,8 +227,8 @@ def _modesum(x: float, cos_ab: float, proj_product: float, power: int,
         return k**3 / (resonance + k) ** power * (cos_ab * s1 - proj_product * s2)
 
     half_period = np.pi / x
-    head, head_err = _quad(integrand, 0.0, half_period,
-                           limit=400, epsabs=0.0, epsrel=1e-12)
+    head, head_err, _ = _quad(integrand, 0.0, half_period, limit=400,
+                              epsrel=1e-12, where=f"oracle.{name} at x={x!r}")
     tail, tail_err, used = _oscillatory_tail(integrand, half_period,
                                              half_period, n_segments, order)
     return head + tail, head_err + tail_err, used + 1
@@ -167,7 +245,8 @@ def modesum_first_order(x: float, *, cfg: PairConfiguration,
     orientations.  When the closed-form identity holds this equals
     (1/pi) T(x) from the kernel module.
     """
-    raw, err, used = _modesum(x, cfg.cos_ab, cfg.proj_product, power=1,
+    raw, err, used = _modesum("modesum_first_order", x, cfg.cos_ab,
+                              cfg.proj_product, power=1,
                               resonance=resonance, n_segments=n_segments,
                               order=gauss_order)
     return QuadratureReport(value=-raw / np.pi, abs_err_est=err / np.pi,
@@ -184,7 +263,8 @@ def modesum_second_order(x: float, *, cfg: PairConfiguration,
     to the derivative of the first-order sum with respect to its resonance
     parameter.
     """
-    raw, err, used = _modesum(x, cfg.cos_ab, cfg.proj_product, power=2,
+    raw, err, used = _modesum("modesum_second_order", x, cfg.cos_ab,
+                              cfg.proj_product, power=2,
                               resonance=1.0, n_segments=n_segments,
                               order=gauss_order)
     return QuadratureReport(value=raw / np.pi, abs_err_est=err / np.pi,
@@ -199,11 +279,12 @@ def local_population(cutoff: float) -> QuadratureReport:
     """
     if not (np.isfinite(cutoff) and cutoff > 1):
         raise DomainError(f"cutoff must exceed 1, got {cutoff}")
-    val, err = _quad(lambda k: k**3 / (1.0 + k) ** 2, 0.0, cutoff,
-                     limit=200, epsabs=0.0, epsrel=1e-12)
+    val, err, used = _quad(lambda k: k**3 / (1.0 + k) ** 2, 0.0, cutoff,
+                           limit=200, epsrel=1e-12,
+                           where=f"oracle.local_population at cutoff={cutoff!r}")
     scale = 2.0 / (3.0 * np.pi)
     return QuadratureReport(value=scale * val, abs_err_est=scale * err,
-                            intervals_used=1, accelerated=False)
+                            intervals_used=used, accelerated=False)
 
 
 def aux_integral_rep(x: float, which: str) -> QuadratureReport:
@@ -211,8 +292,11 @@ def aux_integral_rep(x: float, which: str) -> QuadratureReport:
 
     f: int_0^inf exp(-x t)/(1+t^2) dt;  g: int_0^inf t exp(-x t)/(1+t^2) dt.
     The substitution t = tan(theta) maps the half line onto [0, pi/2) with a
-    bounded integrand (exp(-x tan theta), resp. tan(theta) exp(-x tan theta)),
-    so one adaptive pass handles every x > 0.
+    bounded integrand (exp(-x tan theta), resp. tan(theta) exp(-x tan theta)).
+    For large x it is a spike about 1/x wide at theta = 0, and for small x
+    the g integrand peaks about x wide below pi/2; an adaptive pass started
+    on [0, pi/2] alone can step over either, so the partition starts at
+    tan(theta) = c/x for c = 1/4 .. 64.
     """
     if which not in ("f", "g"):
         raise DomainError(f"which must be 'f' or 'g', got {which!r}")
@@ -222,10 +306,12 @@ def aux_integral_rep(x: float, which: str) -> QuadratureReport:
         integrand = lambda th: np.exp(-x * np.tan(th))
     else:
         integrand = lambda th: np.tan(th) * np.exp(-x * np.tan(th))
-    val, err, info = _quad(integrand, 0.0, np.pi / 2, limit=800,
-                           epsabs=1e-14, epsrel=1e-13, full_output=True)[:3]
-    return QuadratureReport(value=val, abs_err_est=err,
-                            intervals_used=int(info["last"]), accelerated=False)
+    points = np.arctan2([0.25, 1.0, 4.0, 16.0, 64.0], x)
+    val, err, used = _quad(integrand, 0.0, np.pi / 2, limit=800, epsabs=1e-14,
+                           epsrel=1e-13, points=points,
+                           where=f"oracle.aux_integral_rep({which!r}) at x={x!r}")
+    return QuadratureReport(value=val, abs_err_est=err, intervals_used=used,
+                            accelerated=False)
 
 
 def field_correlator(x: float, cos_ab: float = 1.0,
@@ -236,8 +322,9 @@ def field_correlator(x: float, cos_ab: float = 1.0,
     units of hbar c k0^4 / pi: the mode sum without its resonance
     denominator.  The closed-form value is (-4 cos_ab + 8 proj_product) / x^4.
     """
-    value, err, used = _modesum(x, cos_ab, proj_product, power=0, resonance=1.0,
-                                n_segments=None, order=_GAUSS_ORDER)
+    value, err, used = _modesum("field_correlator", x, cos_ab, proj_product,
+                                power=0, resonance=1.0, n_segments=None,
+                                order=_GAUSS_ORDER)
     return QuadratureReport(value=value, abs_err_est=err, intervals_used=used,
                             accelerated=True)
 
@@ -262,10 +349,10 @@ def dispersion_integral_rotated(x: float, p: float, q: float) -> QuadratureRepor
         pattern = p * v * v / x + q * v / x**2 + q / x**3
         return pattern * pattern * np.exp(-2.0 * v * x) / (1.0 + v * v) ** 2
 
-    val, err, info = _quad(integrand, 0.0, np.inf, limit=400, epsabs=0.0,
-                           epsrel=1e-13, full_output=True)[:3]
-    return QuadratureReport(value=val, abs_err_est=err,
-                            intervals_used=int(info["last"]), accelerated=False)
+    val, err, used = _quad(integrand, 0.0, np.inf, limit=400, epsrel=1e-13,
+                           where=f"oracle.dispersion_integral_rotated at x={x!r}")
+    return QuadratureReport(value=val, abs_err_est=err, intervals_used=used,
+                            accelerated=False)
 
 
 def _pi_coefficients(p: float, q: float, x: float) -> np.ndarray:
@@ -320,13 +407,14 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
     coef = np.array([(ring * np.exp(-1j * k * theta)).mean() / radius**k
                      for k in range(12)])
 
-    left, left_err = _quad(w, 0.0, 1.0 - delta, limit=800,
-                           epsabs=0.0, epsrel=1e-12)
+    where = f"oracle.dispersion_integral_real_axis at x={x!r}"
+    left, left_err, _ = _quad(w, 0.0, 1.0 - delta, limit=800, epsrel=1e-12,
+                              where=where)
     # the first stretch right of the window still feels the pole spike, so it
     # gets adaptive treatment before the fixed-order oscillatory partition
     half_period = np.pi / (2.0 * x)
-    spike, spike_err = _quad(w, 1.0 + delta, 1.0 + delta + half_period,
-                             limit=800, epsabs=0.0, epsrel=1e-12)
+    spike, spike_err, _ = _quad(w, 1.0 + delta, 1.0 + delta + half_period,
+                                limit=800, epsrel=1e-12, where=where)
     tail, tail_err, used = _oscillatory_tail(w, 1.0 + delta + half_period,
                                              half_period, n_segments,
                                              _GAUSS_ORDER)

@@ -22,6 +22,12 @@ def pytest_configure(config):
     # the summary; set here, not in pyproject.toml, so that it holds for this
     # suite only (the benchmark self-tests count wcp's warnings as data)
     config.addinivalue_line("filterwarnings", "error")
+    # except hypothesis's own deprecation warning from inside its report hook:
+    # as an error it is an INTERNALERROR that ends the session at the first
+    # failing property test
+    config.addinivalue_line(
+        "filterwarnings",
+        r"ignore:mypy_extensions\.TypedDict is deprecated:DeprecationWarning")
 
 
 def transverse_pair(x, mu=1e-4):

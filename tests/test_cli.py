@@ -313,6 +313,14 @@ class TestExtremeSeparation:
         assert err.startswith("vacpair: accuracy failure: wcp_energy: wcp")
         assert "x=1e-60" in err
 
+    def test_overflowing_coupling_names_mu_and_omega0(self, capsys):
+        # mu = |d_A||d_B| k0^3 / omega0: k0^3 overflows before any row
+        assert run_cli(["point", "--omega0", "1e300", "--dmag-a", "1",
+                        "--dmag-b", "1", "--x", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "vacpair: accuracy failure: reduce: mu is out of floating-point "
+            "range at omega0=1e+300, |d_A|=1.0, |d_B|=1.0\n")
+
 
 # run in a child, where nothing has imported scipy yet
 _WITHOUT_SCIPY = """
@@ -321,17 +329,22 @@ sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 from vacpair.cli import main
 assert main(["point", "--mu", "1e-4", "--x", "1.5"]) == 0
 assert main(["point", "--mu", "1e-4", "--x", "1.5", "--isotropic"]) == 0
+assert main(["validate", "--level", "full"]) == 0
 assert main(["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e3",
              "--points", "50"]) == 0
+assert sys.modules["scipy"] is None
+assert not [name for name in sys.modules if name.startswith("scipy.")]
 """
 
 
 class TestScipyFreePath:
     def test_point_and_sweep_run_with_scipy_blocked(self):
+        # and validate, whose oracles need numpy alone too
         proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
+        assert "108/108 checks passed" in proc.stdout
         _, rows = parse_csv(proc.stdout[proc.stdout.index("# vacpair sweep"):])
         assert len(rows) == 50
 

@@ -1,12 +1,15 @@
 """Constants, atom records and the dimensionless reduction."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vacpair import (DomainError, FrequencyMismatchError, PairConfiguration,
-                     TwoLevelAtom, Validity, concurrence_full, hydrogen_1s2p,
-                     pair_from_alignment, perturbative_validity, reduce)
+from vacpair import (AccuracyError, DomainError, FrequencyMismatchError,
+                     PairConfiguration, TwoLevelAtom, Validity, concurrence_full,
+                     hydrogen_1s2p, pair_from_alignment, perturbative_validity,
+                     reduce)
 from vacpair.model import FINE_STRUCTURE, SPEED_OF_LIGHT
 
 HYDROGEN_DIPOLE = 128.0 * np.sqrt(2.0) / 243.0
@@ -72,6 +75,15 @@ class TestReduce:
         a = TwoLevelAtom(1.0, [1.0, 0, 0])
         with pytest.raises(DomainError):
             reduce(a, a, [0.0, 0.0, 0.0])
+
+    def test_overflowing_mu_is_accuracy_error(self):
+        # k0**3 overflows: OverflowError from the power, inf from a product
+        for omega0, d in ((1e300, 1.0), (1e100, 1e120)):
+            a = TwoLevelAtom(omega0, [d, 0, 0])
+            with pytest.raises(AccuracyError, match=re.escape(
+                    f"mu is out of floating-point range at omega0={omega0!r}, "
+                    f"|d_A|={d!r}, |d_B|={d!r}")):
+                reduce(a, a, [0.0, 0.0, 1.0])
 
     def test_dipole_scaling(self):
         # scaling both dipoles by s multiplies mu by s^2, x unchanged

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from vacpair import DomainError, pair_from_alignment
+from vacpair import AccuracyError, DomainError, oracle, pair_from_alignment, validate
 from vacpair.entanglement import regularized_local_population
 from vacpair.kernel import contracted_tensor
-from vacpair.oracle import (_default_segments, angular_kernel,
-                            aux_integral_rep, dispersion_integral_real_axis,
+from vacpair.oracle import (_default_segments, _euler_average, _quad,
+                            angular_kernel, aux_integral_rep,
+                            dispersion_integral_real_axis,
                             dispersion_integral_rotated,
                             field_correlator, local_population,
                             modesum_first_order, modesum_second_order)
@@ -127,6 +128,22 @@ class TestAuxIntegralRep:
     def test_g_asymptotics(self):
         assert aux_integral_rep(10.0, "g").value == pytest.approx(1e-2, rel=0.10)
 
+    def test_against_mpmath_over_the_cli_domain(self):
+        # f and g at 40 digits from the mpmath Si and Ci; for large x the
+        # integrand is a spike at theta = 0 that a partition started on
+        # [0, pi/2] alone steps over (it returned 0 from x ~ 3e5 on)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for x in np.geomspace(1e-6, 1e12, 90):
+                t = mp.mpf(float(x))
+                rest, c = mp.pi / 2 - mp.si(t), mp.ci(t)
+                exact = {"f": c * mp.sin(t) + rest * mp.cos(t),
+                         "g": -c * mp.cos(t) + rest * mp.sin(t)}
+                tol = 1e-12 if x >= 1e-3 else 1e-10
+                for which, ref in exact.items():
+                    rel = float(abs(aux_integral_rep(x, which).value - ref) / ref)
+                    assert rel <= tol, (which, x, rel)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             aux_integral_rep(0.0, "g")
@@ -188,3 +205,96 @@ class TestDispersionRotated:
     def test_domain(self):
         with pytest.raises(DomainError):
             dispersion_integral_rotated(0.0, 1.0, 1.0)
+
+
+class TestQuad:
+    def test_half_line_and_breakpoints(self):
+        val, err, _ = _quad(lambda v: np.exp(-v), 0.0, np.inf, epsrel=1e-13,
+                            limit=100, where="test")
+        assert abs(val - 1.0) <= err <= 1e-13
+        # a kink at the breakpoint costs nothing once it is an edge
+        val, err, used = _quad(lambda v: np.abs(v - 0.3), 0.0, 1.0, epsrel=1e-13,
+                               limit=100, where="test", points=[0.3])
+        assert val == pytest.approx(0.29, rel=1e-15)
+        assert used == 2
+
+    def test_rounding_floor(self):
+        # both rules integrate 3 v^2 exactly, so the estimate is the floor of
+        # 50 ulps of the integral of |f|, which still covers the rounding
+        val, err, used = _quad(lambda v: 3.0 * v * v, 0.0, 1.0, epsrel=1e-13,
+                               limit=100, where="test")
+        assert err == pytest.approx(50 * np.finfo(float).eps, rel=1e-12)
+        assert abs(val - 1.0) <= err
+        assert used == 1
+
+    def test_limit_raises_accuracy_error(self):
+        # sqrt's derivative is unbounded at 0, so bisection gains a constant
+        # factor per level and cannot reach 1e-15 in 20 intervals
+        with pytest.raises(AccuracyError, match="test oracle at x=1.5.*20 intervals"):
+            _quad(np.sqrt, 0.0, 1.0, epsrel=1e-15, limit=20,
+                  where="test oracle at x=1.5")
+
+    def test_agrees_with_quadpack_on_every_validate_integral(self, monkeypatch):
+        # every _quad call of `validate --level full` is repeated by
+        # scipy's QUADPACK at the same tolerances: the two results differ by
+        # no more than the sum of the two error estimates
+        quad = pytest.importorskip("scipy.integrate").quad
+        seen = []
+
+        def both(func, a, b, *, epsrel, limit, where, epsabs=0.0, points=()):
+            value, err, used = _quad(func, a, b, epsrel=epsrel, limit=limit,
+                                     where=where, epsabs=epsabs, points=points)
+            ref, ref_err = quad(func, a, b, epsabs=epsabs, epsrel=epsrel,
+                                limit=limit, points=points if len(points) else None)
+            assert abs(value - ref) <= err + ref_err, (where, value, ref)
+            seen.append(where.split(" at ")[0])
+            return value, err, used
+
+        monkeypatch.setattr(oracle, "_quad", both)
+        assert all(r.passed for r in validate.run_validation("full"))
+        counts = {name: seen.count(name) for name in set(seen)}
+        assert counts == {
+            # 10 grid x times 3 geometries, plus the second-order check's 2
+            "oracle.modesum_first_order": 32,
+            # 9 c2 configurations, plus the second-order check's 1
+            "oracle.modesum_second_order": 10,
+            "oracle.field_correlator": 1,
+            "oracle.dispersion_integral_rotated": 6,
+            # left of and right of the pole window, at 4 x
+            "oracle.dispersion_integral_real_axis": 8,
+            "oracle.local_population": 1,
+            "oracle.aux_integral_rep('f')": 10,
+            "oracle.aux_integral_rep('g')": 10,
+        }
+
+
+def _five_pass(terms, lengths):
+    """The averaging loop run once on terms and once on each terms[:n]."""
+    def average(t):
+        s = np.cumsum(t)
+        prev = s[-1]
+        diff = np.inf
+        while s.size > 3:
+            s = 0.5 * (s[:-1] + s[1:])
+            diff = abs(s[-1] - prev)
+            prev = s[-1]
+        return float(prev), float(diff)
+
+    value, diff = average(terms)
+    return value, diff, [average(terms[:n])[0] for n in lengths]
+
+
+class TestEulerAverage:
+    @pytest.mark.parametrize("n", [5, 8, 360, 401, 960, 3100])
+    def test_one_pass_is_bit_identical_to_five(self, rng, n):
+        # alternating terms growing like k^2, the way the mode-sum tails do
+        k = np.arange(1, n + 1)
+        terms = (-1.0) ** k * k**2 * (1.0 + 0.1 * rng.normal(size=n))
+        lengths = [max(4, (n * frac) // 8) for frac in (4, 5, 6, 7)]
+        assert _euler_average(terms, lengths) == _five_pass(terms, lengths)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lengths_repeated_or_past_the_end(self, rng, n):
+        terms = rng.normal(size=n)
+        lengths = [1, 3, 4, 4, 6, 6]
+        assert _euler_average(terms, lengths) == _five_pass(terms, lengths)
