@@ -84,10 +84,18 @@ def _orientation_pq(cfg: PairConfiguration) -> tuple[float, float]:
     return a - b, math.fsum((a, -b, -b, -b))
 
 
-def _pattern_coefficients(p: float, q: float) -> np.ndarray:
+def _pattern_coefficients(p: float, q: float) -> tuple[float, ...]:
     """Coefficients of v^6 M(vx)^2 as a polynomial in v (powers 0 up to 4),
     before the 1/x^(6-n) scaling."""
-    return np.array([q * q, 2 * q * q, q * q + 2 * p * q, 2 * p * q, p * p])
+    return (q * q, 2 * q * q, q * q + 2 * p * q, 2 * p * q, p * p)
+
+
+def _channel_sum(scale: float, channels) -> list[float]:
+    """scale * sum over (w, p, q) of w * _pattern_coefficients(p, q)."""
+    total = [0.0] * 5
+    for w, p, q in channels:
+        total = [t + w * c for t, c in zip(total, _pattern_coefficients(p, q))]
+    return [scale * t for t in total]
 
 
 def _channels(cfg: PairConfiguration, isotropic: bool):
@@ -138,8 +146,8 @@ def _moments(s: float) -> tuple[list[float], list[float]]:
     return moments, [_LAGUERRE_REL_ERR * m for m in moments]
 
 
-def _radial_integral(x: float, coeffs: np.ndarray,
-                     sizes: np.ndarray) -> tuple[float, float]:
+def _radial_integral(x: float, coeffs: list[float],
+                     sizes: list[float]) -> tuple[float, float]:
     """sum_n coeffs[n] I_n(2x) / x^(6-n) and a bound on its error.
 
     Horner in 1/x, so no power of x is formed and the sum overflows only
@@ -149,7 +157,7 @@ def _radial_integral(x: float, coeffs: np.ndarray,
     moments, errors = _moments(2.0 * x)
     u = 1.0 / x
     total = err = 0.0
-    for c, size, i_n, e_n in zip(coeffs.tolist(), sizes.tolist(), moments, errors):
+    for c, size, i_n, e_n in zip(coeffs, sizes, moments, errors):
         total = total * u + c * i_n
         err = err * u + size * (e_n + 8.0 * _EPS * i_n)
     return total * u * u, err * u * u
@@ -180,10 +188,8 @@ def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour
         # the prefactor goes in before the 1/x^(6-n) scaling, so W stays finite
         # wherever it is representable
         scale = prefactor * weight
-        coeffs = scale * sum(w * _pattern_coefficients(p, q) for w, p, q in channels)
-        sizes = abs(scale) * sum(w * _pattern_coefficients(abs(p), abs(q))
-                                 for w, p, q in channels)
-        energy, err = _radial_integral(cfg.x, coeffs, sizes)
+        sizes = _channel_sum(abs(scale), [(w, abs(p), abs(q)) for w, p, q in channels])
+        energy, err = _radial_integral(cfg.x, _channel_sum(scale, channels), sizes)
     else:
         reps = [(w, oracle.dispersion_integral_real_axis(cfg.x, p, q))
                 for w, p, q in channels]

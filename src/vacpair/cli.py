@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, casimir, entanglement, model, validate
+from . import __version__, casimir, entanglement, model
 from .errors import AccuracyError, DomainError
 
 BOHR_RADIUS_SI = 5.29177210903e-11  # m
@@ -51,6 +51,9 @@ def _parse_vec(text: str) -> np.ndarray:
 
 
 def _unit(vec: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(vec)):
+        raise DomainError(f"{name} must be finite")
+    vec = model._scaled_for_norm(vec)[1]
     n = np.linalg.norm(vec)
     if n == 0:
         raise DomainError(f"{name} must be nonzero")
@@ -279,30 +282,57 @@ def cmd_sweep(args) -> int:
         xs = np.linspace(args.xmin, args.xmax, args.points)
 
     mu, pair_at = _coupled(args, *_resolve_geometry(args))
-    rows = [_evaluate_row(*pair_at(x), args.isotropic) for x in map(float, xs)]
-
-    lines = [
-        f"# vacpair sweep v{__version__}",
+    header = (
+        f"# vacpair sweep v{__version__}\n"
         "# units: Hartree atomic units (Gaussian convention); "
-        "wcp_energy in units of hbar*omega0",
+        "wcp_energy in units of hbar*omega0\n"
         f"# config: mu={_fmt(mu)} "
         f"dipole_a={args.dipole_a} dipole_b={args.dipole_b or args.dipole_a} "
         f"sep_dir={args.sep_dir} preset={args.preset or '-'} "
-        f"scale={args.scale} isotropic={args.isotropic}",
-        ",".join(columns),
-    ]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    text = "\n".join(lines) + "\n"
+        f"scale={args.scale} isotropic={args.isotropic}\n"
+        + ",".join(columns) + "\n")
+
+    def write(out) -> None:
+        # each row goes out as soon as it is computed, so memory stays flat
+        out.write(header)
+        for x in map(float, xs):
+            row = _evaluate_row(*pair_at(x), args.isotropic)
+            out.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+
     if args.output == "-":
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_all_or_nothing(args.output, write)
     return 0
 
 
+def _write_all_or_nothing(path: str, write) -> None:
+    """write(file) into path, so that a write that raises leaves path as it was.
+
+    A regular file, or a new one, is written beside its target (the file a
+    symlink names) and renamed onto it once write returns.  Anything else,
+    such as a device or a pipe, is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+        return
+    target = os.path.realpath(path)
+    part = f"{target}.{os.getpid()}.part"
+    # O_EXCL never writes through a file already there; 0o666 less the umask, as open()
+    fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(part, target)
+    except BaseException:
+        os.unlink(part)
+        raise
+
+
 def cmd_validate(args) -> int:
+    from . import validate  # its oracles are no part of point and sweep
+
     results = validate.run_validation(args.level)
     print(validate.format_report(results))
     return 0 if all(r.passed for r in results) else 1

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracle
 from .errors import DomainError
-from .kernel import contracted_tensor
+from .kernel import contracted_tensor  # PairConfiguration._tensor calls this binding
 from .model import (PairConfiguration, Validity, ValidityReport,
                     _validity_from_margin, perturbative_validity)
 
@@ -112,12 +112,11 @@ def amplitude_c_ee(cfg: PairConfiguration) -> float:
     c_ee = -(mu/pi) T(x), real and sign carrying; the local (separation
     independent) dressing terms do not enter.
     """
-    t = contracted_tensor(cfg.x, cfg.cos_ab, cfg.proj_product)
-    return -cfg.mu / np.pi * t
+    return -cfg.mu / np.pi * cfg._tensor
 
 
 def _result(raw: float, regime: Regime, validity: ValidityReport) -> ConcurrenceResult:
-    return ConcurrenceResult(raw=raw, value=float(np.clip(raw, 0.0, 1.0)),
+    return ConcurrenceResult(raw=raw, value=min(max(raw, 0.0), 1.0),
                              regime=regime, validity=validity)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,22 +22,40 @@ FINE_STRUCTURE = 7.2973525693e-3  # CODATA 2018
 SPEED_OF_LIGHT = 1.0 / FINE_STRUCTURE  # alpha = e^2/(hbar c) with e = hbar = 1
 
 _UNIT_TOL = 1e-12
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise DomainError(f"{name} must be a real 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise DomainError(f"{name} must be finite")
     return arr
 
 
 def _as_unit3(v, name: str) -> np.ndarray:
     arr = _as_vec3(v, name)
-    if abs(np.linalg.norm(arr) - 1.0) > _UNIT_TOL:
+    if abs(math.hypot(*arr.tolist()) - 1.0) > _UNIT_TOL:
         raise DomainError(f"{name} must be a unit vector to 1e-12")
     return arr
+
+
+def _scaled_for_norm(v: np.ndarray) -> tuple[float, np.ndarray]:
+    """(scale, s) with v = scale * s, for a finite real 3-vector v.
+
+    s is v itself, and scale 1, wherever the sum of squares of v is a normal
+    float, so np.linalg.norm(s) and s / np.linalg.norm(s) are the plain ones
+    there.  Where that sum overflows or falls below the normal range
+    (components beyond about 1e154, or all below about 1e-154), s is v over
+    its largest |component|, whose norm numpy takes without overflow or
+    underflow.  A zero vector is returned as it is.
+    """
+    comps = v.tolist()
+    if _NORMAL_MIN <= sum(c * c for c in comps) <= _NORMAL_MAX:
+        return 1.0, v
+    big = max(map(abs, comps))
+    return (big, v / big) if big else (1.0, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,15 +74,17 @@ class TwoLevelAtom:
 
     @property
     def dipole_magnitude(self) -> float:
-        return float(np.linalg.norm(self.dipole))
+        scale, s = _scaled_for_norm(self.dipole)
+        return scale * float(np.linalg.norm(s))
 
     @property
     def orientation(self) -> np.ndarray:
         """Unit dipole direction; x-hat by convention for a vanishing dipole."""
-        d = self.dipole_magnitude
+        s = _scaled_for_norm(self.dipole)[1]
+        d = float(np.linalg.norm(s))
         if d == 0.0:
             return np.array([1.0, 0.0, 0.0])
-        return self.dipole / d
+        return s / d
 
     def wavenumber(self) -> float:
         """Transition wavenumber k0 = omega0 / c."""
@@ -76,7 +97,7 @@ def hydrogen_1s2p(orientation=(1.0, 0.0, 0.0)) -> TwoLevelAtom:
     omega0 = 3/8 Hartree/hbar, |d| = 2^7 sqrt(2)/3^5 e*a0 (the 1s->2p matrix
     element of the position operator).
     """
-    n = _as_vec3(orientation, "orientation")
+    n = _scaled_for_norm(_as_vec3(orientation, "orientation"))[1]
     norm = np.linalg.norm(n)
     if norm == 0:
         raise DomainError("orientation must be nonzero")
@@ -120,6 +141,13 @@ class PairConfiguration:
     def proj_product(self) -> float:
         """(n_a . r_hat)(n_b . r_hat)"""
         return float((self.n_a @ self.r_hat) * (self.n_b @ self.r_hat))
+
+    @cached_property
+    def _tensor(self) -> float:
+        """T(x), evaluated once per configuration for all the laws that need it."""
+        from . import entanglement  # the binding the concurrence laws go through
+
+        return entanglement.contracted_tensor(self.x, self.cos_ab, self.proj_product)
 
 
 def pair_from_alignment(x: float, mu: float, cos_ab: float = 1.0,
@@ -167,9 +195,9 @@ def reduce(atom_a: TwoLevelAtom, atom_b: TwoLevelAtom, separation) -> PairConfig
         raise FrequencyMismatchError(
             f"atoms must share one transition frequency "
             f"(got {atom_a.omega0} and {atom_b.omega0})")
-    sep = _as_vec3(separation, "separation")
-    r = float(np.linalg.norm(sep))
-    if r == 0.0:
+    scale, sep = _scaled_for_norm(_as_vec3(separation, "separation"))
+    norm = float(np.linalg.norm(sep))
+    if norm == 0.0:
         raise DomainError("separation must be nonzero")
     k0 = atom_a.wavenumber()
     d_a, d_b = atom_a.dipole_magnitude, atom_b.dipole_magnitude
@@ -181,10 +209,10 @@ def reduce(atom_a: TwoLevelAtom, atom_b: TwoLevelAtom, separation) -> PairConfig
         raise AccuracyError(f"reduce: mu is out of floating-point range at "
                             f"omega0={atom_a.omega0!r}, |d_A|={d_a!r}, |d_B|={d_b!r}")
     return PairConfiguration(
-        x=k0 * r,
+        x=k0 * (scale * norm),
         n_a=atom_a.orientation,
         n_b=atom_b.orientation,
-        r_hat=sep / r,
+        r_hat=sep / norm,
         mu=mu,
     )
 

@@ -1,7 +1,9 @@
 """Command-line contract: flags, exit codes, CSV emission, validation runner."""
 
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +164,66 @@ class TestSweep:
                         "--points", "5"]) == 2
         assert run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "2",
                         "--points", "1"]) == 2
+
+
+class TestSweepStreaming:
+    @pytest.mark.parametrize("x, aux_calls", [(0.5, 2), (1.99, 2), (2.0, 1), (10.0, 1)])
+    def test_a_row_evaluates_the_tensor_once(self, monkeypatch, capsys, x, aux_calls):
+        # T(x) calls aux once; wcp calls it again, at 2x, below x = 2
+        from vacpair import entanglement, kernel, specfun
+
+        calls = []
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(entanglement, "contracted_tensor")
+        count(kernel, "aux")
+        count(specfun, "aux")
+        assert run_cli(["point", "--mu", "1e-4", "--x", repr(x)]) == 0
+        assert calls.count("contracted_tensor") == 1
+        assert calls.count("aux") == aux_calls
+
+    def test_memory_stays_flat(self, tmp_path, monkeypatch):
+        # rows are written as they are computed, none kept; every row is a
+        # fresh copy of one evaluated row, which keeps tracemalloc's cost small
+        row = cli._evaluate_row(pair_from_alignment(1.0, 1e-4), float("nan"), False)
+        monkeypatch.setattr(cli, "_evaluate_row", lambda *args: dict(row))
+        argv = ["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e6",
+                "--points", "20000", "--output", str(tmp_path / "long.csv")]
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("before", [None, "# an earlier sweep\n"])
+    def test_failed_sweep_leaves_the_output_as_it_was(self, tmp_path, capsys, before):
+        # a power of x overflows from x ~ 1e77, several rows into the sweep
+        path = tmp_path / "out.csv"
+        if before is not None:
+            path.write_text(before)
+        assert run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "1e300",
+                        "--points", "50", "--output", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("vacpair: accuracy failure: ")
+        assert os.listdir(tmp_path) == ([] if before is None else ["out.csv"])
+        assert before is None or path.read_text() == before
+
+    def test_stdout_and_file_get_the_same_bytes(self, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        argv = ["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e3",
+                "--points", "30", "--isotropic"]
+        assert run_cli(argv) == 0
+        assert run_cli([*argv, "--output", str(path)]) == 0
+        assert path.read_bytes() == capsys.readouterr().out.encode()
 
 
 class TestConfigFile:
@@ -337,6 +399,31 @@ assert not [name for name in sys.modules if name.startswith("scipy.")]
 """
 
 
+class TestUnitVectorRange:
+    @pytest.mark.parametrize("flag, value", [("--dipole-a", "1e200,0,0"),
+                                             ("--dipole-a", "1e-320,0,0"),
+                                             ("--sep-dir", "0,0,1e200")])
+    def test_scaled_vector_prints_what_the_unit_one_prints(self, capsys, flag, value):
+        # the sum of squares of the vector overflows or underflows
+        unit = value.replace("1e200", "1").replace("1e-320", "1")
+        assert run_cli(["point", "--mu", "1e-4", "--x", "1", f"{flag}={unit}"]) == 0
+        expected = capsys.readouterr().out
+        assert run_cli(["point", "--mu", "1e-4", "--x", "1", f"{flag}={value}"]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    def test_huge_dipole_magnitude_names_the_overflowing_column(self, capsys):
+        # |d_A| = 1e200 gives mu ~ 4e193, whose square the energy overflows
+        assert run_cli(["point", "--omega0", "1", "--dmag-a", "1e200",
+                        "--dmag-b", "1", "--x", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "vacpair: accuracy failure: wcp_energy: out of floating-point range "
+            "at x=1.0 (OverflowError)\n")
+
+    def test_nonfinite_vector_is_usage_error(self, capsys):
+        assert run_cli(["point", "--mu", "1e-4", "--x", "1", "--sep-dir=inf,0,0"]) == 2
+        assert capsys.readouterr().err == "vacpair: error: sep-dir must be finite\n"
+
+
 class TestScipyFreePath:
     def test_point_and_sweep_run_with_scipy_blocked(self):
         # and validate, whose oracles need numpy alone too
@@ -355,6 +442,26 @@ class TestScipyFreePath:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+# run in a child, where nothing has imported vacpair yet
+_WITHOUT_VALIDATE = """
+import sys
+from vacpair.cli import main
+assert "vacpair.validate" not in sys.modules
+assert main(["point", "--mu", "1e-4", "--x", "1.5"]) == 0
+assert main(["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e3",
+             "--points", "5"]) == 0
+assert "vacpair.validate" not in sys.modules
+"""
+
+
+class TestLazyValidate:
+    def test_point_and_sweep_leave_validate_unloaded(self):
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_VALIDATE],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestValidateCommand:

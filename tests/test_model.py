@@ -118,6 +118,41 @@ class TestReduce:
         assert via_reduction == pytest.approx(dimensional, rel=1e-12)
 
 
+class TestNormRange:
+    # a sum of squares that overflows, or falls below the normal range,
+    # rescales by the largest component; every other vector takes the plain
+    # np.linalg.norm path, bit for bit
+    @pytest.mark.parametrize("size", [1e200, 1e-200, 1e-320])
+    def test_dipole_magnitude_and_orientation(self, size):
+        atom = TwoLevelAtom(1.0, [size, 0.0, 0.0])
+        assert atom.dipole_magnitude == size
+        assert atom.orientation.tolist() == [1.0, 0.0, 0.0]
+        oblique = TwoLevelAtom(1.0, [3 * size, 0.0, -4 * size])
+        assert oblique.dipole_magnitude == pytest.approx(5 * size, rel=1e-3 if size < 1e-300
+                                                         else 1e-15)
+        assert oblique.orientation == pytest.approx([0.6, 0.0, -0.8], rel=1e-3)
+        assert np.linalg.norm(oblique.orientation) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("size", [1e200, 1e-320])
+    def test_hydrogen_orientation(self, size):
+        assert hydrogen_1s2p((0.0, size, 0.0)).dipole.tolist() == [0.0, HYDROGEN_DIPOLE, 0.0]
+
+    def test_huge_separation(self):
+        cfg = reduce(hydrogen_1s2p(), hydrogen_1s2p(), (0.0, 0.0, 1e200))
+        assert cfg.x == HYDROGEN_K0 * 1e200
+        assert cfg.r_hat.tolist() == [0.0, 0.0, 1.0]
+
+    def test_ordinary_vectors_take_the_plain_norm(self, rng):
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            v = scale * rng.normal(size=3)
+            plain = np.linalg.norm(v)
+            atom = TwoLevelAtom(1.0, v)
+            assert atom.dipole_magnitude == plain
+            assert atom.orientation.tolist() == (v / plain).tolist()
+            cfg = reduce(atom, atom, v)
+            assert cfg.r_hat.tolist() == (v / plain).tolist()
+
+
 class TestPairConfiguration:
     def test_unit_vector_enforced(self):
         with pytest.raises(DomainError):
@@ -147,6 +182,16 @@ class TestPairConfiguration:
         cfg = pair_from_alignment(2.0, 1.0, 0.5, 0.2)
         assert cfg.cos_ab is cfg.cos_ab
         assert cfg.proj_product is cfg.proj_product
+
+    def test_nonfinite_and_nonunit_vectors_named(self):
+        for bad, match in (([np.nan, 0, 0], "n_a must be finite"),
+                           ([np.inf, 0, 0], "n_a must be finite"),
+                           ([1.0 + 2e-12, 0, 0], "n_a must be a unit vector")):
+            with pytest.raises(DomainError, match=match):
+                PairConfiguration(x=1.0, n_a=bad, n_b=[1, 0, 0], r_hat=[0, 0, 1], mu=1.0)
+        # within the 1e-12 tolerance
+        PairConfiguration(x=1.0, n_a=[1.0 + 5e-13, 0, 0], n_b=[1, 0, 0], r_hat=[0, 0, 1],
+                          mu=1.0)
 
 
 class TestPerturbativeValidity:
