@@ -14,23 +14,21 @@ from .entanglement import (ConcurrenceResult, Regime, SpinCorrelators,
                            entanglement_of_formation, palma_concurrence,
                            wootters_concurrence)
 from .errors import AccuracyError, DomainError, FrequencyMismatchError
-from .kernel import DipoleTensor, contract, contracted_tensor, dipole_tensor
+from .kernel import contracted_tensor
 from .model import (PairConfiguration, TwoLevelAtom, Validity, ValidityReport,
                     hydrogen_1s2p, pair_from_alignment, perturbative_validity,
                     reduce)
-from .oracle import QuadratureReport
 from .specfun import AuxFunValue, aux, ci, si
 
 __all__ = [
-    "AccuracyError", "AuxFunValue", "ConcurrenceResult", "DipoleTensor",
-    "DomainError", "FrequencyMismatchError", "PairConfiguration",
-    "PotentialMethod", "PotentialResult", "PowerLawFit", "QuadratureReport",
-    "Regime", "SpinCorrelators", "TwoLevelAtom", "TwoQubitState", "Validity",
-    "ValidityReport", "amplitude_c_ee", "aux", "c1_c2_from_amplitudes", "ci",
-    "concurrence_far", "concurrence_full", "concurrence_near", "contract",
-    "contracted_tensor", "correlators_from_state", "dipole_tensor",
-    "effective_density_matrix", "entanglement_of_formation", "fit_powerlaw",
-    "hydrogen_1s2p", "pair_from_alignment", "palma_concurrence",
-    "perturbative_validity", "reduce", "si", "vdw_near", "wcp",
-    "wootters_concurrence",
+    "AccuracyError", "AuxFunValue", "ConcurrenceResult", "DomainError",
+    "FrequencyMismatchError", "PairConfiguration", "PotentialMethod",
+    "PotentialResult", "PowerLawFit", "Regime", "SpinCorrelators",
+    "TwoLevelAtom", "TwoQubitState", "Validity", "ValidityReport",
+    "amplitude_c_ee", "aux", "c1_c2_from_amplitudes", "ci", "concurrence_far",
+    "concurrence_full", "concurrence_near", "contracted_tensor",
+    "correlators_from_state", "effective_density_matrix",
+    "entanglement_of_formation", "fit_powerlaw", "hydrogen_1s2p",
+    "pair_from_alignment", "palma_concurrence", "perturbative_validity",
+    "reduce", "si", "vdw_near", "wcp", "wootters_concurrence",
 ]

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle, specfun
+from . import specfun
 from .errors import AccuracyError, DomainError
 from .model import PairConfiguration
 
@@ -61,7 +61,6 @@ from .model import PairConfiguration
 class PotentialMethod(enum.Enum):
     ROTATED_CONTOUR = "rotated_contour"
     PRINCIPAL_VALUE_ORACLE = "principal_value_oracle"
-    NEAR_CLOSED_FORM = "near_closed_form"
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class PotentialResult:
 
     r: float
     energy: float
-    method: PotentialMethod
     abs_err_est: float
 
 
@@ -180,8 +178,6 @@ def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour
     overflows the floating-point range.
     """
     method = PotentialMethod(method)
-    if method is PotentialMethod.NEAR_CLOSED_FORM:
-        return vdw_near(cfg)
     prefactor = -(2.0 / np.pi) * cfg.mu**2
     weight, channels = _channels(cfg, isotropic)
     if method is PotentialMethod.ROTATED_CONTOUR:
@@ -191,13 +187,15 @@ def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour
         sizes = _channel_sum(abs(scale), [(w, abs(p), abs(q)) for w, p, q in channels])
         energy, err = _radial_integral(cfg.x, _channel_sum(scale, channels), sizes)
     else:
+        from . import oracle  # loaded only for this independent check
+
         reps = [(w, oracle.dispersion_integral_real_axis(cfg.x, p, q))
                 for w, p, q in channels]
         energy = prefactor * (weight * sum(w * rep.value for w, rep in reps))
         err = abs(prefactor) * (weight * sum(w * rep.abs_err_est for w, rep in reps))
     if not math.isfinite(energy):
         raise AccuracyError(f"wcp: the energy overflows at x={cfg.x!r}")
-    return PotentialResult(r=cfg.x, energy=energy, method=method, abs_err_est=err)
+    return PotentialResult(r=cfg.x, energy=energy, abs_err_est=err)
 
 
 def vdw_near(cfg: PairConfiguration) -> PotentialResult:
@@ -211,9 +209,7 @@ def vdw_near(cfg: PairConfiguration) -> PotentialResult:
     """
     kappa = _orientation_pq(cfg)[1]
     energy = -0.5 * (cfg.mu * kappa) ** 2 / cfg.x**6
-    return PotentialResult(r=cfg.x, energy=energy,
-                           method=PotentialMethod.NEAR_CLOSED_FORM,
-                           abs_err_est=0.0)
+    return PotentialResult(r=cfg.x, energy=energy, abs_err_est=0.0)
 
 
 @dataclass(frozen=True)
@@ -226,10 +222,10 @@ class PowerLawFit:
 def fit_powerlaw(curve, window: tuple[float, float]) -> PowerLawFit:
     """Least-squares slope of log|value| against log r inside a window.
 
-    curve is a sequence of (r, value) pairs.  All windowed values must share
-    one sign and be nonzero, otherwise a power law does not apply and a
-    DomainError is raised; fewer than 5 points in the window is likewise an
-    error.
+    curve is a sequence of (r, value) pairs.  All windowed values must be
+    finite, share one sign and be nonzero, otherwise a power law does not
+    apply and a DomainError is raised; fewer than 5 points in the window is
+    likewise an error.
     """
     pts = np.asarray(list(curve), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -238,6 +234,8 @@ def fit_powerlaw(curve, window: tuple[float, float]) -> PowerLawFit:
     sel = pts[(pts[:, 0] >= lo) & (pts[:, 0] <= hi)]
     if len(sel) < 5:
         raise DomainError(f"need at least 5 points in window, got {len(sel)}")
+    if not np.all(np.isfinite(sel)):
+        raise DomainError("r and value must be finite inside the window")
     vals = sel[:, 1]
     if np.any(vals == 0.0) or (np.max(vals) > 0) != (np.min(vals) > 0):
         raise DomainError("values change sign or vanish inside the window")

@@ -6,9 +6,11 @@ central quantity is the double-excitation amplitude
     c_ee = -(mu / pi) T(x)
 
 with T(x) the contracted dipole coupling tensor; the concurrence induced by
-the vacuum coupling is C = 2 |c_ee|.  The general Wootters concurrence, the
-entanglement of formation, and the spin-correlator (Palma-form) concurrence
-for two-diagonal density matrices are provided for cross validation.
+the vacuum coupling is C = 2 |c_ee|; model defines both, as its
+weak-coupling margin is that concurrence.  The general Wootters concurrence,
+the entanglement of formation, and the spin-correlator (Palma-form)
+concurrence for two-diagonal density matrices are provided for cross
+validation.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
-from .errors import DomainError
-from .kernel import contracted_tensor  # PairConfiguration._tensor calls this binding
+from .errors import AccuracyError, DomainError
+# contracted_tensor is bound here for perfbench's span tracer, which wraps it
+from .kernel import contracted_tensor, cross_coherence_kernel
 from .model import (PairConfiguration, Validity, ValidityReport,
-                    _validity_from_margin, perturbative_validity)
+                    _validity_from_margin, amplitude_c_ee, concurrence_raw,
+                    perturbative_validity)
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -99,20 +102,6 @@ class ConcurrenceResult:
     value: float
     regime: Regime
     validity: ValidityReport
-
-
-def concurrence_raw(cfg: PairConfiguration) -> float:
-    """Unclamped full-formula concurrence (2 mu / pi) |T(x)|."""
-    return 2.0 * abs(amplitude_c_ee(cfg))
-
-
-def amplitude_c_ee(cfg: PairConfiguration) -> float:
-    """Double-excitation amplitude of the dressed ground state.
-
-    c_ee = -(mu/pi) T(x), real and sign carrying; the local (separation
-    independent) dressing terms do not enter.
-    """
-    return -cfg.mu / np.pi * cfg._tensor
 
 
 def _result(raw: float, regime: Regime, validity: ValidityReport) -> ConcurrenceResult:
@@ -246,18 +235,23 @@ def regularized_local_population(cutoff: float) -> float:
     """Closed form of the local one-photon population per unit coupling.
 
     (2/3pi) * [L^2/2 - 2L + 3 ln(1+L) + 1/(1+L) - 1]: the exact antiderivative
-    of the oracle's cutoff integral.  Diverges like cutoff^2.
+    of the oracle's cutoff integral.  Diverges like cutoff^2, which raises
+    AccuracyError where it overflows (cutoff above about 1.3e154).
     """
     if not (np.isfinite(cutoff) and cutoff > 1):
         raise DomainError(f"cutoff must exceed 1, got {cutoff}")
-    ell = (0.5 * cutoff**2 - 2.0 * cutoff + 3.0 * np.log1p(cutoff)
-           + 1.0 / (1.0 + cutoff) - 1.0)
+    try:
+        ell = (0.5 * float(cutoff)**2 - 2.0 * cutoff + 3.0 * np.log1p(cutoff)
+               + 1.0 / (1.0 + cutoff) - 1.0)
+    except OverflowError:  # cutoff**2
+        raise AccuracyError(f"regularized_local_population: the population is out "
+                            f"of floating-point range at cutoff={cutoff!r}") from None
     return 2.0 / (3.0 * np.pi) * ell
 
 
 def cross_coherence(cfg: PairConfiguration) -> float:
-    """Finite cross term X = sum_k c_eg,k c*_ge,k, by direct mode quadrature."""
-    return cfg.mu * oracle.modesum_second_order(cfg.x, cfg=cfg).value
+    """Finite cross term X = sum_k c_eg,k c*_ge,k = mu (3 T + x T') / pi."""
+    return cfg.mu * cross_coherence_kernel(cfg.x, cfg.cos_ab, cfg.proj_product)
 
 
 def c1_c2_from_amplitudes(cfg: PairConfiguration, cutoff: float,
@@ -288,7 +282,7 @@ def effective_density_matrix(cfg: PairConfiguration) -> TwoQubitState:
     pure superposition, so rho^2 = rho exactly.
     """
     cee = amplitude_c_ee(cfg)
-    validity = _validity_from_margin(2.0 * abs(cee))
+    validity = perturbative_validity(cfg)
     if validity.flag is Validity.INVALID:
         raise DomainError(
             f"effective state undefined outside the weak-coupling regime "

@@ -1,5 +1,5 @@
-"""The dipole coupling tensor T(x): a closed form from the orientation
-invariants, and the 3x3 matrix form it contracts.
+"""The dipole coupling tensor T(x) and the cross-coherence kernel, in closed
+form from the orientation invariants.
 
 The radial differential operator
 
@@ -13,55 +13,41 @@ f'' = 1/x - f gives the closed forms
     tau_trans(x) = (x - x^2 f + f + x g) / x^3
     tau_long(x)  = -2 (f + x g) / x^3
 
-for the components transverse and longitudinal to Rhat.
+for the components transverse and longitudinal to Rhat.  Contracted with
+the unit dipole orientations, T(x) = n_a . tau . n_b depends on them only
+through cos_ab = n_a.n_b and proj_product = (n_a.r_hat)(n_b.r_hat).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
-import numpy as np
-
-from .model import _as_unit3
 from .specfun import aux
 
 
-@dataclass(frozen=True, eq=False)
-class DipoleTensor:
-    """Symmetric 3x3 tensor tau_mn(x) for a given separation direction."""
-
-    x: float
-    r_hat: np.ndarray
-    matrix: np.ndarray
-    tau_transverse: float
-    tau_longitudinal: float
-
-
-def dipole_tensor(x: float, r_hat=(0.0, 0.0, 1.0)) -> DipoleTensor:
-    """Dimensionless dipole coupling tensor at separation x along r_hat."""
-    r = _as_unit3(r_hat, "r_hat")
-    # the transverse pair has cos_ab = 1, proj_product = 0; the longitudinal 1, 1
-    tau_t, tau_l = contracted_tensor(x, 1.0, 0.0), contracted_tensor(x, 1.0, 1.0)
-    proj = np.outer(r, r)
-    m = tau_t * (np.eye(3) - proj) + tau_l * proj
-    m.setflags(write=False)
-    r.setflags(write=False)
-    return DipoleTensor(x=float(x), r_hat=r, matrix=m,
-                        tau_transverse=tau_t, tau_longitudinal=tau_l)
-
-
-def contract(tensor: DipoleTensor, n_a, n_b) -> float:
-    """T(x) = sum_mn (n_a)_m tau_mn (n_b)_n; bilinear in both orientations."""
-    return float(_as_unit3(n_a, "n_a") @ tensor.matrix @ _as_unit3(n_b, "n_b"))
-
-
 def contracted_tensor(x: float, cos_ab: float, proj_product: float) -> float:
-    """T(x) directly from the orientation invariants.
+    """T(x) = n_a . tau(x) . n_b from the orientation invariants.
 
-    cos_ab = n_a.n_b and proj_product = (n_a.r_hat)(n_b.r_hat); equivalent to
-    contract(dipole_tensor(x), n_a, n_b) without building the matrix.
+    cos_ab = n_a.n_b and proj_product = (n_a.r_hat)(n_b.r_hat).
     """
     v = aux(x)
     f, g = v.f, v.g
     return ((cos_ab - proj_product) * v.f_double_prime
             + (cos_ab - 3.0 * proj_product) * (f / x**2 + g / x)) / x
+
+
+def cross_coherence_kernel(x: float, cos_ab: float, proj_product: float) -> float:
+    """Cross coherence per unit coupling, X / mu = (3 T + x T') / pi.
+
+    The one-photon cross term (1/pi) int dk k^3 K(k x) / (1 + k)^2 is the
+    derivative at omega = 1 of the first-order mode sum
+    -(1/pi) int dk k^3 K(k x) / (omega + k), which the scaling k = omega u
+    turns into omega^3 T(omega x) / pi.  With f' = -g and g' = f - 1/x:
+
+        X / mu = [ (cos_ab - proj_product) (g + 1/x^2 - 2 f/x)
+                   + (cos_ab - 3 proj_product) (f - 1/x) / x ] / pi
+    """
+    v = aux(x)
+    f, g = v.f, v.g
+    return ((cos_ab - proj_product) * (g + 1.0 / x**2 - 2.0 * f / x)
+            + (cos_ab - 3.0 * proj_product) * (f - 1.0 / x) / x) / math.pi

@@ -1,4 +1,5 @@
-"""Atom/geometry records and the dimensionless reduction.
+"""Atom/geometry records, the dimensionless reduction, and the weak-coupling
+validity of the amplitude c_ee that a configuration carries.
 
 The unit system is fixed: Hartree atomic units with the Gaussian
 electromagnetic convention (hbar = e = m_e = 1, c = 1/alpha).  In these
@@ -16,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernel
 from .errors import AccuracyError, DomainError, FrequencyMismatchError
 
 FINE_STRUCTURE = 7.2973525693e-3  # CODATA 2018
@@ -145,9 +147,7 @@ class PairConfiguration:
     @cached_property
     def _tensor(self) -> float:
         """T(x), evaluated once per configuration for all the laws that need it."""
-        from . import entanglement  # the binding the concurrence laws go through
-
-        return entanglement.contracted_tensor(self.x, self.cos_ab, self.proj_product)
+        return kernel.contracted_tensor(self.x, self.cos_ab, self.proj_product)
 
 
 def pair_from_alignment(x: float, mu: float, cos_ab: float = 1.0,
@@ -247,12 +247,24 @@ def _validity_from_margin(margin: float) -> ValidityReport:
     return ValidityReport(flag=flag, margin=margin)
 
 
+def amplitude_c_ee(cfg: PairConfiguration) -> float:
+    """Double-excitation amplitude of the dressed ground state.
+
+    c_ee = -(mu/pi) T(x), real and sign carrying; the local (separation
+    independent) dressing terms do not enter.
+    """
+    return -cfg.mu / np.pi * cfg._tensor
+
+
+def concurrence_raw(cfg: PairConfiguration) -> float:
+    """Unclamped full-formula concurrence 2 |c_ee| = (2 mu / pi) |T(x)|."""
+    return 2.0 * abs(amplitude_c_ee(cfg))
+
+
 def perturbative_validity(cfg: PairConfiguration) -> ValidityReport:
     """Check whether the weak-coupling expansion is trustworthy.
 
     The margin is the predicted concurrence magnitude from the full formula;
     OK for margin <= 0.1, WARN up to 1, INVALID above 1.
     """
-    from .entanglement import concurrence_raw
-
     return _validity_from_margin(concurrence_raw(cfg))

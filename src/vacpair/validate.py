@@ -68,8 +68,9 @@ def _derivative_checks(grid):
     out = []
     for x in grid:
         h = 1e-5 * max(1.0, x)
-        fp = (specfun.aux(x + h).f - specfun.aux(x - h).f) / (2 * h)
-        gp = (specfun.aux(x + h).g - specfun.aux(x - h).g) / (2 * h)
+        up, dn = specfun.aux(x + h), specfun.aux(x - h)
+        fp = (up.f - dn.f) / (2 * h)
+        gp = (up.g - dn.g) / (2 * h)
         v = specfun.aux(x)
         tol = max(1e-8, 1e-6 * abs(v.g))
         out.append(_compare(f"f' = -g by finite differences x={x}",
@@ -93,16 +94,13 @@ def _trig_reconstruction(grid):
     return out
 
 
-def _modesum_checks(grid, geometries):
+def _modesum_checks(name, closed_form, modesum, tol, grid, geometries):
     out = []
     for gname, (a, b) in geometries.items():
         for x in grid:
-            closed = kernel.contracted_tensor(x, a, b) / np.pi
-            cfg = pair_from_alignment(x, 1.0, a, b)
-            direct = oracle.modesum_first_order(x, cfg=cfg).value
-            out.append(_compare(
-                f"kernel.contracted_tensor vs oracle.modesum_first_order "
-                f"x={x} {gname}", direct, closed, 1e-6))
+            direct = modesum(x, cfg=pair_from_alignment(x, 1.0, a, b)).value
+            out.append(_compare(f"{name} vs oracle.{modesum.__name__} x={x} {gname}",
+                                direct, closed_form(x, a, b), tol))
     return out
 
 
@@ -272,10 +270,17 @@ def run_validation(level: str = "fast") -> list[CheckResult]:
     results += _derivative_checks((0.5, 2.0) if fast else (0.1, 0.5, 1.0, 2.0,
                                                            5.0, 10.0, 50.0))
     results += _trig_reconstruction((0.1, 1.0, 10.0, 100.0))
-    results += _modesum_checks((0.1, 1.0, 10.0) if fast else _STANDARD_GRID,
-                               _GEOMETRIES if not fast else
-                               {"transverse": (1.0, 0.0),
-                                "longitudinal": (1.0, 1.0)})
+    results += _modesum_checks(
+        "kernel.contracted_tensor",
+        lambda x, a, b: kernel.contracted_tensor(x, a, b) / np.pi,
+        oracle.modesum_first_order, 1e-6,
+        (0.1, 1.0, 10.0) if fast else _STANDARD_GRID,
+        _GEOMETRIES if not fast else {"transverse": (1.0, 0.0),
+                                      "longitudinal": (1.0, 1.0)})
+    results += _modesum_checks(
+        "cross_coherence_kernel", kernel.cross_coherence_kernel,
+        oracle.modesum_second_order, 1e-8, (1.0,) if fast else (0.1, 1.0, 10.0),
+        {"transverse": (1.0, 0.0)} if fast else _GEOMETRIES)
     results += _zone_checks()
     results += _wootters_checks(50 if fast else 300)
     results += _eof_checks()

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import vacpair
 from vacpair import pair_from_alignment
@@ -48,6 +49,11 @@ def rng():
 def random_unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+# hypothesis strategy for unit 3-vectors
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: np.asarray(v) / np.linalg.norm(v))
 
 
 def random_rotation(rng):

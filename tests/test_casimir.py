@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacpair import (AccuracyError, DomainError, PairConfiguration,
-                     PotentialMethod, concurrence_far, concurrence_full,
-                     concurrence_near, fit_powerlaw, pair_from_alignment,
-                     vdw_near, wcp)
+                     concurrence_far, concurrence_full, concurrence_near,
+                     fit_powerlaw, pair_from_alignment, vdw_near, wcp)
 from vacpair.oracle import dispersion_integral_rotated, field_correlator
 
-from conftest import transverse_pair
+from conftest import transverse_pair, unit_vectors
 
 
 def london_oracle(mu, kappa, x):
@@ -115,12 +114,6 @@ class TestWcp:
         pv = wcp(cfg, method="principal_value_oracle", isotropic=True).energy
         assert pv == pytest.approx(iso, rel=1e-6)
 
-    def test_near_closed_form_method_dispatch(self):
-        cfg = transverse_pair(0.01)
-        res = wcp(cfg, method="near_closed_form")
-        assert res.method is PotentialMethod.NEAR_CLOSED_FORM
-        assert res.energy == vdw_near(cfg).energy
-
 
 def mp_wcp(cfg, isotropic):
     """(W, the sum of the magnitudes of its terms) at 100 digits.
@@ -161,10 +154,6 @@ def check_against_mpmath(cfg, isotropic):
     err = float(abs(res.energy - value))
     assert err <= 1e-12 * float(scale), (cfg.x, err / float(scale))
     assert err <= res.abs_err_est, (cfg.x, err, res.abs_err_est)
-
-
-unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
-    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: np.asarray(v) / np.linalg.norm(v))
 
 
 class TestWcpClosedForm:
@@ -252,6 +241,14 @@ class TestFitPowerlaw:
         curve = [(r, np.cos(3 * r)) for r in np.linspace(1.0, 3.0, 10)]
         with pytest.raises(DomainError):
             fit_powerlaw(curve, (1.0, 3.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_value_rejected(self, bad):
+        # a non-finite value in the window used to give a NaN slope
+        curve = [(r, r**-2.0) for r in np.geomspace(1.0, 10.0, 9)]
+        curve[3] = (curve[3][0], bad)
+        with pytest.raises(DomainError, match="finite"):
+            fit_powerlaw(curve, (1.0, 10.0))
 
     def test_too_few_points_rejected(self):
         curve = [(r, r**-2.0) for r in (1.0, 2.0, 3.0, 4.0)]

@@ -170,7 +170,7 @@ class TestSweepStreaming:
     @pytest.mark.parametrize("x, aux_calls", [(0.5, 2), (1.99, 2), (2.0, 1), (10.0, 1)])
     def test_a_row_evaluates_the_tensor_once(self, monkeypatch, capsys, x, aux_calls):
         # T(x) calls aux once; wcp calls it again, at 2x, below x = 2
-        from vacpair import entanglement, kernel, specfun
+        from vacpair import kernel, specfun
 
         calls = []
 
@@ -183,7 +183,7 @@ class TestSweepStreaming:
 
             monkeypatch.setattr(module, name, counted)
 
-        count(entanglement, "contracted_tensor")
+        count(kernel, "contracted_tensor")
         count(kernel, "aux")
         count(specfun, "aux")
         assert run_cli(["point", "--mu", "1e-4", "--x", repr(x)]) == 0
@@ -431,7 +431,7 @@ class TestScipyFreePath:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
-        assert "108/108 checks passed" in proc.stdout
+        assert "117/117 checks passed" in proc.stdout
         _, rows = parse_csv(proc.stdout[proc.stdout.index("# vacpair sweep"):])
         assert len(rows) == 50
 
@@ -450,14 +450,17 @@ import sys
 from vacpair.cli import main
 assert "vacpair.validate" not in sys.modules
 assert main(["point", "--mu", "1e-4", "--x", "1.5"]) == 0
+assert main(["point", "--mu", "1e-4", "--x", "1.5", "--isotropic"]) == 0
 assert main(["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e3",
              "--points", "5"]) == 0
 assert "vacpair.validate" not in sys.modules
+assert "vacpair.oracle" not in sys.modules
 """
 
 
 class TestLazyValidate:
     def test_point_and_sweep_leave_validate_unloaded(self):
+        # nor the oracles: no production path calls or loads them
         proc = subprocess.run([sys.executable, "-c", _WITHOUT_VALIDATE],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -1,18 +1,19 @@
 """Dressed-state amplitudes, concurrence measures and their cross checks."""
 
+import re
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
-from vacpair import (DomainError, Regime, SpinCorrelators, TwoQubitState,
-                     Validity, amplitude_c_ee, c1_c2_from_amplitudes,
-                     concurrence_far, concurrence_full, concurrence_near,
-                     correlators_from_state, effective_density_matrix,
-                     entanglement_of_formation, hydrogen_1s2p,
-                     pair_from_alignment, palma_concurrence,
+from vacpair import (AccuracyError, DomainError, Regime, SpinCorrelators,
+                     TwoQubitState, Validity, amplitude_c_ee,
+                     c1_c2_from_amplitudes, concurrence_far, concurrence_full,
+                     concurrence_near, correlators_from_state,
+                     effective_density_matrix, entanglement_of_formation,
+                     hydrogen_1s2p, pair_from_alignment, palma_concurrence,
                      perturbative_validity, reduce, wootters_concurrence)
-from vacpair import entanglement
+from vacpair import kernel
 from vacpair.entanglement import cross_coherence, regularized_local_population
 
 from conftest import (random_density_matrix, random_rotation, random_unit,
@@ -58,13 +59,13 @@ class TestConcurrenceRegimes:
 
     def test_full_evaluates_the_tensor_once(self, monkeypatch):
         calls = []
-        original = entanglement.contracted_tensor
+        original = kernel.contracted_tensor
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(entanglement, "contracted_tensor", counted)
+        monkeypatch.setattr(kernel, "contracted_tensor", counted)
         concurrence_full(transverse_pair(1.0, mu=0.01))
         assert len(calls) == 1
 
@@ -319,6 +320,14 @@ class TestCutoffStructure:
             c1_c2_from_amplitudes(transverse_pair(1.0), 1.0)
         with pytest.raises(DomainError):
             regularized_local_population(0.5)
+
+    @pytest.mark.parametrize("cutoff", [1e155, 1e200, 1e308])
+    def test_cutoff_out_of_range_is_an_accuracy_error(self, cutoff):
+        # cutoff^2 overflows; this used to be a bare OverflowError
+        with pytest.raises(AccuracyError, match=re.escape(f"cutoff={cutoff!r}")):
+            regularized_local_population(cutoff)
+        with pytest.raises(AccuracyError, match="regularized_local_population"):
+            c1_c2_from_amplitudes(transverse_pair(1.0), cutoff)
 
     def test_cross_coherence_scales_with_mu(self):
         x1 = cross_coherence(transverse_pair(1.0, mu=1e-3))

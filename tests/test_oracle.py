@@ -271,7 +271,8 @@ class TestQuad:
         assert counts == {
             # 10 grid x times 3 geometries, plus the second-order check's 2
             "oracle.modesum_first_order": 32,
-            # 9 c2 configurations, plus the second-order check's 1
+            # 3 x times 3 geometries of the cross-coherence check, plus the
+            # second-order check's 1
             "oracle.modesum_second_order": 10,
             "oracle.field_correlator": 1,
             "oracle.dispersion_integral_rotated": 6,
