@@ -6,10 +6,9 @@ __version__ = "0.1.0"
 
 from .casimir import (PotentialMethod, PotentialResult, PowerLawFit,
                       fit_powerlaw, vdw_near, wcp)
-from .entanglement import (ConcurrenceResult, Regime, SpinCorrelators,
-                           TwoQubitState, amplitude_c_ee,
-                           c1_c2_from_amplitudes, concurrence_far,
-                           concurrence_full, concurrence_near,
+from .entanglement import (ConcurrenceResult, SpinCorrelators, TwoQubitState,
+                           amplitude_c_ee, c1_c2_from_amplitudes,
+                           concurrence_far, concurrence_full, concurrence_near,
                            correlators_from_state, effective_density_matrix,
                            entanglement_of_formation, palma_concurrence,
                            wootters_concurrence)
@@ -23,8 +22,8 @@ from .specfun import AuxFunValue, aux, ci, si
 __all__ = [
     "AccuracyError", "AuxFunValue", "ConcurrenceResult", "DomainError",
     "FrequencyMismatchError", "PairConfiguration", "PotentialMethod",
-    "PotentialResult", "PowerLawFit", "Regime", "SpinCorrelators",
-    "TwoLevelAtom", "TwoQubitState", "Validity", "ValidityReport",
+    "PotentialResult", "PowerLawFit", "SpinCorrelators", "TwoLevelAtom",
+    "TwoQubitState", "Validity", "ValidityReport",
     "amplitude_c_ee", "aux", "c1_c2_from_amplitudes", "ci", "concurrence_far",
     "concurrence_full", "concurrence_near", "contracted_tensor",
     "correlators_from_state", "effective_density_matrix",

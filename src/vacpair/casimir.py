@@ -65,13 +65,8 @@ class PotentialMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class PotentialResult:
-    """Interaction energy at one separation.
+    """Interaction energy of one configuration, in units of hbar omega0."""
 
-    r is the dimensionless separation x = k0 R; energy is in units of
-    hbar omega0.
-    """
-
-    r: float
     energy: float
     abs_err_est: float
 
@@ -195,7 +190,7 @@ def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour
         err = abs(prefactor) * (weight * sum(w * rep.abs_err_est for w, rep in reps))
     if not math.isfinite(energy):
         raise AccuracyError(f"wcp: the energy overflows at x={cfg.x!r}")
-    return PotentialResult(r=cfg.x, energy=energy, abs_err_est=err)
+    return PotentialResult(energy=energy, abs_err_est=err)
 
 
 def vdw_near(cfg: PairConfiguration) -> PotentialResult:
@@ -209,14 +204,13 @@ def vdw_near(cfg: PairConfiguration) -> PotentialResult:
     """
     kappa = _orientation_pq(cfg)[1]
     energy = -0.5 * (cfg.mu * kappa) ** 2 / cfg.x**6
-    return PotentialResult(r=cfg.x, energy=energy, abs_err_est=0.0)
+    return PotentialResult(energy=energy, abs_err_est=0.0)
 
 
 @dataclass(frozen=True)
 class PowerLawFit:
     slope: float
     stderr: float
-    n_points: int
 
 
 def fit_powerlaw(curve, window: tuple[float, float]) -> PowerLawFit:
@@ -245,4 +239,4 @@ def fit_powerlaw(curve, window: tuple[float, float]) -> PowerLawFit:
     resid = ly - (slope * lx + intercept)
     dof = len(sel) - 2
     stderr = float(np.sqrt(np.sum(resid**2) / dof / np.sum((lx - lx.mean()) ** 2)))
-    return PowerLawFit(slope=float(slope), stderr=stderr, n_points=len(sel))
+    return PowerLawFit(slope=float(slope), stderr=stderr)

@@ -40,24 +40,15 @@ def _fmt(value) -> str:
     return format(value, ".17g")
 
 
-def _parse_vec(text: str) -> np.ndarray:
+def _parse_direction(text: str, name: str) -> np.ndarray:
+    """The unit vector along the comma-separated 3-vector text of flag name."""
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise DomainError(f"cannot parse vector {text!r}: {exc}") from None
     if len(parts) != 3:
         raise DomainError(f"vector must have 3 components, got {text!r}")
-    return np.asarray(parts)
-
-
-def _unit(vec: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(vec)):
-        raise DomainError(f"{name} must be finite")
-    vec = model._scaled_for_norm(vec)[1]
-    n = np.linalg.norm(vec)
-    if n == 0:
-        raise DomainError(f"{name} must be nonzero")
-    return vec / n
+    return model._norm_and_direction(model._as_vec3(parts, name), name)[1]
 
 
 def _add_config_flags(p: argparse.ArgumentParser, separation: bool) -> None:
@@ -161,9 +152,8 @@ def _config_flags(command: argparse.ArgumentParser, argv: list[str]) -> list[str
 
 def _resolve_geometry(args):
     """n_a, n_b, the separation direction, and the atoms (None if not given)."""
-    n_a = _unit(_parse_vec(args.dipole_a), "dipole-a")
-    n_b = (_unit(_parse_vec(args.dipole_b), "dipole-b")
-           if args.dipole_b else n_a.copy())
+    n_a = _parse_direction(args.dipole_a, "dipole-a")
+    n_b = _parse_direction(args.dipole_b, "dipole-b") if args.dipole_b else n_a.copy()
     atoms = None
     if args.preset:
         factory = _PRESETS[args.preset]
@@ -174,7 +164,7 @@ def _resolve_geometry(args):
                 "custom dimensional atoms need --omega0, --dmag-a and --dmag-b")
         atoms = (model.TwoLevelAtom(args.omega0, args.dmag_a * n_a),
                  model.TwoLevelAtom(args.omega0, args.dmag_b * n_b))
-    return n_a, n_b, _unit(_parse_vec(args.sep_dir), "sep-dir"), atoms
+    return n_a, n_b, _parse_direction(args.sep_dir, "sep-dir"), atoms
 
 
 def _coupled(args, n_a, n_b, r_hat, atoms):

@@ -15,7 +15,7 @@ validation.
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +31,6 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
-
-
-class Regime(enum.Enum):
-    FULL = "full"
-    NEAR = "near"
-    FAR = "far"
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +86,7 @@ class SpinCorrelators:
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Concurrence with its regime tag and weak-coupling validity flag.
+    """Concurrence with its weak-coupling validity flag.
 
     value is raw clamped to [0, 1]; raw is preserved so a perturbative
     breakdown stays visible.
@@ -100,31 +94,30 @@ class ConcurrenceResult:
 
     raw: float
     value: float
-    regime: Regime
     validity: ValidityReport
 
 
-def _result(raw: float, regime: Regime, validity: ValidityReport) -> ConcurrenceResult:
+def _result(raw: float, validity: ValidityReport) -> ConcurrenceResult:
     return ConcurrenceResult(raw=raw, value=min(max(raw, 0.0), 1.0),
-                             regime=regime, validity=validity)
+                             validity=validity)
 
 
 def concurrence_full(cfg: PairConfiguration) -> ConcurrenceResult:
     """Vacuum-induced concurrence C = 2 |c_ee|, valid at any separation."""
     raw = concurrence_raw(cfg)  # also the validity margin, so classify it here
-    return _result(raw, Regime.FULL, _validity_from_margin(raw))
+    return _result(raw, _validity_from_margin(raw))
 
 
 def concurrence_near(cfg: PairConfiguration) -> ConcurrenceResult:
     """Near-zone law mu |n_a.n_b - 3 (n_a.r)(n_b.r)| / x^3 (for x << 1)."""
     raw = cfg.mu * abs(cfg.cos_ab - 3.0 * cfg.proj_product) / cfg.x**3
-    return _result(raw, Regime.NEAR, perturbative_validity(cfg))
+    return _result(raw, perturbative_validity(cfg))
 
 
 def concurrence_far(cfg: PairConfiguration) -> ConcurrenceResult:
     """Far-zone law (8 mu / pi) |n_a.n_b - 2 (n_a.r)(n_b.r)| / x^4 (for x >> 1)."""
     raw = (8.0 * cfg.mu / np.pi) * abs(cfg.cos_ab - 2.0 * cfg.proj_product) / cfg.x**4
-    return _result(raw, Regime.FAR, perturbative_validity(cfg))
+    return _result(raw, perturbative_validity(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +247,22 @@ def cross_coherence(cfg: PairConfiguration) -> float:
     return cfg.mu * cross_coherence_kernel(cfg.x, cfg.cos_ab, cfg.proj_product)
 
 
-def c1_c2_from_amplitudes(cfg: PairConfiguration, cutoff: float,
-                          include_local: bool = True) -> tuple[float, float]:
+def c1_c2_from_amplitudes(cfg: PairConfiguration,
+                          cutoff: float) -> tuple[float, float]:
     """The two competing concurrence branches before renormalization.
 
     c1 = |c_ee| - sqrt(L_A L_B) and c2 = |X| - sqrt(P_ee P_gg), with the
-    local one-photon populations L_i regularized at k = cutoff * k0 and
-    P_ee = |c_ee|^2 + L_A L_B + X^2 (the two-photon population), P_gg = 1.
-    c2 is negative by construction; c1 reduces to |c_ee| (so C = 2 |c_ee|)
-    when the divergent local terms are dropped via include_local=False.
+    local one-photon populations L_A = L_B = mu L(cutoff) regularized at
+    k = cutoff * k0 and P_ee = |c_ee|^2 + L_A L_B + X^2 (the two-photon
+    population), P_gg = 1.  c2 is negative by construction, and c1 + mu L
+    is |c_ee|, the amplitude behind C = 2 |c_ee|.  The root is a hypot, so
+    c2 stays finite wherever its value does.
     """
-    if not (np.isfinite(cutoff) and cutoff > 1):
-        raise DomainError(f"cutoff must exceed 1, got {cutoff}")
+    local = cfg.mu * regularized_local_population(cutoff)  # checks the cutoff
     cee = amplitude_c_ee(cfg)
     x_coh = cross_coherence(cfg)
-    local = cfg.mu * regularized_local_population(cutoff) if include_local else 0.0
     c1 = abs(cee) - local
-    c2 = abs(x_coh) - np.sqrt(cee * cee + local * local + x_coh * x_coh)
+    c2 = abs(x_coh) - math.hypot(cee, local, x_coh)
     return float(c1), float(c2)
 
 

@@ -43,21 +43,30 @@ def _as_unit3(v, name: str) -> np.ndarray:
     return arr
 
 
-def _scaled_for_norm(v: np.ndarray) -> tuple[float, np.ndarray]:
-    """(scale, s) with v = scale * s, for a finite real 3-vector v.
+def _norm_and_direction(v: np.ndarray, name: str | None = None,
+                        length: float = 1.0) -> tuple[float, np.ndarray]:
+    """(|v|, length * v/|v|) for a finite real 3-vector v, at any finite scale.
 
-    s is v itself, and scale 1, wherever the sum of squares of v is a normal
-    float, so np.linalg.norm(s) and s / np.linalg.norm(s) are the plain ones
-    there.  Where that sum overflows or falls below the normal range
-    (components beyond about 1e154, or all below about 1e-154), s is v over
-    its largest |component|, whose norm numpy takes without overflow or
-    underflow.  A zero vector is returned as it is.
+    Wherever the sum of squares of v is a normal float these are the plain
+    np.linalg.norm(v) and (length * v) / np.linalg.norm(v).  Where that sum
+    overflows or falls below the normal range (components beyond about
+    1e154, or all below about 1e-154), v is first divided by its largest
+    |component|, whose norm numpy takes without overflow or underflow.  A
+    zero vector raises DomainError naming `name` if one is given, and
+    otherwise comes back as (0.0, v).
     """
     comps = v.tolist()
-    if _NORMAL_MIN <= sum(c * c for c in comps) <= _NORMAL_MAX:
-        return 1.0, v
-    big = max(map(abs, comps))
-    return (big, v / big) if big else (1.0, v)
+    scale, s = 1.0, v
+    if not _NORMAL_MIN <= sum(c * c for c in comps) <= _NORMAL_MAX:
+        big = max(map(abs, comps))
+        if big:
+            scale, s = big, v / big
+    norm = float(np.linalg.norm(s))
+    if norm == 0.0:
+        if name is not None:
+            raise DomainError(f"{name} must be nonzero")
+        return 0.0, v
+    return scale * norm, length * s / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,17 +85,13 @@ class TwoLevelAtom:
 
     @property
     def dipole_magnitude(self) -> float:
-        scale, s = _scaled_for_norm(self.dipole)
-        return scale * float(np.linalg.norm(s))
+        return _norm_and_direction(self.dipole)[0]
 
     @property
     def orientation(self) -> np.ndarray:
         """Unit dipole direction; x-hat by convention for a vanishing dipole."""
-        s = _scaled_for_norm(self.dipole)[1]
-        d = float(np.linalg.norm(s))
-        if d == 0.0:
-            return np.array([1.0, 0.0, 0.0])
-        return s / d
+        d, n = _norm_and_direction(self.dipole)
+        return n if d else np.array([1.0, 0.0, 0.0])
 
     def wavenumber(self) -> float:
         """Transition wavenumber k0 = omega0 / c."""
@@ -99,12 +104,11 @@ def hydrogen_1s2p(orientation=(1.0, 0.0, 0.0)) -> TwoLevelAtom:
     omega0 = 3/8 Hartree/hbar, |d| = 2^7 sqrt(2)/3^5 e*a0 (the 1s->2p matrix
     element of the position operator).
     """
-    n = _scaled_for_norm(_as_vec3(orientation, "orientation"))[1]
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise DomainError("orientation must be nonzero")
     d = 128.0 * np.sqrt(2.0) / 243.0
-    return TwoLevelAtom(omega0=0.375, dipole=d * n / norm)
+    # (d v) / |v|, as length gives it: d (v / |v|) rounds differently
+    dipole = _norm_and_direction(_as_vec3(orientation, "orientation"),
+                                 "orientation", length=d)[1]
+    return TwoLevelAtom(omega0=0.375, dipole=dipole)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,10 +199,8 @@ def reduce(atom_a: TwoLevelAtom, atom_b: TwoLevelAtom, separation) -> PairConfig
         raise FrequencyMismatchError(
             f"atoms must share one transition frequency "
             f"(got {atom_a.omega0} and {atom_b.omega0})")
-    scale, sep = _scaled_for_norm(_as_vec3(separation, "separation"))
-    norm = float(np.linalg.norm(sep))
-    if norm == 0.0:
-        raise DomainError("separation must be nonzero")
+    distance, r_hat = _norm_and_direction(_as_vec3(separation, "separation"),
+                                          "separation")
     k0 = atom_a.wavenumber()
     d_a, d_b = atom_a.dipole_magnitude, atom_b.dipole_magnitude
     try:
@@ -209,10 +211,10 @@ def reduce(atom_a: TwoLevelAtom, atom_b: TwoLevelAtom, separation) -> PairConfig
         raise AccuracyError(f"reduce: mu is out of floating-point range at "
                             f"omega0={atom_a.omega0!r}, |d_A|={d_a!r}, |d_B|={d_b!r}")
     return PairConfiguration(
-        x=k0 * (scale * norm),
+        x=k0 * distance,
         n_a=atom_a.orientation,
         n_b=atom_b.orientation,
-        r_hat=sep / norm,
+        r_hat=r_hat,
         mu=mu,
     )
 

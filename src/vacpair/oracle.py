@@ -32,12 +32,10 @@ from .model import PairConfiguration
 
 @dataclass(frozen=True)
 class QuadratureReport:
-    """Result of one oracle quadrature."""
+    """Value of one oracle quadrature and a bound on its error."""
 
     value: float
     abs_err_est: float
-    intervals_used: int
-    accelerated: bool
 
 
 # Gauss-Legendre order of the oscillatory-tail segments
@@ -46,6 +44,9 @@ _GAUSS_ORDER = 24
 _QUAD_ORDERS = (21, 10)
 # _quad's rounding floor per interval, in ulps of the integral of |f|
 _QUAD_ROUNDING = 50.0 * np.finfo(float).eps
+# func sees at most this many nodes per call, which bounds the memory its
+# temporaries take on a long oscillatory tail
+_FUNC_BLOCK = 1 << 14
 
 
 @functools.cache
@@ -53,18 +54,23 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gauss_pair(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and error estimates of func's integrals over [lo[i], hi[i]]."""
-    (x_hi, w_hi), (x_lo, w_lo) = (_gauss_rule(n) for n in _QUAD_ORDERS)
+def _gauss_pair(func, lo: np.ndarray, hi: np.ndarray,
+                orders: tuple[int, int] = _QUAD_ORDERS
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, error estimates and rounding floors of func's integrals over
+    [lo[i], hi[i]] by the Gauss-Legendre rules of two orders, as in _quad."""
+    (x_hi, w_hi), (x_lo, w_lo) = (_gauss_rule(n) for n in orders)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * np.concatenate((x_hi, x_lo))
-    vals = np.asarray(func(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    nodes = (mid[:, None] + half[:, None] * np.concatenate((x_hi, x_lo))).ravel()
+    vals = np.concatenate([np.asarray(func(nodes[i:i + _FUNC_BLOCK]), dtype=float)
+                           for i in range(0, nodes.size, _FUNC_BLOCK)])
+    vals = vals.reshape(lo.size, -1)
     n = x_hi.size
     value = half * (vals[:, :n] @ w_hi)
     coarse = half * (vals[:, n:] @ w_lo)
     rounding = _QUAD_ROUNDING * half * (np.abs(vals[:, :n]) @ w_hi)
-    return value, np.maximum(np.abs(value - coarse), rounding)
+    return value, np.maximum(np.abs(value - coarse), rounding), rounding
 
 
 def _quad(func, a: float, b: float, *, where: str, epsrel: float,
@@ -77,7 +83,10 @@ def _quad(func, a: float, b: float, *, where: str, epsrel: float,
     integral of |f|, the rounding QUADPACK (Piessens et al., 1983) allows for.
     While the summed estimate exceeds max(epsabs, epsrel |I|), each pass
     bisects the intervals of largest error that together hold the excess
-    and evaluates all the new halves in one call of func.  b = inf maps
+    and evaluates all the new halves in one _gauss_pair call.  Once every
+    interval's estimate is its floor, bisection cannot lower the sum, and
+    the result returns with that sum as its estimate, as QUADPACK stops on
+    detecting round-off.  b = inf maps
     [a, inf) onto [0, 1) by v = a + t/(1 - t).  The interior breakpoints
     `points` (ascending, inside (a, b)) start the partition.  Returns
     (value, abs_err_est, intervals); needing more than `limit` intervals
@@ -93,11 +102,11 @@ def _quad(func, a: float, b: float, *, where: str, epsrel: float,
         a, b = 0.0, 1.0
     edges = np.array([a, *points, b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    value, err = _gauss_pair(func, lo, hi)
+    value, err, floor = _gauss_pair(func, lo, hi)
     while True:
         total, total_err = value.sum(), err.sum()
         excess = total_err - max(epsabs, epsrel * abs(total))
-        if excess <= 0.0:
+        if excess <= 0.0 or np.array_equal(err, floor):
             return float(total), float(total_err), lo.size
         worst = np.argsort(err)[::-1]
         n_split = min(int(np.searchsorted(np.cumsum(err[worst]), excess)) + 1,
@@ -110,23 +119,10 @@ def _quad(func, a: float, b: float, *, where: str, epsrel: float,
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate((lo[split], mid))
         new_hi = np.concatenate((mid, hi[split]))
-        new_value, new_err = _gauss_pair(func, new_lo, new_hi)
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        value = np.concatenate((value[keep], new_value))
-        err = np.concatenate((err[keep], new_err))
-
-
-def _gauss_segments(func, edges: np.ndarray, order: int) -> np.ndarray:
-    """Gauss-Legendre integrals of func over consecutive [edges[i], edges[i+1]]."""
-    gx, gw = _gauss_rule(order)
-    lo = edges[:-1]
-    hi = edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * gx[None, :]
-    vals = np.asarray(func(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return half * (vals @ gw)
+        # the kept intervals, then the new halves with their rule values
+        added = (new_lo, new_hi, *_gauss_pair(func, new_lo, new_hi))
+        lo, hi, value, err, floor = (np.concatenate((old[keep], new)) for old, new
+                                     in zip((lo, hi, value, err, floor), added))
 
 
 def _euler_average(terms: np.ndarray, lengths) -> tuple[float, float, list[float]]:
@@ -159,22 +155,21 @@ def _euler_average(terms: np.ndarray, lengths) -> tuple[float, float, list[float
 
 
 def _oscillatory_tail(func, start: float, half_period: float, n_segments: int,
-                      order: int) -> tuple[float, float, int]:
-    """Integrate func from start to infinity by half-period partitioning."""
+                      order: int) -> tuple[float, float]:
+    """(value, abs_err_est) of func's integral from start to infinity, over
+    half-period segments that _gauss_pair takes at (order, max(8, order - 8))."""
     edges = start + half_period * np.arange(n_segments + 1)
-    terms = _gauss_segments(func, edges, order)
+    terms, seg_err, _ = _gauss_pair(func, edges[:-1], edges[1:],
+                                    (order, max(8, order - 8)))
     # error estimate, three components: spread of the accelerated value over
-    # several truncation lengths (tail truncation), an embedded lower-order
-    # rule on each segment (quadrature truncation), and round-off accumulated
-    # over the (possibly huge) alternating terms
+    # several truncation lengths (tail truncation), the segments' estimates
+    # (quadrature truncation, floored at their rounding), and round-off
+    # accumulated over the (possibly huge) alternating terms
     value, diff, truncations = _euler_average(
         terms, [max(4, (n_segments * frac) // 8) for frac in (4, 5, 6, 7)])
     spread = max(abs(value - t) for t in truncations)
-    embedded = _gauss_segments(func, edges, max(8, order - 8))
-    quad_err = float(np.abs(terms - embedded).sum())
     noise = 1e-15 * float(np.abs(terms).sum())
-    err = 4.0 * diff + 2.0 * spread + quad_err + noise
-    return value, err, n_segments
+    return value, 4.0 * diff + 2.0 * spread + float(seg_err.sum()) + noise
 
 
 def _default_segments(x: float) -> int:
@@ -231,9 +226,9 @@ def _modesum(name: str, x: float, cos_ab: float, proj_product: float, power: int
     half_period = np.pi / x
     head, head_err, _ = _quad(integrand, 0.0, half_period, limit=400,
                               epsrel=1e-12, where=f"oracle.{name} at x={x!r}")
-    tail, tail_err, used = _oscillatory_tail(integrand, half_period,
-                                             half_period, n_segments, order)
-    return head + tail, head_err + tail_err, used + 1
+    tail, tail_err = _oscillatory_tail(integrand, half_period, half_period,
+                                       n_segments, order)
+    return head + tail, head_err + tail_err
 
 
 def modesum_first_order(x: float, *, cfg: PairConfiguration,
@@ -247,12 +242,10 @@ def modesum_first_order(x: float, *, cfg: PairConfiguration,
     orientations.  When the closed-form identity holds this equals
     (1/pi) T(x) from the kernel module.
     """
-    raw, err, used = _modesum("modesum_first_order", x, cfg.cos_ab,
-                              cfg.proj_product, power=1,
-                              resonance=resonance, n_segments=n_segments,
-                              order=gauss_order)
-    return QuadratureReport(value=-raw / np.pi, abs_err_est=err / np.pi,
-                            intervals_used=used, accelerated=True)
+    raw, err = _modesum("modesum_first_order", x, cfg.cos_ab, cfg.proj_product,
+                        power=1, resonance=resonance, n_segments=n_segments,
+                        order=gauss_order)
+    return QuadratureReport(value=-raw / np.pi, abs_err_est=err / np.pi)
 
 
 def modesum_second_order(x: float, *, cfg: PairConfiguration,
@@ -265,12 +258,10 @@ def modesum_second_order(x: float, *, cfg: PairConfiguration,
     to the derivative of the first-order sum with respect to its resonance
     parameter.
     """
-    raw, err, used = _modesum("modesum_second_order", x, cfg.cos_ab,
-                              cfg.proj_product, power=2,
-                              resonance=1.0, n_segments=n_segments,
-                              order=gauss_order)
-    return QuadratureReport(value=raw / np.pi, abs_err_est=err / np.pi,
-                            intervals_used=used, accelerated=True)
+    raw, err = _modesum("modesum_second_order", x, cfg.cos_ab, cfg.proj_product,
+                        power=2, resonance=1.0, n_segments=n_segments,
+                        order=gauss_order)
+    return QuadratureReport(value=raw / np.pi, abs_err_est=err / np.pi)
 
 
 def local_population(cutoff: float) -> QuadratureReport:
@@ -281,12 +272,11 @@ def local_population(cutoff: float) -> QuadratureReport:
     """
     if not (np.isfinite(cutoff) and cutoff > 1):
         raise DomainError(f"cutoff must exceed 1, got {cutoff}")
-    val, err, used = _quad(lambda k: k**3 / (1.0 + k) ** 2, 0.0, cutoff,
-                           limit=200, epsrel=1e-12,
-                           where=f"oracle.local_population at cutoff={cutoff!r}")
+    val, err, _ = _quad(lambda k: k**3 / (1.0 + k) ** 2, 0.0, cutoff,
+                        limit=200, epsrel=1e-12,
+                        where=f"oracle.local_population at cutoff={cutoff!r}")
     scale = 2.0 / (3.0 * np.pi)
-    return QuadratureReport(value=scale * val, abs_err_est=scale * err,
-                            intervals_used=used, accelerated=False)
+    return QuadratureReport(value=scale * val, abs_err_est=scale * err)
 
 
 def aux_integral_rep(x: float, which: str) -> QuadratureReport:
@@ -315,13 +305,12 @@ def aux_integral_rep(x: float, which: str) -> QuadratureReport:
     else:
         integrand = lambda th: np.tan(th) * np.exp(-x * np.tan(th))
     points = np.arctan2([0.25, 1.0, 4.0, 16.0, 64.0], x)
-    val, err, used = _quad(integrand, 0.0, np.pi / 2, limit=800, epsabs=1e-14,
-                           epsrel=1e-13, points=points,
-                           where=f"oracle.aux_integral_rep({which!r}) at x={x!r}")
+    val, err, _ = _quad(integrand, 0.0, np.pi / 2, limit=800, epsabs=1e-14,
+                        epsrel=1e-13, points=points,
+                        where=f"oracle.aux_integral_rep({which!r}) at x={x!r}")
     variation = 1.0 if which == "f" else 2.0 / (math.e * x)
     node_rounding = 2.0 * sys.float_info.epsilon * math.atan2(1.0, x) * variation
-    return QuadratureReport(value=val, abs_err_est=err + node_rounding,
-                            intervals_used=used, accelerated=False)
+    return QuadratureReport(value=val, abs_err_est=err + node_rounding)
 
 
 def field_correlator(x: float, cos_ab: float = 1.0,
@@ -332,11 +321,9 @@ def field_correlator(x: float, cos_ab: float = 1.0,
     units of hbar c k0^4 / pi: the mode sum without its resonance
     denominator.  The closed-form value is (-4 cos_ab + 8 proj_product) / x^4.
     """
-    value, err, used = _modesum("field_correlator", x, cos_ab, proj_product,
-                                power=0, resonance=1.0, n_segments=None,
-                                order=_GAUSS_ORDER)
-    return QuadratureReport(value=value, abs_err_est=err, intervals_used=used,
-                            accelerated=True)
+    value, err = _modesum("field_correlator", x, cos_ab, proj_product, power=0,
+                          resonance=1.0, n_segments=None, order=_GAUSS_ORDER)
+    return QuadratureReport(value=value, abs_err_est=err)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +346,9 @@ def dispersion_integral_rotated(x: float, p: float, q: float) -> QuadratureRepor
         pattern = p * v * v / x + q * v / x**2 + q / x**3
         return pattern * pattern * np.exp(-2.0 * v * x) / (1.0 + v * v) ** 2
 
-    val, err, used = _quad(integrand, 0.0, np.inf, limit=400, epsrel=1e-13,
-                           where=f"oracle.dispersion_integral_rotated at x={x!r}")
-    return QuadratureReport(value=val, abs_err_est=err, intervals_used=used,
-                            accelerated=False)
+    val, err, _ = _quad(integrand, 0.0, np.inf, limit=400, epsrel=1e-13,
+                        where=f"oracle.dispersion_integral_rotated at x={x!r}")
+    return QuadratureReport(value=val, abs_err_est=err)
 
 
 def _pi_coefficients(p: float, q: float, x: float) -> np.ndarray:
@@ -425,15 +411,11 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
     half_period = np.pi / (2.0 * x)
     spike, spike_err, _ = _quad(w, 1.0 + delta, 1.0 + delta + half_period,
                                 limit=800, epsrel=1e-12, where=where)
-    tail, tail_err, used = _oscillatory_tail(w, 1.0 + delta + half_period,
-                                             half_period, n_segments,
-                                             _GAUSS_ORDER)
-    left += spike
-    left_err += spike_err
+    tail, tail_err = _oscillatory_tail(w, 1.0 + delta + half_period,
+                                       half_period, n_segments, _GAUSS_ORDER)
     window = sum(2.0 * np.imag(coef[k]) * delta ** (k - 1) / (k - 1)
                  for k in range(2, 12, 2))
-    finite_part = left + tail + window - 2.0 * np.imag(coef[0]) / delta
-    value = finite_part - np.pi * np.real(coef[1])
-    err = left_err + tail_err + abs(coef[11]) * delta**10
-    return QuadratureReport(value=value, abs_err_est=err,
-                            intervals_used=used + 1, accelerated=True)
+    finite_part = left + spike + tail + window - 2.0 * np.imag(coef[0]) / delta
+    err = left_err + spike_err + tail_err + abs(coef[11]) * delta**10
+    return QuadratureReport(value=finite_part - np.pi * np.real(coef[1]),
+                            abs_err_est=err)

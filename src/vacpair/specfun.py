@@ -33,16 +33,14 @@ _CF_TOL = 2 * sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class AuxFunValue:
-    """f, g and the derivatives of f at one argument.
+    """f, g and f'' at one argument.
 
-    The derivative fields are filled from the identities f' = -g and
-    f'' = 1/x - f, so they hold exactly as stored.
+    f' is -g; f_double_prime is filled from the identity f'' = 1/x - f, so
+    it holds exactly as stored.
     """
 
-    x: float
     f: float
     g: float
-    f_prime: float
     f_double_prime: float
     abs_err_est: float
 
@@ -147,17 +145,10 @@ def ci(x: float) -> float:
 
 
 def aux(x: float) -> AuxFunValue:
-    """Auxiliary functions f and g with derivatives of f, for x > 0."""
+    """Auxiliary functions f and g with f'' = 1/x - f, for x > 0."""
     x = _check_arg(x, "aux", allow_zero=False)
     _, _, f, g, err = _branch(x, x < _BRANCH_CUTOVER)
     # f = pi/2 - O(x ln x), so below x ~ 1e-17 it rounds to fl(pi/2) itself
     if not (0.0 < f <= math.pi / 2) or g <= 0.0:
         raise AccuracyError(f"auxiliary function out of theoretical range at x={x}")
-    return AuxFunValue(
-        x=x,
-        f=f,
-        g=g,
-        f_prime=-g,
-        f_double_prime=1.0 / x - f,
-        abs_err_est=err,
-    )
+    return AuxFunValue(f=f, g=g, f_double_prime=1.0 / x - f, abs_err_est=err)

@@ -1,12 +1,14 @@
 """Dressed-state amplitudes, concurrence measures and their cross checks."""
 
+import math
 import re
+import sys
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
-from vacpair import (AccuracyError, DomainError, Regime, SpinCorrelators,
+from vacpair import (AccuracyError, DomainError, SpinCorrelators,
                      TwoQubitState, Validity, amplitude_c_ee,
                      c1_c2_from_amplitudes, concurrence_far, concurrence_full,
                      concurrence_near, correlators_from_state,
@@ -54,7 +56,6 @@ class TestConcurrenceRegimes:
         cfg = transverse_pair(1.0, mu=0.01)
         res = concurrence_full(cfg)
         assert res.raw == pytest.approx(2.0 * abs(amplitude_c_ee(cfg)), rel=1e-15)
-        assert res.regime is Regime.FULL
         assert res.validity.flag is Validity.OK
 
     def test_full_evaluates_the_tensor_once(self, monkeypatch):
@@ -306,9 +307,23 @@ class TestCutoffStructure:
                 assert c2 < 0.0
 
     def test_c1_reduces_to_amplitude_without_local_terms(self):
+        # c1 + mu L(cutoff) = |c_ee|, to the rounding of the subtraction
         cfg = transverse_pair(1.0, mu=1e-3)
-        c1, _ = c1_c2_from_amplitudes(cfg, 100.0, include_local=False)
-        assert c1 == pytest.approx(abs(amplitude_c_ee(cfg)), rel=1e-14)
+        c1, _ = c1_c2_from_amplitudes(cfg, 100.0)
+        local = 1e-3 * regularized_local_population(100.0)
+        assert c1 + local == pytest.approx(abs(amplitude_c_ee(cfg)),
+                                           abs=4 * sys.float_info.epsilon * local)
+
+    def test_c2_finite_where_its_radicand_overflows(self):
+        # (mu L)^2 overflows from a cutoff of about 3.5e79 at mu = 1e-4, while
+        # c2 itself is about -mu L = -1.06e155; this used to return -inf
+        # with a RuntimeWarning
+        cfg = pair_from_alignment(1.0, 1e-4)
+        _, c2 = c1_c2_from_amplitudes(cfg, 1e80)
+        assert math.isfinite(c2)
+        assert c2 == pytest.approx(-1e-4 * regularized_local_population(1e80),
+                                   rel=1e-15)
+        assert c2 == pytest.approx(-1.06e155, rel=1e-2)
 
     def test_local_population_diverges_with_cutoff(self):
         lo = regularized_local_population(100.0)

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vacpair import (DomainError, PairConfiguration, contracted_tensor,
-                     pair_from_alignment)
+from vacpair import DomainError, PairConfiguration, contracted_tensor
 from vacpair.kernel import cross_coherence_kernel
 from vacpair.oracle import modesum_second_order
 from vacpair.specfun import aux
@@ -139,17 +138,10 @@ class TestCrossCoherenceKernel:
         x = math.exp(log_x)
         cfg = PairConfiguration(x=x, n_a=n_a, n_b=n_b, r_hat=r_hat, mu=1.0)
         a, b = cfg.cos_ab, cfg.proj_product
-        # the mode sum is linear in (a, b): (a - b) times its value at (1, 0)
-        # plus b times its value at (1, 1).  Summed that way, the oracle's
-        # adaptive head integral, whose tolerance is relative to its result,
-        # never has to resolve a cancellation between the two channels.
-        t, l = (modesum_second_order(x, cfg=pair_from_alignment(x, 1.0, 1.0, p))
-                for p in (0.0, 1.0))
-        direct = (a - b) * t.value + b * l.value
-        err_est = abs(a - b) * t.abs_err_est + abs(b) * l.abs_err_est
+        rep = modesum_second_order(x, cfg=cfg)
         v = aux(x)
         # the closed form's rounding: a few ulps of each of its terms
         size = (abs(a - b) * (v.g + 1.0 / x**2 + 2.0 * v.f / x)
                 + abs(a - 3.0 * b) * (v.f + 1.0 / x) / x) / math.pi
         rounding = 8.0 * sys.float_info.epsilon * size
-        assert abs(cross_coherence_kernel(x, a, b) - direct) <= err_est + rounding
+        assert abs(cross_coherence_kernel(x, a, b) - rep.value) <= rep.abs_err_est + rounding

@@ -7,7 +7,7 @@ import pytest
 
 from vacpair import AccuracyError, DomainError, oracle, pair_from_alignment, validate
 from vacpair.entanglement import regularized_local_population
-from vacpair.kernel import contracted_tensor
+from vacpair.kernel import contracted_tensor, cross_coherence_kernel
 from vacpair.oracle import (_default_segments, _euler_average, _quad,
                             angular_kernel, aux_integral_rep,
                             dispersion_integral_real_axis,
@@ -44,7 +44,6 @@ class TestModesumFirstOrder:
     def test_transverse_at_one(self):
         rep = modesum_first_order(1.0, cfg=transverse_pair(1.0))
         assert rep.value == pytest.approx((1.0 + G_1) / np.pi, rel=1e-8)
-        assert rep.accelerated
 
     def test_orthogonal_geometry_vanishes(self):
         cfg = pair_from_alignment(1.0, 1.0, 0.0, 0.0)
@@ -92,6 +91,17 @@ class TestModesumSecondOrder:
         up = modesum_first_order(x, cfg=cfg, resonance=1 + h).value
         dn = modesum_first_order(x, cfg=cfg, resonance=1 - h).value
         assert s2 == pytest.approx((up - dn) / (2 * h), rel=1e-5)
+
+    def test_head_below_its_rounding_floor_converges(self):
+        # the head integral over [0, pi/x] is -0.113 while the integral of
+        # |f| there is 17.0, so 50 ulps of the latter (1.89e-13) exceed the
+        # 1e-12 relative target; this used to raise AccuracyError
+        x = 0.1294
+        cfg = pair_from_alignment(x, 1.0, -0.274, 0.241)
+        rep = modesum_second_order(x, cfg=cfg)
+        closed = cross_coherence_kernel(x, cfg.cos_ab, cfg.proj_product)
+        assert rep.value == pytest.approx(8.99368055388, rel=1e-11)
+        assert abs(rep.value - closed) <= rep.abs_err_est < 1e-9
 
 
 class TestLocalPopulation:
@@ -240,6 +250,15 @@ class TestQuad:
                                limit=100, where="test")
         assert err == pytest.approx(50 * np.finfo(float).eps, rel=1e-12)
         assert abs(val - 1.0) <= err
+        assert used == 1
+
+    def test_target_below_the_floor_returns_the_floor(self):
+        # the integral of sin over a period is 0, so no estimate meets a
+        # relative target; every interval at its floor ends the bisection
+        val, err, used = _quad(np.sin, 0.0, 2 * np.pi, epsrel=1e-12, limit=100,
+                               where="test")
+        assert err == pytest.approx(50 * np.finfo(float).eps * 4.0, rel=1e-2)
+        assert abs(val) <= err
         assert used == 1
 
     def test_limit_raises_accuracy_error(self):

@@ -104,7 +104,6 @@ class TestAux:
 
     def test_derivative_fields_exact(self):
         v = aux(2.3)
-        assert v.f_prime == -v.g
         assert v.f_double_prime == 1.0 / 2.3 - v.f
 
     def test_domain(self):
