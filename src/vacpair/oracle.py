@@ -12,6 +12,9 @@ and nothing from the production closed forms.  Two engines do the work:
   iterated averaging of the alternating partial sums (an Euler-type
   acceleration).  It sums the conditionally convergent and Abel-summable
   tails that arise from vacuum mode sums, where naive truncation fails.
+  The m rounds of pairwise means are taken in closed form, as binomial
+  means 2^-m sum_i C(m, i) s_(j+i) of the partial sums, so a tail of n
+  segments costs O(n) work rather than n - 3 rounds of array averaging.
 
 Oracle code is allowed to be slow compared to the closed-form production
 paths; its job is to be simple, direct and independent.
@@ -125,33 +128,55 @@ def _quad(func, a: float, b: float, *, where: str, epsrel: float,
                                      in zip((lo, hi, value, err, floor), added))
 
 
+def _binomial_weights(m: int) -> np.ndarray:
+    """C(m, i) / 2^m for i = 0..m, the weights of m rounds of pairwise means.
+
+    The ratios C(m, k) / C(m, k - 1) = (m + 1 - k) / k multiply outward from
+    the centre, so the weights that matter never underflow; the lower half
+    mirrors the upper, and the sum is normalised to 1.
+    """
+    k = np.arange(m // 2 + 1, m + 1)
+    upper = np.cumprod((m + 1 - k) / k)  # C(m, k) / C(m, m // 2)
+    centre = [1.0] if m % 2 == 0 else []
+    w = np.concatenate((upper[::-1], centre, upper))
+    return w / w.sum()
+
+
 def _euler_average(terms: np.ndarray, lengths) -> tuple[float, float, list[float]]:
     """Sum an (eventually) alternating series by iterated averaging.
 
     Repeated pairwise means of the partial sums converge to the Abel value
     even when term magnitudes grow polynomially.  Returns (value, diff_est,
     truncated) where diff_est is the last averaging increment and
-    truncated[i] is the value for terms[:lengths[i]].  After m rounds, s[2]
-    depends only on the first m + 3 partial sums, so one pass reads each
-    truncated value off at round lengths[i] - 3, bit for bit what a pass
-    over terms[:lengths[i]] would give.
+    truncated[i] is the value for terms[:lengths[i]].
+
+    The rounds run in closed form, the Euler transformation (DLMF 3.9):
+    m rounds of pairwise means of the partial sums s leave
+    s^(m)_j = 2^-m sum_i C(m, i) s_(j+i), and the first round taken
+    explicitly, a = s^(1), gives s^(m)_j = 2^-(m-1) sum_i C(m-1, i) a_(j+i).
+    So each read-out is one dot product with binomial weights, O(n) work
+    in all.  The explicit round cancels the alternation of s, so the dot
+    product rounds like the averages, not like max |s|.  The rounds shrink
+    s to three entries: the value of n terms is s^(n-3)_2, diff_est is its
+    distance from the last entry of the round before, s^(n-4)_3, and
+    truncated[i] is s^(L-3)_2 for L = lengths[i], which uses the first L
+    partial sums only.  A length of at most 3 takes no round: its value is
+    its last partial sum.
     """
     s = np.cumsum(terms)
-    lengths = [min(n, s.size) for n in lengths]
-    # a length of at most 3 takes no round: its value is its last partial sum
-    truncated = {n: s[n - 1] for n in lengths if n <= 3}
-    wanted = {n - 3 for n in lengths if n > 3}
-    prev = s[-1]
-    diff = np.inf
-    rounds = 0
-    while s.size > 3:
-        s = 0.5 * (s[:-1] + s[1:])
-        rounds += 1
-        if rounds in wanted:
-            truncated[rounds + 3] = s[2]
-        diff = abs(s[-1] - prev)
-        prev = s[-1]
-    return float(prev), float(diff), [float(truncated[n]) for n in lengths]
+    a = 0.5 * (s[:-1] + s[1:])
+
+    def after(rounds: int, j: int) -> float:
+        if rounds == 0:
+            return float(s[j])
+        return float(_binomial_weights(rounds - 1) @ a[j:j + rounds])
+
+    def averaged(length: int) -> float:
+        return float(s[length - 1]) if length <= 3 else after(length - 3, 2)
+
+    value = averaged(s.size)
+    diff = abs(value - after(s.size - 4, 3)) if s.size > 3 else np.inf
+    return value, diff, [averaged(min(n, s.size)) for n in lengths]
 
 
 def _oscillatory_tail(func, start: float, half_period: float, n_segments: int,
@@ -191,21 +216,26 @@ def _default_segments(x: float) -> int:
 _RHO_SERIES = 0.3
 
 
+def _kernel_closed_form(r):
+    s, c = np.sin(r), np.cos(r)
+    return s / r - s / r**3 + c / r**2, s / r - 3.0 * s / r**3 + 3.0 * c / r**2
+
+
 def angular_kernel(rho):
     """(S1, S2) of the polarization-and-angle integrated mode kernel."""
     rho = np.asarray(rho, dtype=float)
+    small = np.abs(rho) < _RHO_SERIES
+    if not small.any():
+        # every tail node lies here (rho >= pi): no gather or scatter
+        return _kernel_closed_form(rho)
     s1 = np.empty_like(rho)
     s2 = np.empty_like(rho)
-    small = np.abs(rho) < _RHO_SERIES
     r2 = rho[small] ** 2
     s1[small] = (2.0 / 3.0 - 2.0 * r2 / 15.0 + r2 * r2 / 140.0
                  - r2**3 / 5670.0 + r2**4 / 399168.0)
     s2[small] = (-r2 / 15.0 + r2 * r2 / 210.0
                  - r2**3 / 7560.0 + r2**4 / 498960.0)
-    r = rho[~small]
-    s, c = np.sin(r), np.cos(r)
-    s1[~small] = s / r - s / r**3 + c / r**2
-    s2[~small] = s / r - 3.0 * s / r**3 + 3.0 * c / r**2
+    s1[~small], s2[~small] = _kernel_closed_form(rho[~small])
     return s1, s2
 
 

@@ -134,9 +134,10 @@ def _wootters_checks(n_states, seed=7):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_states):
-        m = _random_x_state(rng)
-        closed = entanglement.wootters_concurrence(m, method="xstate")
-        general = entanglement.wootters_concurrence(m, method="general")
+        # checked once, then shared by both paths
+        state = entanglement.TwoQubitState(_random_x_state(rng))
+        closed = entanglement.wootters_concurrence(state, method="xstate")
+        general = entanglement.wootters_concurrence(state, method="general")
         worst = max(worst, abs(closed - general))
     return [_compare(f"wootters general vs x-state closed form ({n_states} states)",
                      worst, 0.0, 1e-10, relative=False)]

@@ -1,6 +1,7 @@
 """Brute-force validators: self-consistency and the spotlight closed forms."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +40,15 @@ class TestAngularKernel:
         assert s2 == pytest.approx(s / rho - 3 * s / rho**3 + 3 * c / rho**2,
                                    abs=1e-12)
 
+    def test_no_series_node_takes_the_closed_form_bit_for_bit(self):
+        # an array with no node below the switch (every tail node) skips the
+        # masked gather and scatter, with the same arithmetic per node
+        rho = np.pi + np.linspace(0.0, 1e4, 1001)
+        alone = angular_kernel(rho)
+        masked = angular_kernel(np.concatenate(([0.1], rho)))
+        for a, b in zip(alone, masked):
+            np.testing.assert_array_equal(a, b[1:])
+
 
 class TestModesumFirstOrder:
     def test_transverse_at_one(self):
@@ -66,6 +76,25 @@ class TestModesumFirstOrder:
         b = modesum_first_order(0.7, cfg=transverse_pair(0.7))
         assert a.value == b.value
         assert a.abs_err_est == b.abs_err_est
+
+    @pytest.mark.parametrize("x", [300.0, 1000.0, 3000.0])
+    def test_estimate_covers_the_error_at_large_x(self, x):
+        # T(x) / pi from mpmath's Si and Ci, with f'' = 1/x - f.  This checks
+        # that the estimate is honest, not that the value is accurate: the
+        # transverse estimate is 2.8% of the value at x = 1000 and larger
+        # than the value at x = 3000
+        mp = pytest.importorskip("mpmath")
+        for cfg in (transverse_pair(x), longitudinal_pair(x)):
+            rep = modesum_first_order(x, cfg=cfg)
+            with mp.workdps(40):
+                t = mp.mpf(x)
+                rest, c = mp.pi / 2 - mp.si(t), mp.ci(t)
+                f = c * mp.sin(t) + rest * mp.cos(t)
+                g = -c * mp.cos(t) + rest * mp.sin(t)
+                cos_ab, proj = cfg.cos_ab, cfg.proj_product
+                ref = float(((cos_ab - proj) * (1 / t - f)
+                             + (cos_ab - 3 * proj) * (f / t**2 + g / t)) / (t * mp.pi))
+            assert abs(rep.value - ref) <= rep.abs_err_est, (cfg.proj_product, x)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -319,17 +348,50 @@ def _five_pass(terms, lengths):
     return value, diff, [average(terms[:n])[0] for n in lengths]
 
 
+def _assert_near_five_pass(terms, lengths):
+    # the closed form sums in another order than the loop: value, diff and
+    # every truncated value agree to 32 ulps of the largest partial sum
+    got, ref = _euler_average(terms, lengths), _five_pass(terms, lengths)
+    tol = 32 * np.finfo(float).eps * np.abs(np.cumsum(terms)).max()
+    np.testing.assert_allclose([got[0], got[1], *got[2]], [ref[0], ref[1], *ref[2]],
+                               rtol=0.0, atol=tol)
+
+
+_K = np.arange(2000.0)
+_SIZES = [5, 8, 360, 401, 960, 3100, _default_segments(1000.0)]
+
+
+def _growing_alternating(rng, n):
+    """Terms growing like k^2, the way the mode-sum tails do, and the
+    truncation lengths _oscillatory_tail asks for."""
+    k = np.arange(1, n + 1)
+    terms = (-1.0) ** k * k**2 * (1.0 + 0.1 * rng.normal(size=n))
+    return terms, [max(4, (n * frac) // 8) for frac in (4, 5, 6, 7)]
+
+
 class TestEulerAverage:
-    @pytest.mark.parametrize("n", [5, 8, 360, 401, 960, 3100])
+    @pytest.mark.parametrize("n", _SIZES)
+    def test_closed_form_matches_the_loop(self, rng, n):
+        _assert_near_five_pass(*_growing_alternating(rng, n))
+
+    @pytest.mark.parametrize("n", _SIZES)
     def test_one_pass_is_bit_identical_to_five(self, rng, n):
-        # alternating terms growing like k^2, the way the mode-sum tails do
-        k = np.arange(1, n + 1)
-        terms = (-1.0) ** k * k**2 * (1.0 + 0.1 * rng.normal(size=n))
-        lengths = [max(4, (n * frac) // 8) for frac in (4, 5, 6, 7)]
-        assert _euler_average(terms, lengths) == _five_pass(terms, lengths)
+        # each truncated value read off the one pass is, bit for bit, the
+        # value of a pass over terms[:length]
+        terms, lengths = _growing_alternating(rng, n)
+        _, _, truncated = _euler_average(terms, lengths)
+        assert truncated == [_euler_average(terms[:m], [])[0] for m in lengths]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_lengths_repeated_or_past_the_end(self, rng, n):
         terms = rng.normal(size=n)
-        lengths = [1, 3, 4, 4, 6, 6]
-        assert _euler_average(terms, lengths) == _five_pass(terms, lengths)
+        _assert_near_five_pass(terms, [1, 3, 4, 4, 6, 6])
+
+    @pytest.mark.parametrize("terms, total", [
+        ((-1.0) ** _K, 0.5),
+        ((-1.0) ** _K * (_K + 1.0), 0.25),  # Abel sum of a divergent series
+        ((-1.0) ** _K / (_K + 1.0), math.log(2.0)),
+    ], ids=["grandi", "abel", "log2"])
+    def test_known_sums(self, terms, total):
+        value, _, _ = _euler_average(terms, [])
+        assert abs(value - total) <= 1e-14
