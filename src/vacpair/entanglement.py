@@ -15,6 +15,7 @@ validation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,35 +32,42 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# the entries an X state leaves empty: all but the main and the anti diagonal
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
+
+def _per_state(values: np.ndarray):
+    """values over a stack of states; one state gives a Python scalar."""
+    return values.item() if values.ndim == 0 else values
 
 
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
-    """4x4 density matrix of the atom pair in the (ee, eg, ge, gg) basis."""
+    """4x4 density matrix of the atom pair in the (ee, eg, ge, gg) basis, or a
+    stack of them with shape (..., 4, 4); every check holds for each one."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
+        if m.ndim < 2 or m.shape[-2:] != (4, 4):
             raise DomainError(f"density matrix must be 4x4, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise DomainError("density matrix must be finite")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        if np.abs(m - m.conj().swapaxes(-1, -2)).max() > 1e-12:
             raise DomainError("density matrix must be Hermitian to 1e-12")
-        if abs(np.trace(m).real - 1.0) > 1e-12:
+        if np.abs(m.trace(axis1=-2, axis2=-1).real - 1.0).max() > 1e-12:
             raise DomainError("density matrix must have unit trace to 1e-12")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-10:
+        if np.linalg.eigvalsh(m).min() < -1e-10:
             raise DomainError("density matrix must be positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def is_x_structured(self) -> bool:
-        """True when only the main and anti diagonal carry weight."""
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[np.arange(4), np.arange(4)] = True
-        mask[np.arange(4), 3 - np.arange(4)] = True
-        return float(np.abs(self.matrix[~mask]).sum()) < 1e-12
+    def is_x_structured(self):
+        """True when only the main and anti diagonal carry weight; one bool
+        per state of a stack."""
+        off = np.abs(self.matrix[..., _OFF_X]).sum(axis=-1)
+        return _per_state(off < 1e-12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,42 +132,53 @@ def concurrence_far(cfg: PairConfiguration) -> ConcurrenceResult:
 # General two-qubit measures
 # ---------------------------------------------------------------------------
 
-def _xstate_concurrence(m: np.ndarray) -> float:
-    c1 = abs(m[0, 3]) - np.sqrt(max(0.0, m[1, 1].real * m[2, 2].real))
-    c2 = abs(m[1, 2]) - np.sqrt(max(0.0, m[0, 0].real * m[3, 3].real))
-    return float(max(0.0, 2.0 * c1, 2.0 * c2))
+def _xstate_concurrence(m: np.ndarray) -> np.ndarray:
+    d = m.diagonal(axis1=-2, axis2=-1).real
+    anti = m[..., [0, 1], [3, 2]]  # rho_ee,gg and rho_eg,ge
+    # hypot gives |z| to within half an ulp, which numpy's complex abs does not
+    c = (np.hypot(anti.real, anti.imag)
+         - np.sqrt(np.maximum(0.0, d[..., [1, 0]] * d[..., [2, 3]])))
+    return np.maximum(0.0, 2.0 * c.max(axis=-1))
 
 
-def _matrix_sqrt(m: np.ndarray) -> np.ndarray:
+def _general_concurrence(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    a = np.linalg.svd(root @ _SY_SY @ root.conj(), compute_uv=False)
+    return np.maximum(0.0, a[..., 0] - a[..., 1] - a[..., 2] - a[..., 3])
 
 
-def wootters_concurrence(state: TwoQubitState | np.ndarray,
-                         method: str = "auto") -> float:
-    """Concurrence of an arbitrary two-qubit density matrix.
+def wootters_concurrence(state: TwoQubitState | np.ndarray, method: str = "auto"):
+    """Concurrence of a two-qubit density matrix, or of each in a stack.
 
     C = max(0, a1 - a2 - a3 - a4) where the a_i are the decreasingly ordered
     square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).
 
-    method: "auto" takes the closed form when the state is X structured and
-    the general path otherwise; "xstate" and "general" force one path.  The
-    general path computes the a_i as the singular values of
+    method: "auto" takes the closed form for each X-structured state and
+    the general path for the others; "xstate" and "general" force one path.
+    The general path computes the a_i as the singular values of
     sqrt(rho) (sy x sy) sqrt(rho*), which carries no square-root error
     amplification when an eigenvalue of the product is close to zero;
     sqrt(rho*) is conj(sqrt(rho)) since rho is Hermitian.
+
+    Both paths work over the last two axes, so a (..., 4, 4) stack costs
+    one batched LAPACK call per step and gives an array of shape (...);
+    a single 4x4 matrix gives a Python float.
     """
     if not isinstance(state, TwoQubitState):
         state = TwoQubitState(np.asarray(state))
-    m = state.matrix
     if method not in ("auto", "xstate", "general"):
         raise DomainError(f"unknown method {method!r}")
-    if method == "xstate" or (method == "auto" and state.is_x_structured()):
-        return _xstate_concurrence(m)
-    root = _matrix_sqrt(m)
-    core = root @ _SY_SY @ root.conj()
-    a = np.linalg.svd(core, compute_uv=False)
-    return float(max(0.0, a[0] - a[1] - a[2] - a[3]))
+    m = state.matrix
+    closed = np.asarray(state.is_x_structured() if method == "auto"
+                        else method == "xstate")
+    if closed.all():
+        c = _xstate_concurrence(m)
+    elif not closed.any():
+        c = _general_concurrence(m)
+    else:  # a stack with states of both kinds
+        c = np.where(closed, _xstate_concurrence(m), _general_concurrence(m))
+    return _per_state(c)
 
 
 def entanglement_of_formation(c: float) -> float:
@@ -182,17 +201,30 @@ def entanglement_of_formation(c: float) -> float:
 # Spin-correlator (Palma) form
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _correlator_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma_i x sigma_j for i, j in (x, y, z), then sigma_z x 1 and 1 x sigma_z."""
+    paulis = (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)
+    eye = np.eye(2, dtype=complex)
+    operators = (np.array([[np.kron(si, sj) for sj in paulis] for si in paulis]),
+                 np.kron(_SIGMA_Z, eye), np.kron(eye, _SIGMA_Z))
+    for a in operators:
+        a.setflags(write=False)  # shared by every caller
+    return operators
+
+
 def correlators_from_state(state: TwoQubitState) -> SpinCorrelators:
     """Extract <S_i^A S_j^B>, <S_z^A + S_z^B>/2 and <S_z^A - S_z^B>."""
     m = state.matrix
-    paulis = (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)
-    eye = np.eye(2, dtype=complex)
+    if m.ndim != 2:
+        raise DomainError(f"correlators take one 4x4 state, got a stack {m.shape}")
+    pairs, z_a, z_b = _correlator_operators()
     g = np.empty((3, 3))
-    for i, si in enumerate(paulis):
-        for j, sj in enumerate(paulis):
-            g[i, j] = 0.25 * np.trace(m @ np.kron(si, sj)).real
-    sz_a = 0.5 * np.trace(m @ np.kron(_SIGMA_Z, eye)).real
-    sz_b = 0.5 * np.trace(m @ np.kron(eye, _SIGMA_Z)).real
+    for i in range(3):
+        for j in range(3):
+            g[i, j] = 0.25 * np.trace(m @ pairs[i, j]).real
+    sz_a = 0.5 * np.trace(m @ z_a).real
+    sz_b = 0.5 * np.trace(m @ z_b).real
     return SpinCorrelators(g=g, m_z=0.5 * (sz_a + sz_b), delta_s_z=sz_a - sz_b)
 
 

@@ -12,6 +12,11 @@ and nothing from the production closed forms.  Two engines do the work:
   iterated averaging of the alternating partial sums (an Euler-type
   acceleration).  It sums the conditionally convergent and Abel-summable
   tails that arise from vacuum mode sums, where naive truncation fails.
+  The tails are phase-folded: in the phase variable every segment is
+  [pi (j+1), pi (j+2)], so at a node pi (j+1) + phi the sine and cosine
+  are (-1)^(j+1) sin(phi) and (-1)^(j+1) cos(phi), with phi fixed by the
+  rule.  Those phases are cached per rule order and no node calls sin or
+  cos, which saves the work and the rounding of sin(rho) at large rho.
   The m rounds of pairwise means are taken in closed form, as binomial
   means 2^-m sum_i C(m, i) s_(j+i) of the partial sums, so a tail of n
   segments costs O(n) work rather than n - 3 rounds of array averaging.
@@ -61,14 +66,19 @@ def _gauss_pair(func, lo: np.ndarray, hi: np.ndarray,
                 orders: tuple[int, int] = _QUAD_ORDERS
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, error estimates and rounding floors of func's integrals over
-    [lo[i], hi[i]] by the Gauss-Legendre rules of two orders, as in _quad."""
+    [lo[i], hi[i]] by the Gauss-Legendre rules of two orders, as in _quad.
+
+    func sees the nodes a block of intervals at a time, one row per interval:
+    the nodes of the orders[0] rule, then those of the orders[1] rule.
+    """
     (x_hi, w_hi), (x_lo, w_lo) = (_gauss_rule(n) for n in orders)
-    mid = 0.5 * (lo + hi)
+    t = np.concatenate((x_hi, x_lo))
+    mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * np.concatenate((x_hi, x_lo))).ravel()
-    vals = np.concatenate([np.asarray(func(nodes[i:i + _FUNC_BLOCK]), dtype=float)
-                           for i in range(0, nodes.size, _FUNC_BLOCK)])
-    vals = vals.reshape(lo.size, -1)
+    rows = max(1, _FUNC_BLOCK // t.size)
+    vals = np.concatenate([
+        np.asarray(func(mid[i:i + rows] + half[i:i + rows, None] * t), dtype=float)
+        for i in range(0, lo.size, rows)])
     n = x_hi.size
     value = half * (vals[:, :n] @ w_hi)
     coarse = half * (vals[:, n:] @ w_lo)
@@ -179,13 +189,38 @@ def _euler_average(terms: np.ndarray, lengths) -> tuple[float, float, list[float
     return value, diff, [averaged(min(n, s.size)) for n in lengths]
 
 
-def _oscillatory_tail(func, start: float, half_period: float, n_segments: int,
-                      order: int) -> tuple[float, float]:
-    """(value, abs_err_est) of func's integral from start to infinity, over
-    half-period segments that _gauss_pair takes at (order, max(8, order - 8))."""
-    edges = start + half_period * np.arange(n_segments + 1)
-    terms, seg_err, _ = _gauss_pair(func, edges[:-1], edges[1:],
-                                    (order, max(8, order - 8)))
+@functools.cache
+def _rule_phases(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of phi = (pi/2)(1 + t) at the nodes t of the order-point rule."""
+    phi = 0.5 * np.pi * (1.0 + _gauss_rule(order)[0])
+    phases = np.sin(phi), np.cos(phi)
+    for a in phases:
+        a.setflags(write=False)  # shared by every caller
+    return phases
+
+
+def _oscillatory_tail(phased, n_segments: int, order: int) -> tuple[float, float]:
+    """(value, abs_err_est) of the integral over u >= pi of an integrand
+    that oscillates like sin u and cos u, given in phase-folded form.
+
+    Segment j = 0 .. n_segments - 1 is [pi (j+1), pi (j+2)] and its nodes
+    are u = pi (j+1) + phi, phi = (pi/2)(1 + t) for the rule nodes t, where
+    sin u = (-1)^(j+1) sin phi and cos u = (-1)^(j+1) cos phi.  The
+    integrand there is (-1)^(j+1) phased(u, sin phi, cos phi), with sin phi
+    and cos phi from the cached rule phases, so no node rounds a sine or
+    cosine of a large u.  _gauss_pair takes each segment at
+    (order, max(8, order - 8)); the sign multiplies whole segment values,
+    which leaves their error estimates and floors as they are.
+    """
+    orders = (order, max(8, order - 8))
+    (sin_hi, cos_hi), (sin_lo, cos_lo) = (_rule_phases(n) for n in orders)
+    sin_phi, cos_phi = np.concatenate((sin_hi, sin_lo)), np.concatenate((cos_hi, cos_lo))
+    # in units of pi the edges are the integers j + 1, so every segment is
+    # exactly one unit wide, with no rounding in hi - lo to perturb its weight
+    j = np.arange(n_segments)
+    values, seg_err, _ = _gauss_pair(lambda v: phased(np.pi * v, sin_phi, cos_phi),
+                                     j + 1.0, j + 2.0, orders)
+    terms = np.pi * np.where(j % 2 == 0, -values, values)
     # error estimate, three components: spread of the accelerated value over
     # several truncation lengths (tail truncation), the segments' estimates
     # (quadrature truncation, floored at their rounding), and round-off
@@ -194,7 +229,7 @@ def _oscillatory_tail(func, start: float, half_period: float, n_segments: int,
         terms, [max(4, (n_segments * frac) // 8) for frac in (4, 5, 6, 7)])
     spread = max(abs(value - t) for t in truncations)
     noise = 1e-15 * float(np.abs(terms).sum())
-    return value, 4.0 * diff + 2.0 * spread + float(seg_err.sum()) + noise
+    return value, 4.0 * diff + 2.0 * spread + np.pi * float(seg_err.sum()) + noise
 
 
 def _default_segments(x: float) -> int:
@@ -253,11 +288,20 @@ def _modesum(name: str, x: float, cos_ab: float, proj_product: float, power: int
         s1, s2 = angular_kernel(k * x)
         return k**3 / (resonance + k) ** power * (cos_ab * s1 - proj_product * s2)
 
-    half_period = np.pi / x
-    head, head_err, _ = _quad(integrand, 0.0, half_period, limit=400,
+    # the tail in rho = k x.  With p = cos_ab - proj_product and
+    # q = cos_ab - 3 proj_product, rho (cos_ab S1 - proj_product S2) is
+    # pattern = sin(rho) (p - q/rho^2) + q cos(rho)/rho, and the integrand
+    # k^3/(resonance + k)^power (cos_ab S1 - proj_product S2) dk becomes
+    # rho^2 pattern / ((resonance x + rho)^power x^(4 - power)) drho
+    p, q = cos_ab - proj_product, cos_ab - 3.0 * proj_product
+
+    def tail_integrand(rho, sin_phi, cos_phi):
+        pattern = sin_phi * (p - q / (rho * rho)) + q * cos_phi / rho
+        return rho * rho / (resonance * x + rho) ** power * pattern / x ** (4 - power)
+
+    head, head_err, _ = _quad(integrand, 0.0, np.pi / x, limit=400,
                               epsrel=1e-12, where=f"oracle.{name} at x={x!r}")
-    tail, tail_err = _oscillatory_tail(integrand, half_period, half_period,
-                                       n_segments, order)
+    tail, tail_err = _oscillatory_tail(tail_integrand, n_segments, order)
     return head + tail, head_err + tail_err
 
 
@@ -441,8 +485,17 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
     half_period = np.pi / (2.0 * x)
     spike, spike_err, _ = _quad(w, 1.0 + delta, 1.0 + delta + half_period,
                                 limit=800, epsrel=1e-12, where=where)
-    tail, tail_err = _oscillatory_tail(w, 1.0 + delta + half_period,
-                                       half_period, n_segments, _GAUSS_ORDER)
+    # the tail in u = 2 x (kappa - 1 - delta), so that
+    # exp(2 i kappa x) = exp(2 i x (1 + delta)) exp(i u)
+    base_phase = np.exp(2j * x * (1.0 + delta))
+
+    def tail_integrand(u, sin_phi, cos_phi):
+        kappa = 1.0 + delta + u / (2.0 * x)
+        phase = base_phase * (cos_phi + 1j * sin_phi)  # one per rule node
+        n_folded = np.polyval(pi_c, kappa) * phase / (1.0 + kappa) ** 2
+        return np.imag(n_folded) / (kappa - 1.0) ** 2 / (2.0 * x)
+
+    tail, tail_err = _oscillatory_tail(tail_integrand, n_segments, _GAUSS_ORDER)
     window = sum(2.0 * np.imag(coef[k]) * delta ** (k - 1) / (k - 1)
                  for k in range(2, 12, 2))
     finite_part = left + spike + tail + window - 2.0 * np.imag(coef[0]) / delta

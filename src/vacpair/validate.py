@@ -132,13 +132,12 @@ def _random_x_state(rng):
 
 def _wootters_checks(n_states, seed=7):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_states):
-        # checked once, then shared by both paths
-        state = entanglement.TwoQubitState(_random_x_state(rng))
-        closed = entanglement.wootters_concurrence(state, method="xstate")
-        general = entanglement.wootters_concurrence(state, method="general")
-        worst = max(worst, abs(closed - general))
+    # one stack, checked once, then shared by both paths
+    state = entanglement.TwoQubitState(
+        np.array([_random_x_state(rng) for _ in range(n_states)]))
+    closed = entanglement.wootters_concurrence(state, method="xstate")
+    general = entanglement.wootters_concurrence(state, method="general")
+    worst = np.max(np.abs(closed - general))
     return [_compare(f"wootters general vs x-state closed form ({n_states} states)",
                      worst, 0.0, 1e-10, relative=False)]
 

@@ -186,6 +186,26 @@ class TestWootters:
         with pytest.raises(DomainError):
             wootters_concurrence(BELL_PHI_PLUS, method="fancy")
 
+    def test_stack_gives_the_per_state_values(self, rng):
+        # half X states, half general ones, so "auto" takes both paths at once
+        ms = np.array([random_x_state(rng) for _ in range(25)]
+                      + [random_density_matrix(rng) for _ in range(25)])
+        for method in ("general", "xstate", "auto"):
+            single = [wootters_concurrence(m, method=method) for m in ms]
+            assert all(type(c) is float for c in single)
+            assert wootters_concurrence(ms, method=method).tolist() == single
+            grid = wootters_concurrence(ms.reshape(5, 10, 4, 4), method=method)
+            assert grid.shape == (5, 10)
+            assert grid.ravel().tolist() == single
+
+    def test_stack_with_one_bad_state_is_rejected(self, rng):
+        ms = np.array([random_x_state(rng) for _ in range(50)])
+        ms[17, 0, 1] = 0.1
+        with pytest.raises(DomainError, match="Hermitian"):
+            TwoQubitState(ms)
+        with pytest.raises(DomainError, match="Hermitian"):
+            wootters_concurrence(ms, method="xstate")
+
 
 class TestEntanglementOfFormation:
     def test_endpoints_exact(self):
@@ -239,6 +259,26 @@ class TestPalma:
             state = TwoQubitState(m)
             assert palma_concurrence(correlators_from_state(state)) == \
                 pytest.approx(wootters_concurrence(state), abs=1e-11)
+
+    def test_cached_operators_match_the_per_call_kron_form(self, rng):
+        paulis = (np.array([[0, 1], [1, 0]], dtype=complex),
+                  np.array([[0, -1j], [1j, 0]]),
+                  np.array([[1, 0], [0, -1]], dtype=complex))
+        eye = np.eye(2, dtype=complex)
+        for _ in range(20):
+            state = TwoQubitState(random_density_matrix(rng))
+            m = state.matrix
+            corr = correlators_from_state(state)
+            g = [[0.25 * np.trace(m @ np.kron(si, sj)).real for sj in paulis]
+                 for si in paulis]
+            sz_a = 0.5 * np.trace(m @ np.kron(paulis[2], eye)).real
+            sz_b = 0.5 * np.trace(m @ np.kron(eye, paulis[2])).real
+            assert corr.g.tolist() == g
+            assert (corr.m_z, corr.delta_s_z) == (0.5 * (sz_a + sz_b), sz_a - sz_b)
+
+    def test_correlators_reject_a_stack(self):
+        with pytest.raises(DomainError, match="stack"):
+            correlators_from_state(TwoQubitState(np.array([BELL_PHI_PLUS] * 2)))
 
     def test_inconsistent_correlators_rejected(self):
         g = np.zeros((3, 3))
@@ -366,3 +406,10 @@ class TestTwoQubitStateValidation:
         m = np.eye(4, dtype=complex) / 4.0
         m[0, 1] = m[1, 0] = 0.1
         assert not TwoQubitState(m).is_x_structured()
+
+    def test_x_structure_of_each_state_in_a_stack(self):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 1] = m[1, 0] = 0.1
+        stack = TwoQubitState(np.array([BELL_PHI_PLUS, m, np.eye(4) / 4.0]))
+        assert stack.is_x_structured().tolist() == [True, False, True]
+        assert TwoQubitState(BELL_PHI_PLUS).is_x_structured() is True

@@ -9,7 +9,7 @@ import pytest
 from vacpair import AccuracyError, DomainError, oracle, pair_from_alignment, validate
 from vacpair.entanglement import regularized_local_population
 from vacpair.kernel import contracted_tensor, cross_coherence_kernel
-from vacpair.oracle import (_default_segments, _euler_average, _quad,
+from vacpair.oracle import (_default_segments, _euler_average, _gauss_pair, _quad,
                             angular_kernel, aux_integral_rep,
                             dispersion_integral_real_axis,
                             dispersion_integral_rotated,
@@ -50,6 +50,18 @@ class TestAngularKernel:
             np.testing.assert_array_equal(a, b[1:])
 
 
+def _t_over_pi(x, cos_ab, proj_product, digits):
+    """T(x)/pi from mpmath's Si and Ci at the given precision, with f'' = 1/x - f."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        t = mp.mpf(x)
+        rest, c = mp.pi / 2 - mp.si(t), mp.ci(t)
+        f = c * mp.sin(t) + rest * mp.cos(t)
+        g = -c * mp.cos(t) + rest * mp.sin(t)
+        return float(((cos_ab - proj_product) * (1 / t - f)
+                      + (cos_ab - 3 * proj_product) * (f / t**2 + g / t)) / (t * mp.pi))
+
+
 class TestModesumFirstOrder:
     def test_transverse_at_one(self):
         rep = modesum_first_order(1.0, cfg=transverse_pair(1.0))
@@ -79,22 +91,55 @@ class TestModesumFirstOrder:
 
     @pytest.mark.parametrize("x", [300.0, 1000.0, 3000.0])
     def test_estimate_covers_the_error_at_large_x(self, x):
-        # T(x) / pi from mpmath's Si and Ci, with f'' = 1/x - f.  This checks
-        # that the estimate is honest, not that the value is accurate: the
-        # transverse estimate is 2.8% of the value at x = 1000 and larger
-        # than the value at x = 3000
-        mp = pytest.importorskip("mpmath")
+        # the estimate is honest, and with the phases folded out of the tail
+        # it is small too: the transverse estimate is 0.07% of the value at
+        # x = 1000 and 2.0% at x = 3000
         for cfg in (transverse_pair(x), longitudinal_pair(x)):
             rep = modesum_first_order(x, cfg=cfg)
-            with mp.workdps(40):
-                t = mp.mpf(x)
-                rest, c = mp.pi / 2 - mp.si(t), mp.ci(t)
-                f = c * mp.sin(t) + rest * mp.cos(t)
-                g = -c * mp.cos(t) + rest * mp.sin(t)
-                cos_ab, proj = cfg.cos_ab, cfg.proj_product
-                ref = float(((cos_ab - proj) * (1 / t - f)
-                             + (cos_ab - 3 * proj) * (f / t**2 + g / t)) / (t * mp.pi))
+            ref = _t_over_pi(x, cfg.cos_ab, cfg.proj_product, digits=40)
             assert abs(rep.value - ref) <= rep.abs_err_est, (cfg.proj_product, x)
+            if x == 3000.0 and cfg.proj_product == 0.0:
+                assert rep.abs_err_est < 0.05 * abs(rep.value)
+
+    @pytest.mark.parametrize("cos_ab, proj_product", [(1.0, 0.0), (1.0, 1.0)],
+                             ids=["transverse", "longitudinal"])
+    def test_matches_mpmath_at_x_100(self, cos_ab, proj_product):
+        # each tail node takes its phase from the rule's own sin and cos, so
+        # no term carries the rounding of sin(rho) at rho up to 3000
+        x = 100.0
+        cfg = pair_from_alignment(x, 1.0, cos_ab, proj_product)
+        rep = modesum_first_order(x, cfg=cfg)
+        ref = _t_over_pi(x, cos_ab, proj_product, digits=int(2 * math.log10(x)) + 30)
+        assert abs(rep.value - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("cos_ab, proj_product", [(1.0, 0.0), (1.0, 0.25)],
+                             ids=["transverse", "mixed"])
+    def test_folded_tail_terms_match_the_angular_kernel(self, monkeypatch,
+                                                        cos_ab, proj_product):
+        # the segment values the Euler averaging receives, against the same
+        # segments integrated through angular_kernel in k.  (Longitudinally
+        # the cos(rho)/rho^2 part dominates, whose integral over a half
+        # period nearly cancels, so there a per-term comparison would measure
+        # the rounding of sin(rho) in the direct form, not the fold.)
+        x = 1.0
+        seen = []
+
+        def spy(terms, lengths):
+            seen.append(terms)
+            return _euler_average(terms, lengths)
+
+        monkeypatch.setattr(oracle, "_euler_average", spy)
+        modesum_first_order(x, cfg=pair_from_alignment(x, 1.0, cos_ab, proj_product))
+        (folded,) = seen
+
+        def integrand(k):
+            s1, s2 = angular_kernel(k * x)
+            return k**3 / (1.0 + k) * (cos_ab * s1 - proj_product * s2)
+
+        j = np.arange(folded.size)
+        direct, _, _ = _gauss_pair(integrand, np.pi * (j + 1) / x,
+                                   np.pi * (j + 2) / x, (24, 16))
+        assert np.all(np.abs(folded - direct) <= 1e-13 * np.abs(direct))
 
     def test_domain(self):
         with pytest.raises(DomainError):
