@@ -206,7 +206,7 @@ def _casimir_checks(fast=True):
     # both sides of the x = 2 seam between the f, g reduction and the
     # Laguerre rule; mixed orientations, so every moment enters
     a, b = _GEOMETRIES["mixed"]
-    for x in (0.01, 0.5, 1.99, 2.01, 10.0, 100.0):
+    for x in (0.01, 0.5, 1.99, 2.01, 10.0, 100.0, 1e3, 1e6, 1e9, 1e12):
         closed = casimir.wcp(pair_from_alignment(x, 1.0, a, b)).energy
         direct = oracle.dispersion_integral_rotated(x, a - b, a - 3 * b).value
         out.append(_compare(f"wcp closed form vs oracle.dispersion_integral_rotated "

@@ -431,7 +431,7 @@ class TestScipyFreePath:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
-        assert "117/117 checks passed" in proc.stdout
+        assert "121/121 checks passed" in proc.stdout
         _, rows = parse_csv(proc.stdout[proc.stdout.index("# vacpair sweep"):])
         assert len(rows) == 50
 
