@@ -6,22 +6,20 @@ and nothing from the production closed forms.  Two engines do the work:
 * a globally adaptive Gauss-Legendre quadrature over a finite interval
   (`_quad`: the 21-point rule, with the 10-point one for its error
   estimate, as QUADPACK's QAG pairs Gauss and Kronrod rules) for the smooth
-  integrals and the head of each mode sum; breakpoints start its partition
-  where an integrand has a narrow peak.  f, g and the rotated-contour
-  dispersion integral are Laplace integrals, each one `_quad` pass of
-  `_laplace` in u = s v over [0, 80];
-* zero-partitioned segment quadrature of the oscillatory tails, with
-  iterated averaging of the alternating partial sums (an Euler-type
-  acceleration).  It sums the conditionally convergent and Abel-summable
-  tails that arise from vacuum mode sums, where naive truncation fails.
-  The tails are phase-folded: in the phase variable every segment is
-  [pi (j+1), pi (j+2)], so at a node pi (j+1) + phi the sine and cosine
-  are (-1)^(j+1) sin(phi) and (-1)^(j+1) cos(phi), with phi fixed by the
-  rule.  Those phases are cached per rule order and no node calls sin or
-  cos, which saves the work and the rounding of sin(rho) at large rho.
-  The m rounds of pairwise means are taken in closed form, as binomial
-  means 2^-m sum_i C(m, i) s_(j+i) of the partial sums, so a tail of n
-  segments costs O(n) work rather than n - 3 rounds of array averaging.
+  integrals; breakpoints start its partition where an integrand has a
+  narrow peak.  f, g and the rotated-contour dispersion integral are
+  Laplace integrals, each one `_quad` pass of `_laplace` in u = s v over
+  [0, 80];
+* `_oscillatory` for the mode sums and the real-axis dispersion integral,
+  each written once as phased(u, sin u, cos u) in its phase u >= 0: one
+  `_quad` pass on the head [0, pi], then the segments [pi (j+1), pi (j+2)]
+  phase-folded (sin u = (-1)^(j+1) sin phi at u = pi (j+1) + phi, with
+  the rule's phi cached, so no node calls sin or cos or rounds sin(u) at
+  large u) and summed by iterated averaging of the alternating partial
+  sums, which sums the conditionally convergent and Abel-summable tails of
+  vacuum mode sums where naive truncation fails.  The m rounds of pairwise
+  means are binomial means 2^-m sum_i C(m, i) s_(j+i) of the partial sums,
+  so a tail of n segments costs O(n) work.
 
 Oracle code is allowed to be slow compared to the closed-form production
 paths; its job is to be simple, direct and independent.
@@ -47,7 +45,7 @@ class QuadratureReport:
     abs_err_est: float
 
 
-# Gauss-Legendre order of the oscillatory-tail segments
+# Gauss-Legendre order of the phase-folded segments of _oscillatory
 _GAUSS_ORDER = 24
 # the orders of _quad's rule and of its embedded error estimate
 _QUAD_ORDERS = (21, 10)
@@ -64,37 +62,44 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_pair(func, lo: np.ndarray, hi: np.ndarray,
-                orders: tuple[int, int] = _QUAD_ORDERS
+                orders: tuple[int, int] = _QUAD_ORDERS, *, where: str
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, error estimates and rounding floors of func's integrals over
     [lo[i], hi[i]] by the Gauss-Legendre rules of two orders, as in _quad.
 
     func sees the nodes a block of intervals at a time, one row per interval:
-    the nodes of the orders[0] rule, then those of the orders[1] rule.
+    the nodes of the orders[0] rule, then those of the orders[1] rule.  A
+    value that is not finite raises AccuracyError naming `where`, before
+    numpy warns of it.
     """
     (x_hi, w_hi), (x_lo, w_lo) = (_gauss_rule(n) for n in orders)
     t = np.concatenate((x_hi, x_lo))
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)
     rows = max(1, _FUNC_BLOCK // t.size)
-    vals = np.concatenate([
-        np.asarray(func(mid[i:i + rows] + half[i:i + rows, None] * t), dtype=float)
-        for i in range(0, lo.size, rows)])
     n = x_hi.size
-    value = half * (vals[:, :n] @ w_hi)
-    coarse = half * (vals[:, n:] @ w_lo)
+    with np.errstate(all="ignore"):
+        vals = np.concatenate([
+            np.asarray(func(mid[i:i + rows] + half[i:i + rows, None] * t), dtype=float)
+            for i in range(0, lo.size, rows)])
+        value = half * (vals[:, :n] @ w_hi)
+        diff = np.abs(value - half * (vals[:, n:] @ w_lo))
+    if not np.isfinite(diff).all():  # a value that is not finite makes its diff so
+        raise AccuracyError(f"{where}: the integrand is not finite")
     rounding = _QUAD_ROUNDING * half * (np.abs(vals[:, :n]) @ w_hi)
-    return value, np.maximum(np.abs(value - coarse), rounding), rounding
+    return value, np.maximum(diff, rounding), rounding
 
 
 def _quad(func, a: float, b: float, *, where: str, epsrel: float,
           limit: int, points=()) -> tuple[float, float, int]:
     """Globally adaptive Gauss-Legendre quadrature of func over the finite [a, b].
 
-    func takes and returns 1-d arrays.  Each interval's value is the
-    21-point Gauss-Legendre rule (A&S 25.4.29); its error estimate is the
-    difference from the 10-point rule, floored at 50 ulps of the 21-point
-    integral of |f|, the rounding QUADPACK (Piessens et al., 1983) allows for.
+    It serves the smooth integrals and the head [0, pi] of each phase
+    integrand of _oscillatory.  func takes and returns 1-d arrays.  Each
+    interval's value is the 21-point Gauss-Legendre rule (A&S 25.4.29); its
+    error estimate is the difference from the 10-point rule, floored at 50
+    ulps of the 21-point integral of |f|, the rounding QUADPACK (Piessens et
+    al., 1983) allows for.
     While the summed estimate exceeds epsrel |I|, each pass bisects the
     intervals of largest error that together hold the excess and evaluates
     all the new halves in one _gauss_pair call.  Once every interval's
@@ -102,12 +107,12 @@ def _quad(func, a: float, b: float, *, where: str, epsrel: float,
     returns with that sum as its estimate, as QUADPACK stops on detecting
     round-off.  The interior breakpoints `points` (ascending, inside
     (a, b)) start the partition.  Returns (value, abs_err_est, intervals);
-    needing more than `limit` intervals raises AccuracyError naming
-    `where`, the oracle and its x.
+    needing more than `limit` intervals, or an integrand value that is not
+    finite, raises AccuracyError naming `where`, the oracle and its x.
     """
     edges = np.array([a, *points, b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    value, err, floor = _gauss_pair(func, lo, hi)
+    value, err, floor = _gauss_pair(func, lo, hi, where=where)
     while True:
         total, total_err = value.sum(), err.sum()
         excess = total_err - epsrel * abs(total)
@@ -125,7 +130,7 @@ def _quad(func, a: float, b: float, *, where: str, epsrel: float,
         new_lo = np.concatenate((lo[split], mid))
         new_hi = np.concatenate((mid, hi[split]))
         # the kept intervals, then the new halves with their rule values
-        added = (new_lo, new_hi, *_gauss_pair(func, new_lo, new_hi))
+        added = (new_lo, new_hi, *_gauss_pair(func, new_lo, new_hi, where=where))
         lo, hi, value, err, floor = (np.concatenate((old[keep], new)) for old, new
                                      in zip((lo, hi, value, err, floor), added))
 
@@ -191,27 +196,30 @@ def _rule_phases(order: int) -> tuple[np.ndarray, np.ndarray]:
     return phases
 
 
-def _oscillatory_tail(phased, n_segments: int, order: int) -> tuple[float, float]:
-    """(value, abs_err_est) of the integral over u >= pi of an integrand
-    that oscillates like sin u and cos u, given in phase-folded form.
+def _oscillatory(phased, n_segments: int, where: str) -> tuple[float, float]:
+    """(value, abs_err_est) of the integral over u >= 0 of an integrand that
+    oscillates like sin u and cos u, given as phased(u, sin u, cos u).
 
-    Segment j = 0 .. n_segments - 1 is [pi (j+1), pi (j+2)] and its nodes
+    The head [0, pi] is one _quad pass on phased(u, sin u, cos u).  Past it,
+    segment j = 0 .. n_segments - 1 is [pi (j+1), pi (j+2)] and its nodes
     are u = pi (j+1) + phi, phi = (pi/2)(1 + t) for the rule nodes t, where
     sin u = (-1)^(j+1) sin phi and cos u = (-1)^(j+1) cos phi.  The
     integrand there is (-1)^(j+1) phased(u, sin phi, cos phi), with sin phi
     and cos phi from the cached rule phases, so no node rounds a sine or
     cosine of a large u.  _gauss_pair takes each segment at
-    (order, max(8, order - 8)); the sign multiplies whole segment values,
-    which leaves their error estimates and floors as they are.
+    (_GAUSS_ORDER, max(8, _GAUSS_ORDER - 8)); the sign multiplies whole
+    segment values, which leaves their error estimates and floors as they are.
     """
-    orders = (order, max(8, order - 8))
+    head, head_err, _ = _quad(lambda u: phased(u, np.sin(u), np.cos(u)), 0.0, np.pi,
+                              limit=800, epsrel=1e-12, where=where)
+    orders = (_GAUSS_ORDER, max(8, _GAUSS_ORDER - 8))
     (sin_hi, cos_hi), (sin_lo, cos_lo) = (_rule_phases(n) for n in orders)
     sin_phi, cos_phi = np.concatenate((sin_hi, sin_lo)), np.concatenate((cos_hi, cos_lo))
     # in units of pi the edges are the integers j + 1, so every segment is
     # exactly one unit wide, with no rounding in hi - lo to perturb its weight
     j = np.arange(n_segments)
     values, seg_err, _ = _gauss_pair(lambda v: phased(np.pi * v, sin_phi, cos_phi),
-                                     j + 1.0, j + 2.0, orders)
+                                     j + 1.0, j + 2.0, orders, where=where)
     terms = np.pi * np.where(j % 2 == 0, -values, values)
     # error estimate, three components: spread of the accelerated value over
     # several truncation lengths (tail truncation), the segments' estimates
@@ -221,7 +229,8 @@ def _oscillatory_tail(phased, n_segments: int, order: int) -> tuple[float, float
         terms, [max(4, (n_segments * frac) // 8) for frac in (4, 5, 6, 7)])
     spread = max(abs(value - t) for t in truncations)
     noise = 1e-15 * float(np.abs(terms).sum())
-    return value, 4.0 * diff + 2.0 * spread + np.pi * float(seg_err.sum()) + noise
+    return (head + value, head_err + 4.0 * diff + 2.0 * spread
+            + np.pi * float(seg_err.sum()) + noise)
 
 
 def _default_segments(x: float) -> int:
@@ -230,74 +239,32 @@ def _default_segments(x: float) -> int:
     return max(360, int(60 + 9.0 * x))
 
 
-# ---------------------------------------------------------------------------
-# Polarization-summed, angle-integrated kernel of exp(+-i k.R).
-#
-# (1/4pi) int dOmega sum_j (e_kj)_m (e_kj)_n exp(i k.R)
-#     = delta_mn S1(rho) - Rhat_m Rhat_n S2(rho),   rho = k R,
-# with S1 = sin(rho)/rho - sin(rho)/rho^3 + cos(rho)/rho^2 and
-# S2 = sin(rho)/rho - 3 sin(rho)/rho^3 + 3 cos(rho)/rho^2.  Power series are
-# used below rho = 0.3 where the closed forms cancel catastrophically.
-# ---------------------------------------------------------------------------
-
-_RHO_SERIES = 0.3
-
-
-def _kernel_closed_form(r):
-    s, c = np.sin(r), np.cos(r)
-    return s / r - s / r**3 + c / r**2, s / r - 3.0 * s / r**3 + 3.0 * c / r**2
-
-
-def angular_kernel(rho):
-    """(S1, S2) of the polarization-and-angle integrated mode kernel."""
-    rho = np.asarray(rho, dtype=float)
-    small = np.abs(rho) < _RHO_SERIES
-    s1 = np.empty_like(rho)
-    s2 = np.empty_like(rho)
-    r2 = rho[small] ** 2
-    s1[small] = (2.0 / 3.0 - 2.0 * r2 / 15.0 + r2 * r2 / 140.0
-                 - r2**3 / 5670.0 + r2**4 / 399168.0)
-    s2[small] = (-r2 / 15.0 + r2 * r2 / 210.0
-                 - r2**3 / 7560.0 + r2**4 / 498960.0)
-    s1[~small], s2[~small] = _kernel_closed_form(rho[~small])
-    return s1, s2
-
-
 def _modesum(name: str, x: float, cos_ab: float, proj_product: float, power: int,
-             resonance: float, n_segments: int | None, order: int):
+             resonance: float):
     if not (np.isfinite(x) and x > 0):
         raise DomainError(f"x must be finite and positive, got {x}")
     if resonance <= 0:
         raise DomainError("resonance parameter must be positive")
-    if n_segments is None:
-        n_segments = _default_segments(x)
 
-    def integrand(k):
-        k = np.asarray(k, dtype=float)
-        s1, s2 = angular_kernel(k * x)
-        return k**3 / (resonance + k) ** power * (cos_ab * s1 - proj_product * s2)
-
-    # the tail in rho = k x.  With p = cos_ab - proj_product and
-    # q = cos_ab - 3 proj_product, rho (cos_ab S1 - proj_product S2) is
+    # the phase is rho = k x.  The polarization-summed, angle-integrated
+    # kernel of exp(i k.R) is K = cos_ab S1(rho) - proj_product S2(rho), with
+    # S1 = sin/rho - sin/rho^3 + cos/rho^2 and S2 = sin/rho - 3 sin/rho^3
+    # + 3 cos/rho^2.  With p = cos_ab - proj_product and
+    # q = cos_ab - 3 proj_product, rho K is
     # pattern = sin(rho) (p - q/rho^2) + q cos(rho)/rho, and the integrand
-    # k^3/(resonance + k)^power (cos_ab S1 - proj_product S2) dk becomes
+    # k^3/(resonance + k)^power K dk becomes
     # rho^2 pattern / ((resonance x + rho)^power x^(4 - power)) drho
     p, q = cos_ab - proj_product, cos_ab - 3.0 * proj_product
 
-    def tail_integrand(rho, sin_phi, cos_phi):
-        pattern = sin_phi * (p - q / (rho * rho)) + q * cos_phi / rho
+    def phased(rho, sin_rho, cos_rho):
+        pattern = sin_rho * (p - q / (rho * rho)) + q * cos_rho / rho
         return rho * rho / (resonance * x + rho) ** power * pattern / x ** (4 - power)
 
-    head, head_err, _ = _quad(integrand, 0.0, np.pi / x, limit=400,
-                              epsrel=1e-12, where=f"oracle.{name} at x={x!r}")
-    tail, tail_err = _oscillatory_tail(tail_integrand, n_segments, order)
-    return head + tail, head_err + tail_err
+    return _oscillatory(phased, _default_segments(x), where=f"oracle.{name} at x={x!r}")
 
 
 def modesum_first_order(x: float, *, cfg: PairConfiguration,
-                        resonance: float = 1.0,
-                        n_segments: int | None = None,
-                        gauss_order: int = _GAUSS_ORDER) -> QuadratureReport:
+                        resonance: float = 1.0) -> QuadratureReport:
     """Direct quadrature of the first-order vacuum mode sum, per unit coupling.
 
     Evaluates -(1/pi) * int_0^inf dk k^3/(resonance + k) K(k x) where K is the
@@ -306,14 +273,11 @@ def modesum_first_order(x: float, *, cfg: PairConfiguration,
     (1/pi) T(x) from the kernel module.
     """
     raw, err = _modesum("modesum_first_order", x, cfg.cos_ab, cfg.proj_product,
-                        power=1, resonance=resonance, n_segments=n_segments,
-                        order=gauss_order)
+                        power=1, resonance=resonance)
     return QuadratureReport(value=-raw / np.pi, abs_err_est=err / np.pi)
 
 
-def modesum_second_order(x: float, *, cfg: PairConfiguration,
-                         n_segments: int | None = None,
-                         gauss_order: int = _GAUSS_ORDER) -> QuadratureReport:
+def modesum_second_order(x: float, *, cfg: PairConfiguration) -> QuadratureReport:
     """Cross-coherence kernel with squared denominator, per unit coupling.
 
     Evaluates (1/pi) * int_0^inf dk k^3/(1 + k)^2 K(k x): the one-photon
@@ -322,8 +286,7 @@ def modesum_second_order(x: float, *, cfg: PairConfiguration,
     parameter.
     """
     raw, err = _modesum("modesum_second_order", x, cfg.cos_ab, cfg.proj_product,
-                        power=2, resonance=1.0, n_segments=n_segments,
-                        order=gauss_order)
+                        power=2, resonance=1.0)
     return QuadratureReport(value=raw / np.pi, abs_err_est=err / np.pi)
 
 
@@ -384,8 +347,7 @@ def aux_integral_rep(x: float, which: str) -> QuadratureReport:
                     where=f"oracle.aux_integral_rep({which!r}) at x={x!r}")
 
 
-def field_correlator(x: float, cos_ab: float = 1.0,
-                     proj_product: float = 0.0) -> QuadratureReport:
+def field_correlator(x: float, cos_ab: float, proj_product: float) -> QuadratureReport:
     """Equal-time vacuum field correlator contracted with two orientations.
 
     Evaluates the Abel-summed radial integral int_0^inf dk k^3 K(k x), in
@@ -393,7 +355,7 @@ def field_correlator(x: float, cos_ab: float = 1.0,
     denominator.  The closed-form value is (-4 cos_ab + 8 proj_product) / x^4.
     """
     value, err = _modesum("field_correlator", x, cos_ab, proj_product, power=0,
-                          resonance=1.0, n_segments=None, order=_GAUSS_ORDER)
+                          resonance=1.0)
     return QuadratureReport(value=value, abs_err_est=err)
 
 
@@ -461,10 +423,6 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
         poly = np.polyval(pi_c, kappa)
         return poly * np.exp(2j * kappa * x) / (1.0 + kappa) ** 2
 
-    def w(kappa):
-        kappa = np.asarray(kappa, dtype=float)
-        return np.imag(n_complex(kappa)) / (kappa - 1.0) ** 2
-
     # Taylor coefficients of N around kappa = 1 from a Cauchy circle
     m_nodes = 128
     radius = 0.2
@@ -473,28 +431,26 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
     coef = np.array([(ring * np.exp(-1j * k * theta)).mean() / radius**k
                      for k in range(12)])
 
-    where = f"oracle.dispersion_integral_real_axis at x={x!r}"
-    left, left_err, _ = _quad(w, 0.0, 1.0 - delta, limit=800, epsrel=1e-12,
-                              where=where)
-    # the first stretch right of the window still feels the pole spike, so it
-    # gets adaptive treatment before the fixed-order oscillatory partition
-    half_period = np.pi / (2.0 * x)
-    spike, spike_err, _ = _quad(w, 1.0 + delta, 1.0 + delta + half_period,
-                                limit=800, epsrel=1e-12, where=where)
-    # the tail in u = 2 x (kappa - 1 - delta), so that
-    # exp(2 i kappa x) = exp(2 i x (1 + delta)) exp(i u)
+    # the phase u = 2 x (kappa - 1 - delta), so that
+    # exp(2 i kappa x) = exp(2 i x (1 + delta)) exp(i u); u >= 0 is right of
+    # the window, and its head [0, pi] holds the pole spike
     base_phase = np.exp(2j * x * (1.0 + delta))
 
-    def tail_integrand(u, sin_phi, cos_phi):
+    def phased(u, sin_u, cos_u):
         kappa = 1.0 + delta + u / (2.0 * x)
-        phase = base_phase * (cos_phi + 1j * sin_phi)  # one per rule node
-        n_folded = np.polyval(pi_c, kappa) * phase / (1.0 + kappa) ** 2
-        return np.imag(n_folded) / (kappa - 1.0) ** 2 / (2.0 * x)
+        phase = base_phase * (cos_u + 1j * sin_u)
+        n_kappa = np.polyval(pi_c, kappa) * phase / (1.0 + kappa) ** 2
+        return np.imag(n_kappa) / (kappa - 1.0) ** 2 / (2.0 * x)
 
-    tail, tail_err = _oscillatory_tail(tail_integrand, n_segments, _GAUSS_ORDER)
+    where = f"oracle.dispersion_integral_real_axis at x={x!r}"
+    # left of the window: kappa in [0, 1 - delta] is u in [-2x (1 + delta), -4x delta]
+    left, left_err, _ = _quad(lambda u: phased(u, np.sin(u), np.cos(u)),
+                              -2.0 * x * (1.0 + delta), -4.0 * x * delta,
+                              limit=800, epsrel=1e-12, where=where)
+    right, right_err = _oscillatory(phased, n_segments, where)
     window = sum(2.0 * np.imag(coef[k]) * delta ** (k - 1) / (k - 1)
                  for k in range(2, 12, 2))
-    finite_part = left + spike + tail + window - 2.0 * np.imag(coef[0]) / delta
-    err = left_err + spike_err + tail_err + abs(coef[11]) * delta**10
+    finite_part = left + right + window - 2.0 * np.imag(coef[0]) / delta
+    err = left_err + right_err + abs(coef[11]) * delta**10
     return QuadratureReport(value=finite_part - np.pi * np.real(coef[1]),
                             abs_err_est=err)

@@ -1,7 +1,9 @@
 """Brute-force validators: self-consistency and the spotlight closed forms."""
 
+import ast
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from vacpair import AccuracyError, DomainError, oracle, pair_from_alignment, val
 from vacpair.entanglement import regularized_local_population
 from vacpair.kernel import contracted_tensor, cross_coherence_kernel
 from vacpair.oracle import (_default_segments, _euler_average, _gauss_pair, _quad,
-                            angular_kernel, aux_integral_rep,
+                            aux_integral_rep,
                             dispersion_integral_real_axis,
                             dispersion_integral_rotated,
                             field_correlator, local_population,
@@ -24,30 +26,10 @@ LOCAL_POP_RATIO_10_100 = 132.64183531800975
 LOCAL_POP_RATIO_100_1000 = 103.47697989996128
 
 
-class TestAngularKernel:
-    def test_values_at_origin(self):
-        s1, s2 = angular_kernel(np.array([1e-12]))
-        assert s1[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert abs(s2[0]) < 1e-20
-
-    @pytest.mark.parametrize("rho", [0.1, 0.25, 0.299])
-    def test_series_matches_direct_formula(self, rho):
-        # below the switch the kernel comes from the series; compare with the
-        # direct trigonometric form evaluated at the same point
-        s1, s2 = (v[0] for v in angular_kernel(np.array([rho])))
-        s, c = np.sin(rho), np.cos(rho)
-        assert s1 == pytest.approx(s / rho - s / rho**3 + c / rho**2, abs=1e-12)
-        assert s2 == pytest.approx(s / rho - 3 * s / rho**3 + 3 * c / rho**2,
-                                   abs=1e-12)
-
-    def test_no_series_node_takes_the_closed_form_bit_for_bit(self):
-        # a node above the switch gets the same closed form whether or not
-        # the array also holds series nodes
-        rho = np.pi + np.linspace(0.0, 1e4, 1001)
-        alone = angular_kernel(rho)
-        masked = angular_kernel(np.concatenate(([0.1], rho)))
-        for a, b in zip(alone, masked):
-            np.testing.assert_array_equal(a, b[1:])
+def _mp_fg(mp, t):
+    """f and g at t from mpmath's Si and Ci, at the working precision."""
+    rest, c = mp.pi / 2 - mp.si(t), mp.ci(t)
+    return c * mp.sin(t) + rest * mp.cos(t), -c * mp.cos(t) + rest * mp.sin(t)
 
 
 def _t_over_pi(x, cos_ab, proj_product, digits):
@@ -55,11 +37,36 @@ def _t_over_pi(x, cos_ab, proj_product, digits):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(digits):
         t = mp.mpf(x)
-        rest, c = mp.pi / 2 - mp.si(t), mp.ci(t)
-        f = c * mp.sin(t) + rest * mp.cos(t)
-        g = -c * mp.cos(t) + rest * mp.sin(t)
+        f, g = _mp_fg(mp, t)
         return float(((cos_ab - proj_product) * (1 / t - f)
                       + (cos_ab - 3 * proj_product) * (f / t**2 + g / t)) / (t * mp.pi))
+
+
+def _x_over_mu(x, cos_ab, proj_product, digits):
+    """X/mu from mpmath's Si and Ci at the given precision, by the closed form
+    in cross_coherence_kernel's docstring."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        t = mp.mpf(x)
+        f, g = _mp_fg(mp, t)
+        return float(((cos_ab - proj_product) * (g + 1 / t**2 - 2 * f / t)
+                      + (cos_ab - 3 * proj_product) * (f - 1 / t) / t) / mp.pi)
+
+
+# the closed forms cancel like x^2 at large x and like 1/x at small x
+def _digits(x):
+    return 30 + int(2 * abs(math.log10(x)))
+
+
+_GEOMETRIES = pytest.mark.parametrize(
+    "cos_ab, proj_product", [(1.0, 0.0), (1.0, 1.0), (1.0, 0.25)],
+    ids=["transverse", "longitudinal", "mixed"])
+
+
+def _assert_matches(rep, ref):
+    err = abs(rep.value - ref)
+    assert err <= 1e-10 * abs(ref)
+    assert err <= rep.abs_err_est
 
 
 class TestModesumFirstOrder:
@@ -101,26 +108,26 @@ class TestModesumFirstOrder:
             if x == 3000.0 and cfg.proj_product == 0.0:
                 assert rep.abs_err_est < 0.05 * abs(rep.value)
 
-    @pytest.mark.parametrize("cos_ab, proj_product", [(1.0, 0.0), (1.0, 1.0)],
-                             ids=["transverse", "longitudinal"])
-    def test_matches_mpmath_at_x_100(self, cos_ab, proj_product):
+    @pytest.mark.parametrize("x", [0.01, 1.0, 100.0])
+    @_GEOMETRIES
+    def test_matches_mpmath(self, x, cos_ab, proj_product):
+        # the head's integrand cancels at small rho (sin rho - rho cos rho);
         # each tail node takes its phase from the rule's own sin and cos, so
         # no term carries the rounding of sin(rho) at rho up to 3000
-        x = 100.0
-        cfg = pair_from_alignment(x, 1.0, cos_ab, proj_product)
-        rep = modesum_first_order(x, cfg=cfg)
-        ref = _t_over_pi(x, cos_ab, proj_product, digits=int(2 * math.log10(x)) + 30)
-        assert abs(rep.value - ref) <= 1e-10 * abs(ref)
+        rep = modesum_first_order(x, cfg=pair_from_alignment(x, 1.0, cos_ab, proj_product))
+        _assert_matches(rep, _t_over_pi(x, cos_ab, proj_product, _digits(x)))
 
     @pytest.mark.parametrize("cos_ab, proj_product", [(1.0, 0.0), (1.0, 0.25)],
                              ids=["transverse", "mixed"])
     def test_folded_tail_terms_match_the_angular_kernel(self, monkeypatch,
                                                         cos_ab, proj_product):
         # the segment values the Euler averaging receives, against the same
-        # segments integrated through angular_kernel in k.  (Longitudinally
-        # the cos(rho)/rho^2 part dominates, whose integral over a half
-        # period nearly cancels, so there a per-term comparison would measure
-        # the rounding of sin(rho) in the direct form, not the fold.)
+        # segments integrated in k through the angular kernel
+        # cos_ab S1(k x) - proj_product S2(k x), in closed form, as every node
+        # lies at rho >= pi.  (Longitudinally the cos(rho)/rho^2 part
+        # dominates, whose integral over a half period nearly cancels, so
+        # there a per-term comparison would measure the rounding of sin(rho)
+        # in the direct form, not the fold.)
         x = 1.0
         seen = []
 
@@ -133,12 +140,15 @@ class TestModesumFirstOrder:
         (folded,) = seen
 
         def integrand(k):
-            s1, s2 = angular_kernel(k * x)
+            r = k * x
+            s, c = np.sin(r), np.cos(r)
+            s1 = s / r - s / r**3 + c / r**2
+            s2 = s / r - 3.0 * s / r**3 + 3.0 * c / r**2
             return k**3 / (1.0 + k) * (cos_ab * s1 - proj_product * s2)
 
         j = np.arange(folded.size)
         direct, _, _ = _gauss_pair(integrand, np.pi * (j + 1) / x,
-                                   np.pi * (j + 2) / x, (24, 16))
+                                   np.pi * (j + 2) / x, (24, 16), where="test")
         assert np.all(np.abs(folded - direct) <= 1e-13 * np.abs(direct))
 
     def test_domain(self):
@@ -167,15 +177,21 @@ class TestModesumSecondOrder:
         assert s2 == pytest.approx((up - dn) / (2 * h), rel=1e-5)
 
     def test_head_below_its_rounding_floor_converges(self):
-        # the head integral over [0, pi/x] is -0.113 while the integral of
-        # |f| there is 17.0, so 50 ulps of the latter (1.89e-13) exceed the
-        # 1e-12 relative target; this used to raise AccuracyError
+        # the head integral over rho = k x in [0, pi] is -0.113 while the
+        # integral of |f| there is 17.0, so 50 ulps of the latter (1.89e-13)
+        # exceed the 1e-12 relative target; this used to raise AccuracyError
         x = 0.1294
         cfg = pair_from_alignment(x, 1.0, -0.274, 0.241)
         rep = modesum_second_order(x, cfg=cfg)
         closed = cross_coherence_kernel(x, cfg.cos_ab, cfg.proj_product)
         assert rep.value == pytest.approx(8.99368055388, rel=1e-11)
         assert abs(rep.value - closed) <= rep.abs_err_est < 1e-9
+
+    @pytest.mark.parametrize("x", [0.01, 1.0, 100.0])
+    @_GEOMETRIES
+    def test_matches_mpmath(self, x, cos_ab, proj_product):
+        rep = modesum_second_order(x, cfg=pair_from_alignment(x, 1.0, cos_ab, proj_product))
+        _assert_matches(rep, _x_over_mu(x, cos_ab, proj_product, _digits(x)))
 
 
 class TestLocalPopulation:
@@ -208,10 +224,8 @@ def _aux_references():
     out = []
     with mp.workdps(40):
         for x in np.geomspace(1e-6, 1e12, 90):
-            t = mp.mpf(float(x))
-            rest, c = mp.pi / 2 - mp.si(t), mp.ci(t)
-            out += [(x, "f", c * mp.sin(t) + rest * mp.cos(t)),
-                    (x, "g", -c * mp.cos(t) + rest * mp.sin(t))]
+            f, g = _mp_fg(mp, mp.mpf(float(x)))
+            out += [(x, "f", f), (x, "g", g)]
     return out
 
 
@@ -249,10 +263,7 @@ class TestAuxIntegralRep:
         # 4: without it f at 1e-16 came out 16% low, estimated at 5e-14
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
-            t = mp.mpf(x)
-            rest, c = mp.pi / 2 - mp.si(t), mp.ci(t)
-            refs = {"f": c * mp.sin(t) + rest * mp.cos(t),
-                    "g": -c * mp.cos(t) + rest * mp.sin(t)}
+            refs = dict(zip("fg", _mp_fg(mp, mp.mpf(x))))
         for which, ref in refs.items():
             rep = aux_integral_rep(x, which)
             assert abs(rep.value - ref) <= min(rep.abs_err_est, 1e-13 * ref), which
@@ -279,23 +290,28 @@ class TestFieldCorrelator:
             4.0 / 2.0**4, rel=1e-6)
 
 
+def _refined(monkeypatch):
+    """Twice the segments, at Gauss order 32, for the mode sums run after it."""
+    monkeypatch.setattr(oracle, "_default_segments", lambda x: 2 * _default_segments(x))
+    monkeypatch.setattr(oracle, "_GAUSS_ORDER", 32)
+
+
 class TestHonestErrors:
     @pytest.mark.parametrize("x", [0.01, 0.5, 10.0, 100.0])
-    def test_first_order_estimate_covers_refinement(self, x):
-        for cfg in (transverse_pair(x), longitudinal_pair(x)):
-            rep = modesum_first_order(x, cfg=cfg)
-            hi = modesum_first_order(x, cfg=cfg,
-                                     n_segments=2 * _default_segments(x),
-                                     gauss_order=32)
+    def test_first_order_estimate_covers_refinement(self, monkeypatch, x):
+        cfgs = (transverse_pair(x), longitudinal_pair(x))
+        reps = [modesum_first_order(x, cfg=cfg) for cfg in cfgs]
+        _refined(monkeypatch)
+        for cfg, rep in zip(cfgs, reps):
+            hi = modesum_first_order(x, cfg=cfg)
             assert abs(rep.value - hi.value) <= rep.abs_err_est
 
     @pytest.mark.parametrize("x", [0.05, 1.0, 30.0])
-    def test_second_order_estimate_covers_refinement(self, x):
+    def test_second_order_estimate_covers_refinement(self, monkeypatch, x):
         cfg = transverse_pair(x)
         rep = modesum_second_order(x, cfg=cfg)
-        hi = modesum_second_order(x, cfg=cfg,
-                                  n_segments=2 * _default_segments(x),
-                                  gauss_order=32)
+        _refined(monkeypatch)
+        hi = modesum_second_order(x, cfg=cfg)
         assert abs(rep.value - hi.value) <= rep.abs_err_est
 
 
@@ -355,6 +371,13 @@ class TestDispersionRotated:
     def test_domain(self):
         with pytest.raises(DomainError):
             dispersion_integral_rotated(0.0, 1.0, 1.0)
+
+    def test_nonfinite_integrand_is_an_accuracy_error(self):
+        # at x = 1e-52 the squared pattern overflows to inf inside [0, 80]:
+        # the first such interval raises, with no numpy warning before it
+        with pytest.raises(AccuracyError,
+                           match="dispersion_integral_rotated at x=1e-52: .*not finite"):
+            dispersion_integral_rotated(1e-52, 0.75, 0.25)
 
 
 class TestQuad:
@@ -456,7 +479,7 @@ _SIZES = [5, 8, 360, 401, 960, 3100, _default_segments(1000.0)]
 
 def _growing_alternating(rng, n):
     """Terms growing like k^2, the way the mode-sum tails do, and the
-    truncation lengths _oscillatory_tail asks for."""
+    truncation lengths _oscillatory asks for."""
     k = np.arange(1, n + 1)
     terms = (-1.0) ** k * k**2 * (1.0 + 0.1 * rng.normal(size=n))
     return terms, [max(4, (n * frac) // 8) for frac in (4, 5, 6, 7)]
@@ -488,3 +511,18 @@ class TestEulerAverage:
     def test_known_sums(self, terms, total):
         value, _, _ = _euler_average(terms, [])
         assert abs(value - total) <= 1e-14
+
+
+def test_oracle_imports_no_production_closed_form():
+    # the oracles check the closed forms, so they must not be built on them:
+    # from the package, oracle.py imports its errors and PairConfiguration only
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            package.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "vacpair":
+            package.add(node.module)
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.split(".")[0] == "vacpair")
+    assert package == {".errors", ".model"}
