@@ -55,6 +55,7 @@ import numpy as np
 
 from . import specfun
 from .errors import AccuracyError, DomainError
+from .kernel import _column, _per_x, _power
 from .model import PairConfiguration
 
 
@@ -65,10 +66,11 @@ class PotentialMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class PotentialResult:
-    """Interaction energy of one configuration, in units of hbar omega0."""
+    """Interaction energy of one configuration, in units of hbar omega0, one
+    value per x: floats for a float x, arrays for an array x."""
 
-    energy: float
-    abs_err_est: float
+    energy: float | np.ndarray
+    abs_err_est: float | np.ndarray
 
 
 def _orientation_pq(cfg: PairConfiguration) -> tuple[float, float]:
@@ -113,52 +115,66 @@ def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.laguerre.laggauss(60)
 
 
-def _moments(s: float) -> tuple[list[float], list[float]]:
-    """I_n(s) = int_0^inf v^n exp(-s v)/(1+v^2)^2 dv for n = 0..4, and error bounds.
+def _moments(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I_n(s) = int_0^inf v^n exp(-s v)/(1+v^2)^2 dv for n = 0..4, and error
+    bounds, at every s: two arrays of shape (5, s.size).
 
     Below the specfun series/continued-fraction seam the moments follow
     exactly from f and g at s; above it from the Gauss-Laguerre rule in
     t = s v.  Every moment is positive.
     """
-    if s < specfun._BRANCH_CUTOVER:
-        fg = specfun.aux(s)
-        f, g = fg.f, fg.g
-        i0 = 0.5 * (f + s * g)
-        i1 = 0.5 * (1.0 - s * f)
-        moments = [i0, i1, f - i0, g - i1, 1.0 / s - 2.0 * f + i0]
+    moments, errors = np.empty((5, s.size)), np.empty((5, s.size))
+    low = s < specfun._BRANCH_CUTOVER
+    if np.count_nonzero(low):
+        s_low = s[low]
+        fg = [specfun.aux(v) for v in s_low.tolist()]
+        f, g, aux_err = np.array([(v.f, v.g, v.abs_err_est) for v in fg]).T
+        i0 = 0.5 * (f + s_low * g)
+        i1 = 0.5 * (1.0 - s_low * f)
+        moments[:, low] = i0, i1, f - i0, g - i1, 1.0 / s_low - 2.0 * f + i0
         # aux's error in f and g enters each moment with a weight of at most
         # (5 + s)/2; the rounding is a few ulps of its terms before they cancel
-        m1 = 0.5 * (1.0 + s * f)
-        magnitudes = [i0, m1, f + i0, g + m1, 1.0 / s + 2.0 * f + i0]
-        return moments, [0.5 * (5.0 + s) * fg.abs_err_est + 4.0 * _EPS * m
-                         for m in magnitudes]
-    t, w = _laguerre_rule()
-    v = t / s
-    weights = w / (s * (1.0 + v * v) ** 2)
-    moments = (np.vander(v, 5, increasing=True).T @ weights).tolist()
-    return moments, [_LAGUERRE_REL_ERR * m for m in moments]
+        m1 = 0.5 * (1.0 + s_low * f)
+        magnitudes = np.array((i0, m1, f + i0, g + m1, 1.0 / s_low + 2.0 * f + i0))
+        errors[:, low] = 0.5 * (5.0 + s_low) * aux_err + 4.0 * _EPS * magnitudes
+    high = ~low
+    if np.count_nonzero(high):
+        t, w = _laguerre_rule()
+        s_high = s[high, None]
+        v = t / s_high
+        term = w / (s_high * (1.0 + v * v) ** 2)
+        # elementwise products summed along each row, so that a row's sums do
+        # not depend on how many rows share the call, as a matrix product's can
+        for n in range(5):
+            moments[n, high] = term.sum(axis=-1)
+            term *= v
+        errors[:, high] = _LAGUERRE_REL_ERR * moments[:, high]
+    return moments, errors
 
 
-def _radial_integral(x: float, coeffs: list[float],
-                     sizes: list[float]) -> tuple[float, float]:
-    """sum_n coeffs[n] I_n(2x) / x^(6-n) and a bound on its error.
+def _radial_integral(x: np.ndarray, coeffs: list[float], sizes: list[float]) -> np.ndarray:
+    """sum_n coeffs[n] I_n(2x) / x^(6-n) at every x, and a bound on its error.
 
     Horner in 1/x, so no power of x is formed and the sum overflows only
     when its value does.  sizes[n] >= |coeffs[n]| bounds the terms the
     coefficient was summed from, for the rounding made in forming it.
     """
     moments, errors = _moments(2.0 * x)
+    # the sum's terms and their error bounds, shape (5, 2, x.size), so that
+    # one Horner step advances both
+    terms = np.stack((np.array(coeffs)[:, None] * moments,
+                      np.array(sizes)[:, None] * (errors + 8.0 * _EPS * moments)), axis=1)
     u = 1.0 / x
-    total = err = 0.0
-    for c, size, i_n, e_n in zip(coeffs, sizes, moments, errors):
-        total = total * u + c * i_n
-        err = err * u + size * (e_n + 8.0 * _EPS * i_n)
-    return total * u * u, err * u * u
+    total = 0.0
+    for term in terms:
+        total = total * u + term
+    return total * u * u  # its two rows: the sum and its error bound
 
 
+@np.errstate(all="ignore")  # float arithmetic; an energy that overflows raises below
 def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour",
         isotropic: bool = False) -> PotentialResult:
-    """Casimir-Polder energy of the configured pair.
+    """Casimir-Polder energy of the configured pair, one value per x.
 
     method "rotated_contour" is the production path: the closed form of the
     imaginary-wavenumber integral through the moments I_n (module
@@ -170,31 +186,36 @@ def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour
     integral as an independent check.  isotropic=True uses rotationally
     averaged polarizabilities instead of the fixed dipole orientations.
     The energy is in units of hbar omega0; AccuracyError is raised where it
-    overflows the floating-point range.
+    overflows the floating-point range, naming the first such x.
     """
     method = PotentialMethod(method)
     prefactor = -(2.0 / np.pi) * cfg.mu**2
     weight, channels = _channels(cfg, isotropic)
+    x = _column(cfg.x)
     if method is PotentialMethod.ROTATED_CONTOUR:
         # the prefactor goes in before the 1/x^(6-n) scaling, so W stays finite
         # wherever it is representable
         scale = prefactor * weight
         sizes = _channel_sum(abs(scale), [(w, abs(p), abs(q)) for w, p, q in channels])
-        energy, err = _radial_integral(cfg.x, _channel_sum(scale, channels), sizes)
+        energy, err = _radial_integral(x, _channel_sum(scale, channels), sizes)
     else:
         from . import oracle  # loaded only for this independent check
 
-        reps = [(w, oracle.dispersion_integral_real_axis(cfg.x, p, q))
+        reps = [(w, [oracle.dispersion_integral_real_axis(v, p, q) for v in x.tolist()])
                 for w, p, q in channels]
-        energy = prefactor * (weight * sum(w * rep.value for w, rep in reps))
-        err = abs(prefactor) * (weight * sum(w * rep.abs_err_est for w, rep in reps))
-    if not math.isfinite(energy):
-        raise AccuracyError(f"wcp: the energy overflows at x={cfg.x!r}")
-    return PotentialResult(energy=energy, abs_err_est=err)
+        energy = prefactor * (weight * sum(w * np.array([r.value for r in rep])
+                                           for w, rep in reps))
+        err = abs(prefactor) * (weight * sum(w * np.array([r.abs_err_est for r in rep])
+                                             for w, rep in reps))
+    overflows = ~np.isfinite(energy)
+    if np.count_nonzero(overflows):
+        raise AccuracyError(f"wcp: the energy overflows at x={x[overflows][0].item()!r}")
+    return PotentialResult(energy=_per_x(cfg.x, energy), abs_err_est=_per_x(cfg.x, err))
 
 
+@np.errstate(all="ignore")  # beyond _power's checks, float arithmetic: inf or nan
 def vdw_near(cfg: PairConfiguration) -> PotentialResult:
-    """Electrostatic (London) limit of the pair energy.
+    """Electrostatic (London) limit of the pair energy, one value per x.
 
     Second-order perturbation theory on the static dipole-dipole coupling
     V = d_A d_B (n_a.n_b - 3 (n_a.r)(n_b.r)) / R^3 through the single
@@ -203,8 +224,9 @@ def vdw_near(cfg: PairConfiguration) -> PotentialResult:
     in reduced variables.
     """
     kappa = _orientation_pq(cfg)[1]
-    energy = -0.5 * (cfg.mu * kappa) ** 2 / cfg.x**6
-    return PotentialResult(energy=energy, abs_err_est=0.0)
+    energy = -0.5 * (cfg.mu * kappa) ** 2 / _power(_column(cfg.x), 6)
+    return PotentialResult(energy=_per_x(cfg.x, energy),
+                           abs_err_est=_per_x(cfg.x, np.zeros_like(energy)))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,10 @@ CSV_COLUMNS = ("x", "r_over_a0", "concurrence_full", "concurrence_near",
 EXTRA_COLUMNS = ("wcp_abs_err", "concurrence_clamped", "margin")
 
 _PRESETS = {"hydrogen-1s2p": model.hydrogen_1s2p}
+# rows a sweep evaluates as one array configuration: enough to spread the
+# cost of a call over its rows, few enough that a chunk's arrays (60
+# Laguerre nodes a row) stay well under a MiB
+_CHUNK_ROWS = 256
 
 
 def _fmt(value) -> str:
@@ -168,7 +172,8 @@ def _resolve_geometry(args):
 
 
 def _coupled(args, n_a, n_b, r_hat, atoms):
-    """mu, and x -> (configuration, r_over_a0) at that coupling."""
+    """mu, and x -> (configuration, r_over_a0) at that coupling, for a float
+    x or an array of them."""
     if args.mu is not None:
         if atoms is not None:
             raise DomainError("give either --mu or dimensional atoms, not both")
@@ -181,30 +186,34 @@ def _coupled(args, n_a, n_b, r_hat, atoms):
                                                   r_hat=r_hat, mu=mu), x / k0)
 
 
-def _column(name: str, law, cfg: model.PairConfiguration, **kwargs):
-    """law(cfg, **kwargs), with a failure inside it reported as an
-    AccuracyError that names the column and x."""
+def _evaluate(cfg: model.PairConfiguration, r_over_a0,
+              isotropic: bool) -> dict[str, list]:
+    """The CSV_COLUMNS and EXTRA_COLUMNS values at every x of cfg, by name,
+    each a list with one value per x.
+
+    A law that fails raises an AccuracyError that names its column and x.
+    """
+    column = "concurrence_full"
     try:
-        return law(cfg, **kwargs)
+        full = entanglement.concurrence_full(cfg)
+        column = "concurrence_near"
+        near = entanglement.concurrence_near(cfg)
+        column = "concurrence_far"
+        far = entanglement.concurrence_far(cfg)
+        eof = entanglement.entanglement_of_formation(full.value)
+        column = "wcp_energy"
+        w = casimir.wcp(cfg, isotropic=isotropic)
     except AccuracyError as exc:  # the library's messages name x
-        raise AccuracyError(f"{name}: {exc}") from None
+        raise AccuracyError(f"{column}: {exc}") from None
     except ArithmeticError as exc:
         # a power of x that overflows, or underflows to 0 and is divided by
-        raise AccuracyError(f"{name}: out of floating-point range at x={cfg.x!r} "
+        raise AccuracyError(f"{column}: out of floating-point range at x={cfg.x!r} "
                             f"({type(exc).__name__})") from None
-
-
-def _evaluate_row(cfg: model.PairConfiguration, r_over_a0: float,
-                  isotropic: bool) -> dict[str, float | str]:
-    """The CSV_COLUMNS and EXTRA_COLUMNS values of one configuration, by name."""
-    full = _column("concurrence_full", entanglement.concurrence_full, cfg)
-    near = _column("concurrence_near", entanglement.concurrence_near, cfg)
-    far = _column("concurrence_far", entanglement.concurrence_far, cfg)
-    eof = entanglement.entanglement_of_formation(full.value)
-    w = _column("wcp_energy", casimir.wcp, cfg, isotropic=isotropic)
-    return dict(zip(CSV_COLUMNS + EXTRA_COLUMNS, (
-        cfg.x, r_over_a0, full.raw, near.raw, far.raw, eof, w.energy,
-        full.validity.flag.value, w.abs_err_est, full.value, full.validity.margin)))
+    validity = [flag.value for flag in np.atleast_1d(full.validity.flag)]
+    values = (cfg.x, r_over_a0, full.raw, near.raw, far.raw, eof, w.energy, validity,
+              w.abs_err_est, full.value, full.validity.margin)
+    return {name: np.atleast_1d(v).tolist()
+            for name, v in zip(CSV_COLUMNS + EXTRA_COLUMNS, values)}
 
 
 def cmd_point(args) -> int:
@@ -225,7 +234,7 @@ def cmd_point(args) -> int:
     else:
         x = args.x
     mu, pair_at = _coupled(args, n_a, n_b, r_hat, atoms)
-    row = _evaluate_row(*pair_at(x), args.isotropic)
+    row = {name: values[0] for name, values in _evaluate(*pair_at(x), args.isotropic).items()}
     print(f"# vacpair point (v{__version__}); atomic units, "
           f"wcp_energy in hbar*omega0")
     entries = [("x", _fmt(row["x"]))]
@@ -282,12 +291,25 @@ def cmd_sweep(args) -> int:
         f"scale={args.scale} isotropic={args.isotropic}\n"
         + ",".join(columns) + "\n")
 
+    def write_rows(out, cfg_and_r_over_a0) -> None:
+        values = _evaluate(*cfg_and_r_over_a0, args.isotropic)
+        out.writelines(",".join(map(_fmt, row)) + "\n"
+                       for row in zip(*(values[c] for c in columns)))
+
     def write(out) -> None:
-        # each row goes out as soon as it is computed, so memory stays flat
+        # a chunk of rows at a time, each written as soon as it is computed,
+        # so memory stays flat however many rows there are
         out.write(header)
-        for x in map(float, xs):
-            row = _evaluate_row(*pair_at(x), args.isotropic)
-            out.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+        for start in range(0, len(xs), _CHUNK_ROWS):
+            chunk = xs[start:start + _CHUNK_ROWS]
+            try:
+                write_rows(out, pair_at(chunk))
+            except AccuracyError:
+                # the rows before the first x that fails, then its error as
+                # `point` reports it there
+                for x in chunk.tolist():
+                    write_rows(out, pair_at(x))
+                raise
 
     if args.output == "-":
         write(sys.stdout)

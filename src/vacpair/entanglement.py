@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 # contracted_tensor is bound here for perfbench's span tracer, which wraps it
-from .kernel import contracted_tensor, cross_coherence_kernel
+from .kernel import _column, _per_x, _power, contracted_tensor, cross_coherence_kernel
 from .model import (PairConfiguration, Validity, ValidityReport,
                     _validity_from_margin, amplitude_c_ee, concurrence_raw,
                     perturbative_validity)
@@ -94,20 +94,20 @@ class SpinCorrelators:
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Concurrence with its weak-coupling validity flag.
+    """Concurrence with its weak-coupling validity flag, one value per x.
 
     value is raw clamped to [0, 1]; raw is preserved so a perturbative
     breakdown stays visible.
     """
 
-    raw: float
-    value: float
+    raw: float | np.ndarray
+    value: float | np.ndarray
     validity: ValidityReport
 
 
-def _result(raw: float, validity: ValidityReport) -> ConcurrenceResult:
-    return ConcurrenceResult(raw=raw, value=min(max(raw, 0.0), 1.0),
-                             validity=validity)
+def _result(raw, validity: ValidityReport) -> ConcurrenceResult:
+    value = np.minimum(np.maximum(_column(raw), 0.0), 1.0)
+    return ConcurrenceResult(raw=raw, value=_per_x(raw, value), validity=validity)
 
 
 def concurrence_full(cfg: PairConfiguration) -> ConcurrenceResult:
@@ -116,16 +116,19 @@ def concurrence_full(cfg: PairConfiguration) -> ConcurrenceResult:
     return _result(raw, _validity_from_margin(raw))
 
 
+@np.errstate(all="ignore")  # beyond _power's checks, float arithmetic: inf or nan
 def concurrence_near(cfg: PairConfiguration) -> ConcurrenceResult:
     """Near-zone law mu |n_a.n_b - 3 (n_a.r)(n_b.r)| / x^3 (for x << 1)."""
-    raw = cfg.mu * abs(cfg.cos_ab - 3.0 * cfg.proj_product) / cfg.x**3
-    return _result(raw, perturbative_validity(cfg))
+    raw = cfg.mu * abs(cfg.cos_ab - 3.0 * cfg.proj_product) / _power(_column(cfg.x), 3)
+    return _result(_per_x(cfg.x, raw), perturbative_validity(cfg))
 
 
+@np.errstate(all="ignore")
 def concurrence_far(cfg: PairConfiguration) -> ConcurrenceResult:
     """Far-zone law (8 mu / pi) |n_a.n_b - 2 (n_a.r)(n_b.r)| / x^4 (for x >> 1)."""
-    raw = (8.0 * cfg.mu / np.pi) * abs(cfg.cos_ab - 2.0 * cfg.proj_product) / cfg.x**4
-    return _result(raw, perturbative_validity(cfg))
+    raw = ((8.0 * cfg.mu / np.pi) * abs(cfg.cos_ab - 2.0 * cfg.proj_product)
+           / _power(_column(cfg.x), 4))
+    return _result(_per_x(cfg.x, raw), perturbative_validity(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +184,21 @@ def wootters_concurrence(state: TwoQubitState | np.ndarray, method: str = "auto"
     return _per_state(c)
 
 
-def entanglement_of_formation(c: float) -> float:
-    """Entanglement of formation of a two-qubit state with concurrence c.
+@np.errstate(all="ignore")  # log2(0) in the branches np.where discards
+def entanglement_of_formation(c):
+    """Entanglement of formation of a two-qubit state with concurrence c,
+    a float or a 1-d array; one value per c.
 
     E_F = H((1 + sqrt(1 - c^2))/2) with H the binary entropy in bits;
     monotone increasing on [0, 1] with E_F(0) = 0 and E_F(1) = 1.
     """
-    if not (np.isfinite(c) and 0.0 <= c <= 1.0):
-        raise DomainError(f"concurrence must lie in [0, 1], got {c}")
-    x = 0.5 * (1.0 + np.sqrt(1.0 - c * c))
-    if x >= 1.0:
-        return 0.0
-    if x <= 0.5:
-        return 1.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+    cs = _column(c)
+    bad = ~((cs >= 0.0) & (cs <= 1.0))  # NaN too; inf lies outside
+    if np.count_nonzero(bad):
+        raise DomainError(f"concurrence must lie in [0, 1], got {cs[bad][0]}")
+    x = 0.5 * (1.0 + np.sqrt(1.0 - cs * cs))
+    entropy = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return _per_x(c, np.where(x >= 1.0, 0.0, np.where(x <= 0.5, 1.0, entropy)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +278,12 @@ def regularized_local_population(cutoff: float) -> float:
     return 2.0 / (3.0 * np.pi) * ell
 
 
+def _one_state(cfg: PairConfiguration, name: str) -> None:
+    if np.ndim(cfg.x):
+        raise DomainError(f"{name} describes one state and takes a float x, "
+                          f"got an array of {np.size(cfg.x)}")
+
+
 def cross_coherence(cfg: PairConfiguration) -> float:
     """Finite cross term X = sum_k c_eg,k c*_ge,k = mu (3 T + x T') / pi."""
     return cfg.mu * cross_coherence_kernel(cfg.x, cfg.cos_ab, cfg.proj_product)
@@ -288,8 +298,10 @@ def c1_c2_from_amplitudes(cfg: PairConfiguration,
     k = cutoff * k0 and P_ee = |c_ee|^2 + L_A L_B + X^2 (the two-photon
     population), P_gg = 1.  c2 is negative by construction, and c1 + mu L
     is |c_ee|, the amplitude behind C = 2 |c_ee|.  The root is a hypot, so
-    c2 stays finite wherever its value does.
+    c2 stays finite wherever its value does.  It describes one state, so
+    cfg's x must be a float.
     """
+    _one_state(cfg, "c1_c2_from_amplitudes")
     local = cfg.mu * regularized_local_population(cutoff)  # checks the cutoff
     cee = amplitude_c_ee(cfg)
     x_coh = cross_coherence(cfg)
@@ -303,8 +315,9 @@ def effective_density_matrix(cfg: PairConfiguration) -> TwoQubitState:
 
     This is the near-zone description with the local dressing terms dropped:
     the field degrees of freedom are eliminated and the pair is left in a
-    pure superposition, so rho^2 = rho exactly.
+    pure superposition, so rho^2 = rho exactly.  cfg's x must be a float.
     """
+    _one_state(cfg, "effective_density_matrix")
     cee = amplitude_c_ee(cfg)
     validity = perturbative_validity(cfg)
     if validity.flag is Validity.INVALID:

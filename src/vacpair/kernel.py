@@ -22,22 +22,60 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .specfun import aux
 
 
-def contracted_tensor(x: float, cos_ab: float, proj_product: float) -> float:
-    """T(x) = n_a . tau(x) . n_b from the orientation invariants.
+def _column(x) -> np.ndarray:
+    """x, a float or a 1-d array, as a 1-d float array (of size 1 for a float)."""
+    return np.array(x, dtype=float, ndmin=1, copy=None)
 
-    cos_ab = n_a.n_b and proj_product = (n_a.r_hat)(n_b.r_hat).
+
+def _per_x(x, values: np.ndarray):
+    """values, one per element of _column(x): the array itself for an array x,
+    and its one value as a Python scalar for a float x."""
+    return values if isinstance(x, np.ndarray) and x.ndim else values.item()
+
+
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n at every x > 0, for a caller that divides by it under np.errstate.
+
+    It raises where a float power and the division by it do: OverflowError
+    where x**n overflows, ZeroDivisionError where it underflows to 0.
     """
-    v = aux(x)
-    f, g = v.f, v.g
-    return ((cos_ab - proj_product) * v.f_double_prime
-            + (cos_ab - 3.0 * proj_product) * (f / x**2 + g / x)) / x
+    p = x**n
+    if np.count_nonzero(np.isinf(p)):
+        raise OverflowError(f"x**{n} out of floating-point range")
+    if np.count_nonzero(p) < p.size:
+        raise ZeroDivisionError(f"x**{n} underflows to 0")
+    return p
 
 
-def cross_coherence_kernel(x: float, cos_ab: float, proj_product: float) -> float:
-    """Cross coherence per unit coupling, X / mu = (3 T + x T') / pi.
+def _aux_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f, g and f'' at every x, from one aux call per element."""
+    values = [aux(v) for v in x.tolist()]
+    return np.array([(v.f, v.g, v.f_double_prime) for v in values]).reshape(-1, 3).T
+
+
+@np.errstate(all="ignore")  # beyond _power's checks, float arithmetic: inf or nan
+def contracted_tensor(x, cos_ab: float, proj_product: float):
+    """T(x) = n_a . tau(x) . n_b from the orientation invariants, one value per x.
+
+    cos_ab = n_a.n_b and proj_product = (n_a.r_hat)(n_b.r_hat); x is a
+    float or a 1-d numpy array.
+    """
+    xs = _column(x)
+    f, g, f_double_prime = _aux_columns(xs)
+    t = ((cos_ab - proj_product) * f_double_prime
+         + (cos_ab - 3.0 * proj_product) * (f / _power(xs, 2) + g / xs)) / xs
+    return _per_x(x, t)
+
+
+@np.errstate(all="ignore")
+def cross_coherence_kernel(x, cos_ab: float, proj_product: float):
+    """Cross coherence per unit coupling, X / mu = (3 T + x T') / pi, one
+    value per x of a float or a 1-d numpy array.
 
     The one-photon cross term (1/pi) int dk k^3 K(k x) / (1 + k)^2 is the
     derivative at omega = 1 of the first-order mode sum
@@ -47,7 +85,8 @@ def cross_coherence_kernel(x: float, cos_ab: float, proj_product: float) -> floa
         X / mu = [ (cos_ab - proj_product) (g + 1/x^2 - 2 f/x)
                    + (cos_ab - 3 proj_product) (f - 1/x) / x ] / pi
     """
-    v = aux(x)
-    f, g = v.f, v.g
-    return ((cos_ab - proj_product) * (g + 1.0 / x**2 - 2.0 * f / x)
-            + (cos_ab - 3.0 * proj_product) * (f - 1.0 / x) / x) / math.pi
+    xs = _column(x)
+    f, g, _ = _aux_columns(xs)
+    k = ((cos_ab - proj_product) * (g + 1.0 / _power(xs, 2) - 2.0 * f / xs)
+         + (cos_ab - 3.0 * proj_product) * (f - 1.0 / xs) / xs) / math.pi
+    return _per_x(x, k)

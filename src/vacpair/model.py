@@ -115,22 +115,33 @@ def hydrogen_1s2p(orientation=(1.0, 0.0, 0.0)) -> TwoLevelAtom:
 class PairConfiguration:
     """Dimensionless description of the two-atom geometry.
 
-    x     : k0 * R, separation in units of the inverse transition wavenumber
+    x     : k0 * R, separation in units of the inverse transition wavenumber,
+            a float or a read-only 1-d array of separations
     n_a   : unit dipole orientation of atom A
     n_b   : unit dipole orientation of atom B
     r_hat : unit vector from B to A
     mu    : coupling strength |d_A| |d_B| k0^3 / (hbar omega0)
+
+    Every law of a configuration gives one value per x: an array for an
+    array x, a float for a float x.  The orientations and mu are checked
+    once, however many separations share them.
     """
 
-    x: float
+    x: float | np.ndarray
     n_a: np.ndarray
     n_b: np.ndarray
     r_hat: np.ndarray
     mu: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.x) and self.x > 0):
-            raise DomainError(f"x must be finite and positive, got {self.x}")
+        x = np.array(self.x, dtype=float, ndmin=1)  # a copy, made read-only below
+        if x.ndim != 1:
+            raise DomainError(f"x must be a float or a 1-d array, got shape {x.shape}")
+        bad = ~(np.isfinite(x) & (x > 0))
+        if np.count_nonzero(bad):
+            raise DomainError(f"x must be finite and positive, got {x[bad][0]}")
+        x.setflags(write=False)
+        object.__setattr__(self, "x", x if np.ndim(self.x) else x.item())
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise DomainError(f"mu must be finite and nonnegative, got {self.mu}")
         for name in ("n_a", "n_b", "r_hat"):
@@ -149,7 +160,7 @@ class PairConfiguration:
         return float((self.n_a @ self.r_hat) * (self.n_b @ self.r_hat))
 
     @cached_property
-    def _tensor(self) -> float:
+    def _tensor(self):
         """T(x), evaluated once per configuration for all the laws that need it."""
         return kernel.contracted_tensor(self.x, self.cos_ab, self.proj_product)
 
@@ -229,8 +240,10 @@ class Validity(enum.Enum):
 
 @dataclass(frozen=True)
 class ValidityReport:
-    flag: Validity
-    margin: float
+    """One flag and margin per x: floats for a float x, arrays for an array x."""
+
+    flag: Validity | np.ndarray
+    margin: float | np.ndarray
 
 
 # Expansion-parameter thresholds; a predicted concurrence above 1 certifies
@@ -239,18 +252,18 @@ _MARGIN_OK = 0.1
 _MARGIN_WARN = 1.0
 
 
-def _validity_from_margin(margin: float) -> ValidityReport:
-    if margin <= _MARGIN_OK:
-        flag = Validity.OK
-    elif margin <= _MARGIN_WARN:
-        flag = Validity.WARN
-    else:
-        flag = Validity.INVALID
-    return ValidityReport(flag=flag, margin=margin)
+def _validity_from_margin(margin) -> ValidityReport:
+    """The flag of each margin; a float margin gets one Validity, an array
+    margin an object array of them.  A NaN margin is INVALID."""
+    m = kernel._column(margin)
+    level = 2 - (m <= _MARGIN_WARN) - (m <= _MARGIN_OK)
+    flags = np.array(list(Validity), dtype=object)[level]  # OK, WARN, INVALID
+    return ValidityReport(flag=kernel._per_x(margin, flags), margin=margin)
 
 
-def amplitude_c_ee(cfg: PairConfiguration) -> float:
-    """Double-excitation amplitude of the dressed ground state.
+@np.errstate(all="ignore")  # float arithmetic: inf where a product overflows
+def amplitude_c_ee(cfg: PairConfiguration):
+    """Double-excitation amplitude of the dressed ground state, one value per x.
 
     c_ee = -(mu/pi) T(x), real and sign carrying; the local (separation
     independent) dressing terms do not enter.
@@ -258,13 +271,14 @@ def amplitude_c_ee(cfg: PairConfiguration) -> float:
     return -cfg.mu / np.pi * cfg._tensor
 
 
-def concurrence_raw(cfg: PairConfiguration) -> float:
-    """Unclamped full-formula concurrence 2 |c_ee| = (2 mu / pi) |T(x)|."""
+@np.errstate(all="ignore")
+def concurrence_raw(cfg: PairConfiguration):
+    """Unclamped full-formula concurrence 2 |c_ee| = (2 mu / pi) |T(x)|, one value per x."""
     return 2.0 * abs(amplitude_c_ee(cfg))
 
 
 def perturbative_validity(cfg: PairConfiguration) -> ValidityReport:
-    """Check whether the weak-coupling expansion is trustworthy.
+    """Check whether the weak-coupling expansion is trustworthy at each x.
 
     The margin is the predicted concurrence magnitude from the full formula;
     OK for margin <= 0.1, WARN up to 1, INVALID above 1.

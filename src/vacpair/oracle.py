@@ -423,9 +423,11 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
         poly = np.polyval(pi_c, kappa)
         return poly * np.exp(2j * kappa * x) / (1.0 + kappa) ** 2
 
-    # Taylor coefficients of N around kappa = 1 from a Cauchy circle
+    # Taylor coefficients of N around kappa = 1 from a Cauchy circle; N grows
+    # like exp(2 x r) on a circle of radius r, so a radius that shrinks as
+    # 1/x from x = 5 on keeps the coefficients' rounding below the window's
     m_nodes = 128
-    radius = 0.2
+    radius = 0.2 * min(1.0, 5.0 / x)
     theta = 2.0 * np.pi * np.arange(m_nodes) / m_nodes
     ring = n_complex(1.0 + radius * np.exp(1j * theta))
     coef = np.array([(ring * np.exp(-1j * k * theta)).mean() / radius**k

@@ -97,10 +97,11 @@ def _trig_reconstruction(grid):
 def _modesum_checks(name, closed_form, modesum, tol, grid, geometries):
     out = []
     for gname, (a, b) in geometries.items():
-        for x in grid:
+        closed = closed_form(np.array(grid), a, b)  # one call per geometry
+        for x, value in zip(grid, closed.tolist()):
             direct = modesum(x, cfg=pair_from_alignment(x, 1.0, a, b)).value
             out.append(_compare(f"{name} vs oracle.{modesum.__name__} x={x} {gname}",
-                                direct, closed_form(x, a, b), tol))
+                                direct, value, tol))
     return out
 
 
@@ -117,24 +118,21 @@ def _zone_checks():
     return out
 
 
-def _random_x_state(rng):
-    diag = rng.dirichlet(np.ones(4))
-    m = np.diag(diag).astype(complex)
-    t14 = rng.uniform(0, 1) * np.sqrt(diag[0] * diag[3])
-    t23 = rng.uniform(0, 1) * np.sqrt(diag[1] * diag[2])
-    ph1, ph2 = rng.uniform(0, 2 * np.pi, size=2)
-    m[0, 3] = t14 * np.exp(1j * ph1)
-    m[3, 0] = np.conj(m[0, 3])
-    m[1, 2] = t23 * np.exp(1j * ph2)
-    m[2, 1] = np.conj(m[1, 2])
+def _random_x_states(rng, n):
+    """n random physical X states, shape (n, 4, 4), one rng call per random quantity."""
+    diag = rng.dirichlet(np.ones(4), size=n)
+    coherence = rng.uniform(0, 1, size=(n, 2)) * np.sqrt(diag[:, [0, 1]] * diag[:, [3, 2]])
+    phases = rng.uniform(0, 2 * np.pi, size=(n, 2))
+    m = np.zeros((n, 4, 4), dtype=complex)
+    m[:, range(4), range(4)] = diag
+    m[:, [0, 1], [3, 2]] = coherence * np.exp(1j * phases)
+    m[:, [3, 2], [0, 1]] = np.conj(m[:, [0, 1], [3, 2]])
     return m
 
 
 def _wootters_checks(n_states, seed=7):
-    rng = np.random.default_rng(seed)
     # one stack, checked once, then shared by both paths
-    state = entanglement.TwoQubitState(
-        np.array([_random_x_state(rng) for _ in range(n_states)]))
+    state = entanglement.TwoQubitState(_random_x_states(np.random.default_rng(seed), n_states))
     closed = entanglement.wootters_concurrence(state, method="xstate")
     general = entanglement.wootters_concurrence(state, method="general")
     worst = np.max(np.abs(closed - general))
@@ -148,8 +146,7 @@ def _eof_checks():
                         0.0, 0.0, relative=False))
     out.append(_compare("E_F(1)", entanglement.entanglement_of_formation(1.0),
                         1.0, 0.0, relative=False))
-    grid = np.linspace(0.0, 1.0, 201)
-    vals = [entanglement.entanglement_of_formation(c) for c in grid]
+    vals = entanglement.entanglement_of_formation(np.linspace(0.0, 1.0, 201))
     out.append(_check_true("E_F monotone on grid",
                            bool(np.all(np.diff(vals) > 0)),
                            float(np.min(np.diff(vals))), 0.0))
@@ -203,24 +200,26 @@ def _casimir_checks(fast=True):
                         entanglement.regularized_local_population(100.0), 1e-9))
     if fast:
         return out
-    # both sides of the x = 2 seam between the f, g reduction and the
-    # Laguerre rule; mixed orientations, so every moment enters
+    # each grid below is one wcp call.  This one crosses the x = 2 seam
+    # between the f, g reduction and the Laguerre rule; mixed orientations,
+    # so every moment enters
     a, b = _GEOMETRIES["mixed"]
-    for x in (0.01, 0.5, 1.99, 2.01, 10.0, 100.0, 1e3, 1e6, 1e9, 1e12):
-        closed = casimir.wcp(pair_from_alignment(x, 1.0, a, b)).energy
+    grid = (0.01, 0.5, 1.99, 2.01, 10.0, 100.0, 1e3, 1e6, 1e9, 1e12)
+    closed = casimir.wcp(pair_from_alignment(np.array(grid), 1.0, a, b)).energy
+    for x, energy in zip(grid, closed.tolist()):
         direct = oracle.dispersion_integral_rotated(x, a - b, a - 3 * b).value
         out.append(_compare(f"wcp closed form vs oracle.dispersion_integral_rotated "
-                            f"x={x}", closed, -(2.0 / np.pi) * direct, 1e-10))
-    for x in (0.5, 1.0, 2.0, 5.0):
-        cfgx = pair_from_alignment(x, 1e-4, 1.0, 0.0)
-        rot = casimir.wcp(cfgx, method="rotated_contour").energy
-        pv = casimir.wcp(cfgx, method="principal_value_oracle").energy
-        out.append(_compare(f"wcp rotated vs principal value x={x}", pv, rot, 1e-6))
+                            f"x={x}", energy, -(2.0 / np.pi) * direct, 1e-10))
+    grid = (0.5, 1.0, 2.0, 5.0)
+    cfgx = pair_from_alignment(np.array(grid), 1e-4, 1.0, 0.0)
+    rot = casimir.wcp(cfgx, method="rotated_contour").energy
+    pv = casimir.wcp(cfgx, method="principal_value_oracle").energy
+    for x, pv_x, rot_x in zip(grid, pv.tolist(), rot.tolist()):
+        out.append(_compare(f"wcp rotated vs principal value x={x}", pv_x, rot_x, 1e-6))
     for window, expected in (((0.005, 0.02), -6.0), ((50.0, 200.0), -7.0)):
         xs = np.geomspace(window[0], window[1], 9)
-        curve = [(x, casimir.wcp(pair_from_alignment(x, 1e-4, 1.0, 0.0)).energy)
-                 for x in xs]
-        fit = casimir.fit_powerlaw(curve, window)
+        energy = casimir.wcp(pair_from_alignment(xs, 1e-4, 1.0, 0.0)).energy
+        fit = casimir.fit_powerlaw(zip(xs, energy), window)
         out.append(_compare(f"wcp log-log slope on {window}", fit.slope,
                             expected, 0.1, relative=False))
     return out

@@ -10,7 +10,7 @@ from vacpair import pair_from_alignment
 # the tests draw X states and use the standard separation grid the way
 # `vacpair validate` does
 from vacpair.validate import _STANDARD_GRID as STANDARD_GRID
-from vacpair.validate import _random_x_state as random_x_state
+from vacpair.validate import _random_x_states
 
 # the CLI tests that start `python -m vacpair.cli` in a child process need the
 # child to import the package these tests import, installed or not
@@ -44,6 +44,10 @@ def longitudinal_pair(x, mu=1e-4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def random_x_state(rng):
+    return _random_x_states(rng, 1)[0]
 
 
 def random_unit(rng):

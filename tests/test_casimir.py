@@ -49,6 +49,17 @@ class TestVdwNear:
     def test_orthogonal_geometry_vanishes(self):
         assert vdw_near(pair_from_alignment(1.0, 1.0, 0.0, 0.0)).energy == 0.0
 
+    def test_array_x_gives_the_float_values(self):
+        xs = np.geomspace(1e-6, 1e12, 41)
+        energy = vdw_near(pair_from_alignment(xs, 1e-3, 1.0, 0.25)).energy
+        assert energy.tolist() == [vdw_near(pair_from_alignment(x, 1e-3, 1.0, 0.25)).energy
+                                   for x in xs.tolist()]
+        # x^6 underflows to 0 at 1e-60: the division by it fails either way,
+        # with no numpy warning for the array
+        for x in (1e-60, np.array([1.0, 1e-60])):
+            with pytest.raises(ZeroDivisionError):
+                vdw_near(pair_from_alignment(x, 1e-3))
+
     def test_concurrence_relation(self, rng):
         # |W_near| = C_near^2 / 2 in units of hbar omega0, any orientations
         for _ in range(10):

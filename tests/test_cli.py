@@ -1,5 +1,6 @@
 """Command-line contract: flags, exit codes, CSV emission, validation runner."""
 
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +8,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vacpair import cli, fit_powerlaw, validate
+from vacpair import PairConfiguration, cli, fit_powerlaw, validate
 from vacpair.entanglement import concurrence_full
 from vacpair.model import pair_from_alignment
+
+from conftest import unit_vectors
 
 HYDROGEN_NEAR_10A0 = 0.0014798105528177165
 
@@ -190,11 +195,9 @@ class TestSweepStreaming:
         assert calls.count("contracted_tensor") == 1
         assert calls.count("aux") == aux_calls
 
-    def test_memory_stays_flat(self, tmp_path, monkeypatch):
-        # rows are written as they are computed, none kept; every row is a
-        # fresh copy of one evaluated row, which keeps tracemalloc's cost small
-        row = cli._evaluate_row(pair_from_alignment(1.0, 1e-4), float("nan"), False)
-        monkeypatch.setattr(cli, "_evaluate_row", lambda *args: dict(row))
+    def test_memory_stays_flat(self, tmp_path):
+        # the real evaluator: rows are computed and written a chunk at a
+        # time, and no chunk is kept once it is written
         argv = ["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e6",
                 "--points", "20000", "--output", str(tmp_path / "long.csv")]
         tracemalloc.start()
@@ -224,6 +227,57 @@ class TestSweepStreaming:
         assert run_cli(argv) == 0
         assert run_cli([*argv, "--output", str(path)]) == 0
         assert path.read_bytes() == capsys.readouterr().out.encode()
+
+
+def _bits(values):
+    """Floats by their bits (float.hex tells -0.0 and nan apart), strings as they are."""
+    return [v if isinstance(v, str) else float(v).hex() for v in values]
+
+
+# both sides of the x = 2 seam of wcp's moments (aux at 2x) and of the x = 4
+# seam of aux's branches
+_SEAMS = [math.nextafter(2.0, 0.0), 2.0, 3.99, 4.0, math.nextafter(4.0, 5.0)]
+
+
+class TestBatchEqualsScalar:
+    @settings(max_examples=60, deadline=None)
+    @given(log_x=st.lists(st.floats(math.log(1e-6), math.log(1e12)), min_size=1,
+                          max_size=40),
+           n_a=unit_vectors, n_b=unit_vectors, r_hat=unit_vectors,
+           mu=st.floats(0.0, 1e-2), isotropic=st.booleans())
+    def test_every_column_of_an_array_call_is_its_float_call(self, log_x, n_a, n_b, r_hat,
+                                                             mu, isotropic):
+        xs = np.array(_SEAMS + [math.exp(v) for v in log_x])
+        k0 = 0.375 / 137.035999084
+
+        def evaluate(x):
+            cfg = PairConfiguration(x=x, n_a=n_a, n_b=n_b, r_hat=r_hat, mu=mu)
+            return cli._evaluate(cfg, x / k0, isotropic)
+
+        batch = evaluate(xs)
+        singles = [evaluate(x) for x in xs.tolist()]
+        assert set(batch) == set(cli.CSV_COLUMNS + cli.EXTRA_COLUMNS)
+        for name, values in batch.items():
+            assert len(values) == len(xs)
+            assert _bits(values) == _bits(row[name][0] for row in singles), name
+
+    def test_overflowing_sweep_prints_the_rows_before_then_what_point_prints(self, capsys):
+        # a power of x overflows from x ~ 1e77, several rows into the sweep
+        argv = ["--mu", "1e-4", "--dipole-a=0.3,-0.4,1.1", "--sep-dir=1,2,3"]
+        assert run_cli(["sweep", *argv, "--xmin", "1", "--xmax", "1e300",
+                        "--points", "50"]) == 1
+        out, err = capsys.readouterr()
+        _, rows = parse_csv(out)
+        assert 0 < len(rows) < 50
+        failing = float(np.geomspace(1.0, 1e300, 50)[len(rows)])
+        assert run_cli(["point", *argv, "--x", repr(failing)]) == 1
+        assert capsys.readouterr() == ("", err)
+        assert err.count("\n") == 1
+        for row in rows:
+            assert run_cli(["point", *argv, "--x", row["x"]]) == 0
+            report = parse_point_report(capsys.readouterr().out)
+            assert report["concurrence_far"] == row["concurrence_far"]
+            assert report["wcp_energy"].split()[0] == row["wcp_energy"]
 
 
 class TestConfigFile:

@@ -384,6 +384,13 @@ class TestCutoffStructure:
         with pytest.raises(AccuracyError, match="regularized_local_population"):
             c1_c2_from_amplitudes(transverse_pair(1.0), cutoff)
 
+    def test_one_state_functions_refuse_an_array_x(self):
+        cfg = transverse_pair(np.array([1.0, 2.0]))
+        with pytest.raises(DomainError, match="c1_c2_from_amplitudes .* float x"):
+            c1_c2_from_amplitudes(cfg, 100.0)
+        with pytest.raises(DomainError, match="effective_density_matrix .* float x"):
+            effective_density_matrix(cfg)
+
     def test_cross_coherence_scales_with_mu(self):
         x1 = cross_coherence(transverse_pair(1.0, mu=1e-3))
         x2 = cross_coherence(transverse_pair(1.0, mu=2e-3))

@@ -321,6 +321,16 @@ class TestDispersionRealAxis:
         rep = dispersion_integral_real_axis(1.0, 1.0, 1.0)
         assert rep.value == pytest.approx(0.8440557973344244, rel=1e-9)
 
+    @pytest.mark.parametrize("x", [10.0, 20.0, 50.0])
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (1.0, 1.0), (1.0, 0.25)])
+    def test_estimate_bounds_the_error_past_x_5(self, x, a, b):
+        # N grows like exp(2 x r) on the Cauchy circle of radius r: at a fixed
+        # r = 0.2 the error reached 6.4e3 times the estimate (a relative 4e2
+        # for the transverse pattern at x = 50)
+        real = dispersion_integral_real_axis(x, a - b, a - 3 * b)
+        rot = dispersion_integral_rotated(x, a - b, a - 3 * b)
+        assert abs(real.value - rot.value) <= 0.1 * real.abs_err_est
+
 
 def _mp_dispersion(x, cos_ab, proj_product):
     """J(x) from its moments I_n(2x) = int v^n e^(-2xv)/(1+v^2)^2 dv, reduced
