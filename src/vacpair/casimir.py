@@ -55,7 +55,7 @@ import numpy as np
 
 from . import specfun
 from .errors import AccuracyError, DomainError
-from .kernel import _column, _per_x, _power
+from .kernel import checked_power, per_x
 from .model import PairConfiguration
 
 
@@ -171,7 +171,7 @@ def _radial_integral(x: np.ndarray, coeffs: list[float], sizes: list[float]) -> 
     return total * u * u  # its two rows: the sum and its error bound
 
 
-@np.errstate(all="ignore")  # float arithmetic; an energy that overflows raises below
+@per_x  # an energy that overflows raises below
 def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour",
         isotropic: bool = False) -> PotentialResult:
     """Casimir-Polder energy of the configured pair, one value per x.
@@ -191,7 +191,7 @@ def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour
     method = PotentialMethod(method)
     prefactor = -(2.0 / np.pi) * cfg.mu**2
     weight, channels = _channels(cfg, isotropic)
-    x = _column(cfg.x)
+    x = cfg.x
     if method is PotentialMethod.ROTATED_CONTOUR:
         # the prefactor goes in before the 1/x^(6-n) scaling, so W stays finite
         # wherever it is representable
@@ -210,10 +210,10 @@ def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour
     overflows = ~np.isfinite(energy)
     if np.count_nonzero(overflows):
         raise AccuracyError(f"wcp: the energy overflows at x={x[overflows][0].item()!r}")
-    return PotentialResult(energy=_per_x(cfg.x, energy), abs_err_est=_per_x(cfg.x, err))
+    return PotentialResult(energy=energy, abs_err_est=err)
 
 
-@np.errstate(all="ignore")  # beyond _power's checks, float arithmetic: inf or nan
+@per_x
 def vdw_near(cfg: PairConfiguration) -> PotentialResult:
     """Electrostatic (London) limit of the pair energy, one value per x.
 
@@ -224,9 +224,8 @@ def vdw_near(cfg: PairConfiguration) -> PotentialResult:
     in reduced variables.
     """
     kappa = _orientation_pq(cfg)[1]
-    energy = -0.5 * (cfg.mu * kappa) ** 2 / _power(_column(cfg.x), 6)
-    return PotentialResult(energy=_per_x(cfg.x, energy),
-                           abs_err_est=_per_x(cfg.x, np.zeros_like(energy)))
+    energy = -0.5 * (cfg.mu * kappa) ** 2 / checked_power(cfg.x, 6)
+    return PotentialResult(energy=energy, abs_err_est=np.zeros_like(energy))
 
 
 @dataclass(frozen=True)

@@ -206,8 +206,11 @@ def _evaluate(cfg: model.PairConfiguration, r_over_a0,
     except AccuracyError as exc:  # the library's messages name x
         raise AccuracyError(f"{column}: {exc}") from None
     except ArithmeticError as exc:
-        # a power of x that overflows, or underflows to 0 and is divided by
-        raise AccuracyError(f"{column}: out of floating-point range at x={cfg.x!r} "
+        # a power of x that overflows, or underflows to 0 and is divided by;
+        # a chunk's caller redoes it row by row to find the x
+        where = (f"x={cfg.x!r}" if np.ndim(cfg.x) == 0
+                 else "an x in [{!r}, {!r}]".format(*cfg.x[[0, -1]].tolist()))
+        raise AccuracyError(f"{column}: out of floating-point range at {where} "
                             f"({type(exc).__name__})") from None
     validity = [flag.value for flag in np.atleast_1d(full.validity.flag)]
     values = (cfg.x, r_over_a0, full.raw, near.raw, far.raw, eof, w.energy, validity,
@@ -304,12 +307,13 @@ def cmd_sweep(args) -> int:
             chunk = xs[start:start + _CHUNK_ROWS]
             try:
                 write_rows(out, pair_at(chunk))
-            except AccuracyError:
+            except AccuracyError as exc:
                 # the rows before the first x that fails, then its error as
                 # `point` reports it there
                 for x in chunk.tolist():
                     write_rows(out, pair_at(x))
-                raise
+                raise RuntimeError(f"a sweep chunk failed but none of its rows "
+                                   f"did: {exc}") from None
 
     if args.output == "-":
         write(sys.stdout)

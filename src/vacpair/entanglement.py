@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 # contracted_tensor is bound here for perfbench's span tracer, which wraps it
-from .kernel import _column, _per_x, _power, contracted_tensor, cross_coherence_kernel
+from .kernel import checked_power, contracted_tensor, cross_coherence_kernel, per_x
 from .model import (PairConfiguration, Validity, ValidityReport,
                     _validity_from_margin, amplitude_c_ee, concurrence_raw,
                     perturbative_validity)
@@ -105,30 +105,31 @@ class ConcurrenceResult:
     validity: ValidityReport
 
 
-def _result(raw, validity: ValidityReport) -> ConcurrenceResult:
-    value = np.minimum(np.maximum(_column(raw), 0.0), 1.0)
-    return ConcurrenceResult(raw=raw, value=_per_x(raw, value), validity=validity)
+def _result(raw: np.ndarray, validity: ValidityReport) -> ConcurrenceResult:
+    return ConcurrenceResult(raw=raw, value=np.minimum(np.maximum(raw, 0.0), 1.0),
+                             validity=validity)
 
 
+@per_x
 def concurrence_full(cfg: PairConfiguration) -> ConcurrenceResult:
     """Vacuum-induced concurrence C = 2 |c_ee|, valid at any separation."""
     raw = concurrence_raw(cfg)  # also the validity margin, so classify it here
     return _result(raw, _validity_from_margin(raw))
 
 
-@np.errstate(all="ignore")  # beyond _power's checks, float arithmetic: inf or nan
+@per_x
 def concurrence_near(cfg: PairConfiguration) -> ConcurrenceResult:
     """Near-zone law mu |n_a.n_b - 3 (n_a.r)(n_b.r)| / x^3 (for x << 1)."""
-    raw = cfg.mu * abs(cfg.cos_ab - 3.0 * cfg.proj_product) / _power(_column(cfg.x), 3)
-    return _result(_per_x(cfg.x, raw), perturbative_validity(cfg))
+    raw = cfg.mu * abs(cfg.cos_ab - 3.0 * cfg.proj_product) / checked_power(cfg.x, 3)
+    return _result(raw, perturbative_validity(cfg))
 
 
-@np.errstate(all="ignore")
+@per_x
 def concurrence_far(cfg: PairConfiguration) -> ConcurrenceResult:
     """Far-zone law (8 mu / pi) |n_a.n_b - 2 (n_a.r)(n_b.r)| / x^4 (for x >> 1)."""
     raw = ((8.0 * cfg.mu / np.pi) * abs(cfg.cos_ab - 2.0 * cfg.proj_product)
-           / _power(_column(cfg.x), 4))
-    return _result(_per_x(cfg.x, raw), perturbative_validity(cfg))
+           / checked_power(cfg.x, 4))
+    return _result(raw, perturbative_validity(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def wootters_concurrence(state: TwoQubitState | np.ndarray, method: str = "auto"
     return _per_state(c)
 
 
-@np.errstate(all="ignore")  # log2(0) in the branches np.where discards
+@per_x  # log2(0) in the branches np.where discards is no warning
 def entanglement_of_formation(c):
     """Entanglement of formation of a two-qubit state with concurrence c,
     a float or a 1-d array; one value per c.
@@ -192,13 +193,12 @@ def entanglement_of_formation(c):
     E_F = H((1 + sqrt(1 - c^2))/2) with H the binary entropy in bits;
     monotone increasing on [0, 1] with E_F(0) = 0 and E_F(1) = 1.
     """
-    cs = _column(c)
-    bad = ~((cs >= 0.0) & (cs <= 1.0))  # NaN too; inf lies outside
+    bad = ~((c >= 0.0) & (c <= 1.0))  # NaN too; inf lies outside
     if np.count_nonzero(bad):
-        raise DomainError(f"concurrence must lie in [0, 1], got {cs[bad][0]}")
-    x = 0.5 * (1.0 + np.sqrt(1.0 - cs * cs))
+        raise DomainError(f"concurrence must lie in [0, 1], got {c[bad][0]}")
+    x = 0.5 * (1.0 + np.sqrt(1.0 - c * c))
     entropy = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-    return _per_x(c, np.where(x >= 1.0, 0.0, np.where(x <= 0.5, 1.0, entropy)))
+    return np.where(x >= 1.0, 0.0, np.where(x <= 0.5, 1.0, entropy))
 
 
 # ---------------------------------------------------------------------------

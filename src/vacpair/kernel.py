@@ -20,6 +20,8 @@ through cos_ab = n_a.n_b and proj_product = (n_a.r_hat)(n_b.r_hat).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -27,19 +29,42 @@ import numpy as np
 from .specfun import aux
 
 
-def _column(x) -> np.ndarray:
-    """x, a float or a 1-d array, as a 1-d float array (of size 1 for a float)."""
-    return np.array(x, dtype=float, ndmin=1, copy=None)
+def per_x(law):
+    """Decorator for a law that gives one value per x, written over arrays only.
+
+    The law's first argument is x, a float or a 1-d array, or a
+    configuration that carries one as its x.  The law receives x as a 1-d
+    float array, of size 1 for a float, or the configuration as its
+    `column` (the same configuration with such an x), and returns an array
+    of one value per x or a dataclass of them.  numpy's floating-point
+    warnings are off inside it: each law checks what it can overflow.  For
+    a float x every array of the result comes back as its one Python scalar.
+    """
+    @functools.wraps(law)
+    def one_value_per_x(first, *args, **kwargs):
+        if hasattr(first, "column"):  # a configuration
+            x, column = first.x, first.column
+        else:
+            x, column = first, np.atleast_1d(np.asarray(first, dtype=float))
+        with np.errstate(all="ignore"):
+            result = law(column, *args, **kwargs)
+        return result if np.ndim(x) else _scalars(result)
+    return one_value_per_x
 
 
-def _per_x(x, values: np.ndarray):
-    """values, one per element of _column(x): the array itself for an array x,
-    and its one value as a Python scalar for a float x."""
-    return values if isinstance(x, np.ndarray) and x.ndim else values.item()
+def _scalars(result):
+    """result with each size-1 array in it, in nested dataclasses too, as
+    its one Python scalar."""
+    if isinstance(result, np.ndarray):
+        return result.item()
+    if dataclasses.is_dataclass(result):
+        return dataclasses.replace(result, **{f.name: _scalars(getattr(result, f.name))
+                                              for f in dataclasses.fields(result)})
+    return result
 
 
-def _power(x: np.ndarray, n: int) -> np.ndarray:
-    """x**n at every x > 0, for a caller that divides by it under np.errstate.
+def checked_power(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n at every x > 0, for a law that divides by it.
 
     It raises where a float power and the division by it do: OverflowError
     where x**n overflows, ZeroDivisionError where it underflows to 0.
@@ -58,21 +83,19 @@ def _aux_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array([(v.f, v.g, v.f_double_prime) for v in values]).reshape(-1, 3).T
 
 
-@np.errstate(all="ignore")  # beyond _power's checks, float arithmetic: inf or nan
+@per_x
 def contracted_tensor(x, cos_ab: float, proj_product: float):
     """T(x) = n_a . tau(x) . n_b from the orientation invariants, one value per x.
 
     cos_ab = n_a.n_b and proj_product = (n_a.r_hat)(n_b.r_hat); x is a
     float or a 1-d numpy array.
     """
-    xs = _column(x)
-    f, g, f_double_prime = _aux_columns(xs)
-    t = ((cos_ab - proj_product) * f_double_prime
-         + (cos_ab - 3.0 * proj_product) * (f / _power(xs, 2) + g / xs)) / xs
-    return _per_x(x, t)
+    f, g, f_double_prime = _aux_columns(x)
+    return ((cos_ab - proj_product) * f_double_prime
+            + (cos_ab - 3.0 * proj_product) * (f / checked_power(x, 2) + g / x)) / x
 
 
-@np.errstate(all="ignore")
+@per_x
 def cross_coherence_kernel(x, cos_ab: float, proj_product: float):
     """Cross coherence per unit coupling, X / mu = (3 T + x T') / pi, one
     value per x of a float or a 1-d numpy array.
@@ -85,8 +108,6 @@ def cross_coherence_kernel(x, cos_ab: float, proj_product: float):
         X / mu = [ (cos_ab - proj_product) (g + 1/x^2 - 2 f/x)
                    + (cos_ab - 3 proj_product) (f - 1/x) / x ] / pi
     """
-    xs = _column(x)
-    f, g, _ = _aux_columns(xs)
-    k = ((cos_ab - proj_product) * (g + 1.0 / _power(xs, 2) - 2.0 * f / xs)
-         + (cos_ab - 3.0 * proj_product) * (f - 1.0 / xs) / xs) / math.pi
-    return _per_x(x, k)
+    f, g, _ = _aux_columns(x)
+    return ((cos_ab - proj_product) * (g + 1.0 / checked_power(x, 2) - 2.0 * f / x)
+            + (cos_ab - 3.0 * proj_product) * (f - 1.0 / x) / x) / math.pi

@@ -9,6 +9,7 @@ orders of magnitude of unity; hbar = 1 drops out of every formula.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 import sys
@@ -123,8 +124,8 @@ class PairConfiguration:
     mu    : coupling strength |d_A| |d_B| k0^3 / (hbar omega0)
 
     Every law of a configuration gives one value per x: an array for an
-    array x, a float for a float x.  The orientations and mu are checked
-    once, however many separations share them.
+    array x, a float for a float x (kernel.per_x).  The orientations and mu
+    are checked once, however many separations share them.
     """
 
     x: float | np.ndarray
@@ -158,6 +159,12 @@ class PairConfiguration:
     def proj_product(self) -> float:
         """(n_a . r_hat)(n_b . r_hat)"""
         return float((self.n_a @ self.r_hat) * (self.n_b @ self.r_hat))
+
+    @cached_property
+    def column(self) -> PairConfiguration:
+        """This configuration with x as a 1-d array, of size 1 for a float x:
+        the form the laws compute with, so that they share its T(x)."""
+        return self if np.ndim(self.x) else dataclasses.replace(self, x=np.array([self.x]))
 
     @cached_property
     def _tensor(self):
@@ -252,16 +259,15 @@ _MARGIN_OK = 0.1
 _MARGIN_WARN = 1.0
 
 
-def _validity_from_margin(margin) -> ValidityReport:
-    """The flag of each margin; a float margin gets one Validity, an array
-    margin an object array of them.  A NaN margin is INVALID."""
-    m = kernel._column(margin)
-    level = 2 - (m <= _MARGIN_WARN) - (m <= _MARGIN_OK)
+def _validity_from_margin(margin: np.ndarray) -> ValidityReport:
+    """The flag of each margin, as an object array of Validity; a NaN
+    margin is INVALID."""
+    level = 2 - (margin <= _MARGIN_WARN) - (margin <= _MARGIN_OK)
     flags = np.array(list(Validity), dtype=object)[level]  # OK, WARN, INVALID
-    return ValidityReport(flag=kernel._per_x(margin, flags), margin=margin)
+    return ValidityReport(flag=flags, margin=margin)
 
 
-@np.errstate(all="ignore")  # float arithmetic: inf where a product overflows
+@kernel.per_x
 def amplitude_c_ee(cfg: PairConfiguration):
     """Double-excitation amplitude of the dressed ground state, one value per x.
 
@@ -271,12 +277,13 @@ def amplitude_c_ee(cfg: PairConfiguration):
     return -cfg.mu / np.pi * cfg._tensor
 
 
-@np.errstate(all="ignore")
+@kernel.per_x
 def concurrence_raw(cfg: PairConfiguration):
     """Unclamped full-formula concurrence 2 |c_ee| = (2 mu / pi) |T(x)|, one value per x."""
     return 2.0 * abs(amplitude_c_ee(cfg))
 
 
+@kernel.per_x
 def perturbative_validity(cfg: PairConfiguration) -> ValidityReport:
     """Check whether the weak-coupling expansion is trustworthy at each x.
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from vacpair import PairConfiguration, cli, fit_powerlaw, validate
 from vacpair.entanglement import concurrence_full
+from vacpair.errors import AccuracyError
 from vacpair.model import pair_from_alignment
 
 from conftest import unit_vectors
@@ -278,6 +279,29 @@ class TestBatchEqualsScalar:
             report = parse_point_report(capsys.readouterr().out)
             assert report["concurrence_far"] == row["concurrence_far"]
             assert report["wcp_energy"].split()[0] == row["wcp_energy"]
+
+    def test_a_chunk_that_fails_where_no_row_does_is_an_internal_error(self, monkeypatch,
+                                                                        capsys):
+        evaluate = cli._evaluate
+
+        def chunks_fail(cfg, r_over_a0, isotropic):
+            if np.ndim(cfg.x):
+                raise AccuracyError("wcp_energy: a chunk-only failure")
+            return evaluate(cfg, r_over_a0, isotropic)
+
+        monkeypatch.setattr(cli, "_evaluate", chunks_fail)
+        with pytest.raises(RuntimeError, match="none of its rows did: wcp_energy"):
+            run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "10",
+                     "--points", "5"])
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 5
+
+    def test_a_failing_chunk_names_its_span_of_x_in_one_line(self):
+        cfg = pair_from_alignment(np.array([1.0, 1e50, 1e120]), 1e-4)
+        with pytest.raises(AccuracyError) as info:
+            cli._evaluate(cfg, cfg.x, False)
+        assert str(info.value) == ("concurrence_near: out of floating-point range at "
+                                   "an x in [1.0, 1e+120] (OverflowError)")
 
 
 class TestConfigFile:
