@@ -32,8 +32,9 @@ Below s = 4 they reduce exactly to the auxiliary functions f, g at s
 
 which specfun.aux evaluates on its power-series branch.  The subtractions
 cancel like s^4, so from s = 4 on a 60-node Gauss-Laguerre rule in t = s v
-(A&S 25.4.45) takes over: the integrand's poles at t = +-i s are far from
-its nodes there.  Against 120-digit mpmath over 300 log-spaced x in
+(A&S 25.4.45; numpy's laggauss to the bit, built without numpy.polynomial
+by _laguerre_rule) takes over: the integrand's poles at t = +-i s are far
+from its nodes there.  Against 120-digit mpmath over 300 log-spaced x in
 [1e-6, 1e12], three random geometries and the isotropic average, the worst
 relative error is 2.2e-14.  The sum is formed by Horner's rule in 1/x, so
 no power of x is formed and W overflows only where its value does.
@@ -110,9 +111,36 @@ _EPS = sys.float_info.epsilon
 _LAGUERRE_REL_ERR = 1e-13
 
 
+def _laguerre_series(t: np.ndarray, c: list[float]) -> np.ndarray:
+    """sum_k c[k] L_k(t) by the Clenshaw recurrence of numpy's lagval."""
+    nd, c0, c1 = len(c), c[-2], c[-1]
+    for ck in c[-3::-1]:
+        nd -= 1
+        c0, c1 = ck - (c1 * (nd - 1)) / nd, c0 + (c1 * ((2 * nd - 1) - t)) / nd
+    return c0 + c1 * (1 - t)
+
+
 @functools.cache
 def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.laguerre.laggauss(60)
+    """The 60-point Gauss-Laguerre rule (A&S 25.4.45), by numpy's laggauss
+    steps: eigenvalues of the symmetric companion matrix, one Newton step
+    (L_60' = -sum_{k<60} L_k), weights 1/(L_59 L_60') from max-scaled
+    factors, normalised.  It matches numpy's rule bit for bit, which the
+    errors quoted above and every printed energy were measured with; a rule
+    as accurate but rounded otherwise (Golub-Welsch) would move them.
+    """
+    n = 60
+    k = np.arange(1.0, n)
+    t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) - np.diag(k, 1) - np.diag(k, -1))
+    c = [0.0] * n + [1.0]
+    dy, df = _laguerre_series(t, c), _laguerre_series(t, [-1.0] * n)
+    t -= dy / df
+    fm = _laguerre_series(t, c[1:])
+    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w /= w.sum()
+    for a in (t, w):
+        a.setflags(write=False)  # shared by every caller
+    return t, w
 
 
 def _moments(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

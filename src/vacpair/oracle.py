@@ -56,9 +56,39 @@ _QUAD_ROUNDING = 50.0 * np.finfo(float).eps
 _FUNC_BLOCK = 1 << 14
 
 
+def _legendre_series(t: np.ndarray, c: list[float]) -> np.ndarray:
+    """sum_k c[k] P_k(t) by the Clenshaw recurrence of numpy's legval."""
+    nd, c0, c1 = len(c), c[-2], c[-1]
+    for ck in c[-3::-1]:
+        nd -= 1
+        c0, c1 = ck - c1 * ((nd - 1) / nd), c0 + c1 * t * ((2 * nd - 1) / nd)
+    return c0 + c1 * t
+
+
 @functools.cache
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule, n >= 2 (A&S 25.4.29), by numpy's
+    leggauss steps: eigenvalues of the scaled companion matrix, one Newton
+    step (P_n' = sum (2k + 1) P_k, k = n-1, n-3, ...), weights
+    1/(P_(n-1) P_n') from max-scaled factors, symmetrised and normalised.
+    It matches numpy's rule bit for bit: a Golub-Welsch rule as accurate
+    moved modesum_first_order at x = 100 from 2.9e-11 to 1.3e-10 relative
+    error, past the mpmath tests' 1e-10.
+    """
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    t = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = [0.0] * n + [1.0]
+    derivative = [2.0 * k + 1.0 if (n - 1 - k) % 2 == 0 else 0.0 for k in range(n)]
+    dy, df = _legendre_series(t, c), _legendre_series(t, derivative)
+    t -= dy / df
+    fm = _legendre_series(t, c[1:])
+    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w, t = (w + w[::-1]) / 2, (t - t[::-1]) / 2
+    w *= 2.0 / w.sum()
+    for a in (t, w):
+        a.setflags(write=False)  # shared by every caller
+    return t, w
 
 
 def _gauss_pair(func, lo: np.ndarray, hi: np.ndarray,
@@ -135,6 +165,9 @@ def _quad(func, a: float, b: float, *, where: str, epsrel: float,
                                      in zip((lo, hi, value, err, floor), added))
 
 
+# a full validate run reads 18 distinct m; the bound keeps the weights of
+# many long tails (m of 9x at separation x) from piling up
+@functools.lru_cache(maxsize=64)
 def _binomial_weights(m: int) -> np.ndarray:
     """C(m, i) / 2^m for i = 0..m, the weights of m rounds of pairwise means.
 
@@ -146,7 +179,9 @@ def _binomial_weights(m: int) -> np.ndarray:
     upper = np.cumprod((m + 1 - k) / k)  # C(m, k) / C(m, m // 2)
     centre = [1.0] if m % 2 == 0 else []
     w = np.concatenate((upper[::-1], centre, upper))
-    return w / w.sum()
+    w /= w.sum()
+    w.setflags(write=False)  # shared by every caller
+    return w
 
 
 def _euler_average(terms: np.ndarray, lengths) -> tuple[float, float, list[float]]:

@@ -5,10 +5,16 @@ module; this suite evaluates both sides of each pair and reports the
 disagreement against a pinned tolerance.  The fast level runs a subset grid
 in well under a minute; the full level covers the complete grid including the
 two independent Casimir-Polder evaluations.
+
+The random X states and pair configurations come from the standard
+library's seeded `random.Random`, which numpy's import has already loaded,
+so no run loads `numpy.random`.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,11 +124,15 @@ def _zone_checks():
     return out
 
 
-def _random_x_states(rng, n):
-    """n random physical X states, shape (n, 4, 4), one rng call per random quantity."""
-    diag = rng.dirichlet(np.ones(4), size=n)
-    coherence = rng.uniform(0, 1, size=(n, 2)) * np.sqrt(diag[:, [0, 1]] * diag[:, [3, 2]])
-    phases = rng.uniform(0, 2 * np.pi, size=(n, 2))
+def _random_x_states(rng: random.Random, n):
+    """n random physical X states, shape (n, 4, 4): Dirichlet(1, 1, 1, 1)
+    populations (four exponential draws over their sum), and coherences
+    uniform fractions of their positivity bounds with uniform phases."""
+    draws = np.array([[rng.expovariate(1.0) for _ in range(4)]
+                      + [rng.random() for _ in range(4)] for _ in range(n)])
+    diag = draws[:, :4] / draws[:, :4].sum(axis=1, keepdims=True)
+    coherence = draws[:, 4:6] * np.sqrt(diag[:, [0, 1]] * diag[:, [3, 2]])
+    phases = 2 * np.pi * draws[:, 6:]
     m = np.zeros((n, 4, 4), dtype=complex)
     m[:, range(4), range(4)] = diag
     m[:, [0, 1], [3, 2]] = coherence * np.exp(1j * phases)
@@ -132,7 +142,7 @@ def _random_x_states(rng, n):
 
 def _wootters_checks(n_states, seed=7):
     # one stack, checked once, then shared by both paths
-    state = entanglement.TwoQubitState(_random_x_states(np.random.default_rng(seed), n_states))
+    state = entanglement.TwoQubitState(_random_x_states(random.Random(seed), n_states))
     closed = entanglement.wootters_concurrence(state, method="xstate")
     general = entanglement.wootters_concurrence(state, method="general")
     worst = np.max(np.abs(closed - general))
@@ -154,12 +164,12 @@ def _eof_checks():
 
 
 def _triangle_checks(n_cfg, seed=11):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(n_cfg):
-        x = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
-        a = float(rng.uniform(-1, 1))
-        b = float(rng.uniform(0.0, 0.4)) * a
+        x = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+        a = rng.uniform(-1, 1)
+        b = rng.uniform(0.0, 0.4) * a
         cfg = pair_from_alignment(x, 10 ** rng.uniform(-4, -3), a, b)
         cee = entanglement.amplitude_c_ee(cfg)
         if abs(cee) < 1e-14:

@@ -1,4 +1,5 @@
 import os
+import random
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,8 @@ def rng():
 
 
 def random_x_state(rng):
-    return _random_x_states(rng, 1)[0]
+    # the stdlib generator `vacpair validate` draws from, seeded from rng
+    return _random_x_states(random.Random(int(rng.integers(2**63))), 1)[0]
 
 
 def random_unit(rng):

@@ -545,6 +545,29 @@ class TestLazyValidate:
         assert proc.stderr == ""
 
 
+# run in a child, where nothing has loaded numpy's lazy submodules yet
+_WITHOUT_LAZY_NUMPY = """
+import sys
+from vacpair.cli import main
+assert main(["point", "--mu", "1e-4", "--x", "30"]) == 0
+assert main(["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e6",
+             "--points", "20"]) == 0
+assert main(["validate", "--level", "fast"]) == 0
+loaded = [name for name in ("numpy.polynomial", "numpy.random") if name in sys.modules]
+assert not loaded, loaded
+"""
+
+
+class TestLazyNumpy:
+    def test_cli_paths_load_neither_polynomial_nor_random(self):
+        # the quadrature rules are built with numpy.linalg and validate draws
+        # from the standard library's random
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_LAZY_NUMPY],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+
 class TestValidateCommand:
     def test_fast_level_passes(self, capsys):
         code = run_cli(["validate", "--level", "fast"])

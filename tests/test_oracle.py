@@ -11,7 +11,8 @@ import pytest
 from vacpair import AccuracyError, DomainError, oracle, pair_from_alignment, validate
 from vacpair.entanglement import regularized_local_population
 from vacpair.kernel import contracted_tensor, cross_coherence_kernel
-from vacpair.oracle import (_default_segments, _euler_average, _gauss_pair, _quad,
+from vacpair.oracle import (_binomial_weights, _default_segments, _euler_average,
+                            _gauss_pair, _gauss_rule, _quad,
                             aux_integral_rep,
                             dispersion_integral_real_axis,
                             dispersion_integral_rotated,
@@ -388,6 +389,23 @@ class TestDispersionRotated:
         with pytest.raises(AccuracyError,
                            match="dispersion_integral_rotated at x=1e-52: .*not finite"):
             dispersion_integral_rotated(1e-52, 0.75, 0.25)
+
+
+class TestRules:
+    @pytest.mark.parametrize("n", [10, 16, 21, 24])
+    def test_gauss_rule_is_numpys_bit_for_bit(self, n):
+        # built without numpy.polynomial: an equally accurate rule rounded
+        # another way moves the mode sums past their mpmath tolerance
+        t, w = _gauss_rule(n)
+        expected = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(t, expected[0]) and np.array_equal(w, expected[1])
+        assert not (t.flags.writeable or w.flags.writeable)
+
+    def test_binomial_weights_are_shared_read_only(self):
+        w = _binomial_weights(7)
+        assert _binomial_weights(7) is w
+        assert not w.flags.writeable
+        assert w * 2**7 == pytest.approx([math.comb(7, i) for i in range(8)], rel=1e-15)
 
 
 class TestQuad:
