@@ -4,8 +4,7 @@ oracles for every closed form."""
 
 __version__ = "0.1.0"
 
-from .casimir import (PotentialMethod, PotentialResult, PowerLawFit,
-                      fit_powerlaw, vdw_near, wcp)
+from .casimir import PotentialResult, PowerLawFit, fit_powerlaw, vdw_near, wcp
 from .entanglement import (ConcurrenceResult, SpinCorrelators, TwoQubitState,
                            amplitude_c_ee, c1_c2_from_amplitudes,
                            concurrence_far, concurrence_full, concurrence_near,
@@ -21,9 +20,9 @@ from .specfun import AuxFunValue, aux, ci, si
 
 __all__ = [
     "AccuracyError", "AuxFunValue", "ConcurrenceResult", "DomainError",
-    "FrequencyMismatchError", "PairConfiguration", "PotentialMethod",
-    "PotentialResult", "PowerLawFit", "SpinCorrelators", "TwoLevelAtom",
-    "TwoQubitState", "Validity", "ValidityReport",
+    "FrequencyMismatchError", "PairConfiguration", "PotentialResult",
+    "PowerLawFit", "SpinCorrelators", "TwoLevelAtom", "TwoQubitState",
+    "Validity", "ValidityReport",
     "amplitude_c_ee", "aux", "c1_c2_from_amplitudes", "ci", "concurrence_far",
     "concurrence_full", "concurrence_near", "contracted_tensor",
     "correlators_from_state", "effective_density_matrix",

@@ -46,7 +46,6 @@ through the resonance pole (oracle.dispersion_integral_real_axis).
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import sys
@@ -58,11 +57,6 @@ from . import specfun
 from .errors import AccuracyError, DomainError
 from .kernel import checked_power, per_x
 from .model import PairConfiguration
-
-
-class PotentialMethod(enum.Enum):
-    ROTATED_CONTOUR = "rotated_contour"
-    PRINCIPAL_VALUE_ORACLE = "principal_value_oracle"
 
 
 @dataclass(frozen=True)
@@ -200,7 +194,7 @@ def _radial_integral(x: np.ndarray, coeffs: list[float], sizes: list[float]) -> 
 
 
 @per_x  # an energy that overflows raises below
-def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour",
+def wcp(cfg: PairConfiguration, method: str = "rotated_contour",
         isotropic: bool = False) -> PotentialResult:
     """Casimir-Polder energy of the configured pair, one value per x.
 
@@ -211,16 +205,17 @@ def wcp(cfg: PairConfiguration, method: str | PotentialMethod = "rotated_contour
     [1e-6, 1e12].  abs_err_est carries aux's error through the reduction,
     or the rule's stated bound of 1e-13 per moment, plus the rounding.
     "principal_value_oracle" evaluates the equivalent real-axis finite-part
-    integral as an independent check.  isotropic=True uses rotationally
-    averaged polarizabilities instead of the fixed dipole orientations.
-    The energy is in units of hbar omega0; AccuracyError is raised where it
-    overflows the floating-point range, naming the first such x.
+    integral as an independent check; another method raises DomainError.
+    isotropic=True uses rotationally averaged polarizabilities instead of
+    the fixed dipole orientations.  The energy is in units of hbar omega0;
+    where it or mu**2 overflows, AccuracyError names the first x (per_x).
     """
-    method = PotentialMethod(method)
+    if method not in ("rotated_contour", "principal_value_oracle"):
+        raise DomainError(f"unknown method {method!r}")
     prefactor = -(2.0 / np.pi) * cfg.mu**2
     weight, channels = _channels(cfg, isotropic)
     x = cfg.x
-    if method is PotentialMethod.ROTATED_CONTOUR:
+    if method == "rotated_contour":
         # the prefactor goes in before the 1/x^(6-n) scaling, so W stays finite
         # wherever it is representable
         scale = prefactor * weight

@@ -1,7 +1,8 @@
 """Command-line interface: single-point evaluation, distance sweeps to CSV,
 and the closed-form/oracle validation suite.
 
-Exit codes: 0 success, 1 validation or accuracy failure, 2 usage error.
+Exit codes: 0 success, 1 validation or accuracy failure (AccuracyError, which
+names the first x at fault), 2 usage error (DomainError), each one stderr line.
 A configuration file (flat key=value lines, keys mirroring the long flags)
 can be supplied with --config or the VACPAIR_CONFIG environment variable.
 Its lines are parsed as flags placed ahead of the command line's, so file
@@ -18,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, casimir, entanglement, model
+from . import __version__, casimir, entanglement, kernel, model
 from .errors import AccuracyError, DomainError
 
 BOHR_RADIUS_SI = 5.29177210903e-11  # m
@@ -182,8 +183,9 @@ def _coupled(args, n_a, n_b, r_hat, atoms):
         raise DomainError("a coupling is required: --mu, a preset, or atom flags")
     else:  # mu does not depend on the separation, so reduce at the unit one
         mu, k0 = model.reduce(*atoms, r_hat).mu, atoms[0].wavenumber()
-    return mu, lambda x: (model.PairConfiguration(x=x, n_a=n_a, n_b=n_b,
-                                                  r_hat=r_hat, mu=mu), x / k0)
+    # with no numpy warning where r_over_a0 overflows, which _evaluate reports
+    return mu, np.errstate(over="ignore")(lambda x: (
+        model.PairConfiguration(x=x, n_a=n_a, n_b=n_b, r_hat=r_hat, mu=mu), x / k0))
 
 
 def _evaluate(cfg: model.PairConfiguration, r_over_a0,
@@ -191,7 +193,7 @@ def _evaluate(cfg: model.PairConfiguration, r_over_a0,
     """The CSV_COLUMNS and EXTRA_COLUMNS values at every x of cfg, by name,
     each a list with one value per x.
 
-    A law that fails raises an AccuracyError that names its column and x.
+    A law's AccuracyError, which names the first x at fault, gains its column.
     """
     column = "concurrence_full"
     try:
@@ -203,15 +205,12 @@ def _evaluate(cfg: model.PairConfiguration, r_over_a0,
         eof = entanglement.entanglement_of_formation(full.value)
         column = "wcp_energy"
         w = casimir.wcp(cfg, isotropic=isotropic)
+        column = "r_over_a0"  # R = x / k0 overflows at a tiny omega0 where the laws hold
+        overflows = np.flatnonzero(np.isinf(r_over_a0))
+        if overflows.size:
+            raise kernel.out_of_range(np.ravel(cfg.x)[overflows[0]], OverflowError)
     except AccuracyError as exc:  # the library's messages name x
         raise AccuracyError(f"{column}: {exc}") from None
-    except ArithmeticError as exc:
-        # a power of x that overflows, or underflows to 0 and is divided by;
-        # a chunk's caller redoes it row by row to find the x
-        where = (f"x={cfg.x!r}" if np.ndim(cfg.x) == 0
-                 else "an x in [{!r}, {!r}]".format(*cfg.x[[0, -1]].tolist()))
-        raise AccuracyError(f"{column}: out of floating-point range at {where} "
-                            f"({type(exc).__name__})") from None
     validity = [flag.value for flag in np.atleast_1d(full.validity.flag)]
     values = (cfg.x, r_over_a0, full.raw, near.raw, far.raw, eof, w.energy, validity,
               w.abs_err_est, full.value, full.validity.margin)

@@ -24,8 +24,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 # contracted_tensor is bound here for perfbench's span tracer, which wraps it
 from .kernel import checked_power, contracted_tensor, cross_coherence_kernel, per_x
-from .model import (PairConfiguration, Validity, ValidityReport,
-                    _validity_from_margin, amplitude_c_ee, concurrence_raw,
+from .model import (PairConfiguration, Validity, ValidityReport, amplitude_c_ee,
                     perturbative_validity)
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -113,8 +112,8 @@ def _result(raw: np.ndarray, validity: ValidityReport) -> ConcurrenceResult:
 @per_x
 def concurrence_full(cfg: PairConfiguration) -> ConcurrenceResult:
     """Vacuum-induced concurrence C = 2 |c_ee|, valid at any separation."""
-    raw = concurrence_raw(cfg)  # also the validity margin, so classify it here
-    return _result(raw, _validity_from_margin(raw))
+    validity = perturbative_validity(cfg)  # its margin is this concurrence
+    return _result(validity.margin, validity)
 
 
 @per_x

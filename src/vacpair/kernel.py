@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from .errors import AccuracyError
 from .specfun import aux
 
 
@@ -37,8 +38,10 @@ def per_x(law):
     float array, of size 1 for a float, or the configuration as its
     `column` (the same configuration with such an x), and returns an array
     of one value per x or a dataclass of them.  numpy's floating-point
-    warnings are off inside it: each law checks what it can overflow.  For
-    a float x every array of the result comes back as its one Python scalar.
+    warnings are off inside it.  A law raises DomainError or AccuracyError
+    only; an OverflowError from a float power of its scalar inputs, such as
+    mu**2, becomes AccuracyError at the first x.  For a float x every array
+    of the result comes back as its one Python scalar.
     """
     @functools.wraps(law)
     def one_value_per_x(first, *args, **kwargs):
@@ -46,8 +49,11 @@ def per_x(law):
             x, column = first.x, first.column
         else:
             x, column = first, np.atleast_1d(np.asarray(first, dtype=float))
-        with np.errstate(all="ignore"):
-            result = law(column, *args, **kwargs)
+        try:
+            with np.errstate(all="ignore"):
+                result = law(column, *args, **kwargs)
+        except OverflowError:
+            raise out_of_range(np.ravel(x)[0], OverflowError) from None
         return result if np.ndim(x) else _scalars(result)
     return one_value_per_x
 
@@ -63,17 +69,23 @@ def _scalars(result):
     return result
 
 
+def out_of_range(x, error: type[ArithmeticError]) -> AccuracyError:
+    """The AccuracyError of a value out of floating-point range at x."""
+    return AccuracyError(f"out of floating-point range at x={float(x)!r} ({error.__name__})")
+
+
 def checked_power(x: np.ndarray, n: int) -> np.ndarray:
     """x**n at every x > 0, for a law that divides by it.
 
-    It raises where a float power and the division by it do: OverflowError
-    where x**n overflows, ZeroDivisionError where it underflows to 0.
+    Where x**n overflows, or underflows to 0, it raises AccuracyError at the
+    first such x, naming the error that a float power (OverflowError) or the
+    division by it (ZeroDivisionError) raises there.
     """
     p = x**n
-    if np.count_nonzero(np.isinf(p)):
-        raise OverflowError(f"x**{n} out of floating-point range")
-    if np.count_nonzero(p) < p.size:
-        raise ZeroDivisionError(f"x**{n} underflows to 0")
+    bad = np.isinf(p) | (p == 0.0)
+    if np.count_nonzero(bad):
+        i = np.flatnonzero(bad)[0]
+        raise out_of_range(x[i], OverflowError if np.isinf(p[i]) else ZeroDivisionError)
     return p
 
 
@@ -103,11 +115,12 @@ def cross_coherence_kernel(x, cos_ab: float, proj_product: float):
     The one-photon cross term (1/pi) int dk k^3 K(k x) / (1 + k)^2 is the
     derivative at omega = 1 of the first-order mode sum
     -(1/pi) int dk k^3 K(k x) / (omega + k), which the scaling k = omega u
-    turns into omega^3 T(omega x) / pi.  With f' = -g and g' = f - 1/x:
+    turns into omega^3 T(omega x) / pi.  With f' = -g, g' = f - 1/x,
+    a = cos_ab and b = proj_product, collected so that no two terms of
+    order 1/x^2 cancel as x -> 0:
 
-        X / mu = [ (cos_ab - proj_product) (g + 1/x^2 - 2 f/x)
-                   + (cos_ab - 3 proj_product) (f - 1/x) / x ] / pi
+        X / mu = [ (a - b) g - (a + b) f/x + 2 b/x^2 ] / pi
     """
     f, g, _ = _aux_columns(x)
-    return ((cos_ab - proj_product) * (g + 1.0 / checked_power(x, 2) - 2.0 * f / x)
-            + (cos_ab - 3.0 * proj_product) * (f - 1.0 / x) / x) / math.pi
+    return ((cos_ab - proj_product) * g - (cos_ab + proj_product) * f / x
+            + 2.0 * proj_product / checked_power(x, 2)) / math.pi

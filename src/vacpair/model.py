@@ -259,14 +259,6 @@ _MARGIN_OK = 0.1
 _MARGIN_WARN = 1.0
 
 
-def _validity_from_margin(margin: np.ndarray) -> ValidityReport:
-    """The flag of each margin, as an object array of Validity; a NaN
-    margin is INVALID."""
-    level = 2 - (margin <= _MARGIN_WARN) - (margin <= _MARGIN_OK)
-    flags = np.array(list(Validity), dtype=object)[level]  # OK, WARN, INVALID
-    return ValidityReport(flag=flags, margin=margin)
-
-
 @kernel.per_x
 def amplitude_c_ee(cfg: PairConfiguration):
     """Double-excitation amplitude of the dressed ground state, one value per x.
@@ -278,16 +270,13 @@ def amplitude_c_ee(cfg: PairConfiguration):
 
 
 @kernel.per_x
-def concurrence_raw(cfg: PairConfiguration):
-    """Unclamped full-formula concurrence 2 |c_ee| = (2 mu / pi) |T(x)|, one value per x."""
-    return 2.0 * abs(amplitude_c_ee(cfg))
-
-
-@kernel.per_x
 def perturbative_validity(cfg: PairConfiguration) -> ValidityReport:
     """Check whether the weak-coupling expansion is trustworthy at each x.
 
-    The margin is the predicted concurrence magnitude from the full formula;
-    OK for margin <= 0.1, WARN up to 1, INVALID above 1.
+    The margin is the full formula's concurrence 2 |c_ee|, unclamped; OK for
+    margin <= 0.1, WARN up to 1, INVALID above 1 or NaN.
     """
-    return _validity_from_margin(concurrence_raw(cfg))
+    margin = 2.0 * abs(amplitude_c_ee(cfg))
+    level = 2 - (margin <= _MARGIN_WARN) - (margin <= _MARGIN_OK)
+    flags = np.array(list(Validity), dtype=object)[level]  # OK, WARN, INVALID
+    return ValidityReport(flag=flags, margin=margin)

@@ -47,6 +47,9 @@ class QuadratureReport:
 
 # Gauss-Legendre order of the phase-folded segments of _oscillatory
 _GAUSS_ORDER = 24
+# most segments of an oscillatory tail, at 40 node values (320 B) each 32 MB:
+# a mode sum reaches it near x = 1.1e4, the real-axis integral near 3.3e3
+_MAX_SEGMENTS = 100_000
 # the orders of _quad's rule and of its embedded error estimate
 _QUAD_ORDERS = (21, 10)
 # _quad's rounding floor per interval, in ulps of the integral of |f|
@@ -245,6 +248,8 @@ def _oscillatory(phased, n_segments: int, where: str) -> tuple[float, float]:
     (_GAUSS_ORDER, max(8, _GAUSS_ORDER - 8)); the sign multiplies whole
     segment values, which leaves their error estimates and floors as they are.
     """
+    if n_segments > _MAX_SEGMENTS:
+        raise DomainError(f"{where}: {n_segments} tail segments exceed {_MAX_SEGMENTS}")
     head, head_err, _ = _quad(lambda u: phased(u, np.sin(u), np.cos(u)), 0.0, np.pi,
                               limit=800, epsrel=1e-12, where=where)
     orders = (_GAUSS_ORDER, max(8, _GAUSS_ORDER - 8))
@@ -480,11 +485,11 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
         return np.imag(n_kappa) / (kappa - 1.0) ** 2 / (2.0 * x)
 
     where = f"oracle.dispersion_integral_real_axis at x={x!r}"
+    right, right_err = _oscillatory(phased, n_segments, where)  # checks the budget first
     # left of the window: kappa in [0, 1 - delta] is u in [-2x (1 + delta), -4x delta]
     left, left_err, _ = _quad(lambda u: phased(u, np.sin(u), np.cos(u)),
                               -2.0 * x * (1.0 + delta), -4.0 * x * delta,
                               limit=800, epsrel=1e-12, where=where)
-    right, right_err = _oscillatory(phased, n_segments, where)
     window = sum(2.0 * np.imag(coef[k]) * delta ** (k - 1) / (k - 1)
                  for k in range(2, 12, 2))
     finite_part = left + right + window - 2.0 * np.imag(coef[0]) / delta

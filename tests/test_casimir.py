@@ -54,10 +54,11 @@ class TestVdwNear:
         energy = vdw_near(pair_from_alignment(xs, 1e-3, 1.0, 0.25)).energy
         assert energy.tolist() == [vdw_near(pair_from_alignment(x, 1e-3, 1.0, 0.25)).energy
                                    for x in xs.tolist()]
-        # x^6 underflows to 0 at 1e-60: the division by it fails either way,
-        # with no numpy warning for the array
+        # x^6 underflows to 0 at 1e-60: both calls name that x, and the
+        # array one gives no numpy warning
         for x in (1e-60, np.array([1.0, 1e-60])):
-            with pytest.raises(ZeroDivisionError):
+            with pytest.raises(AccuracyError, match=r"^out of floating-point range at "
+                               r"x=1e-60 \(ZeroDivisionError\)$"):
                 vdw_near(pair_from_alignment(x, 1e-3))
 
     def test_concurrence_relation(self, rng):
@@ -110,6 +111,10 @@ class TestWcp:
         pv = wcp(cfg, method="principal_value_oracle")
         assert pv.energy == pytest.approx(rot.energy, rel=1e-6)
         assert abs(pv.energy - rot.energy) <= pv.abs_err_est + rot.abs_err_est
+
+    def test_unknown_method_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown method 'bogus'"):
+            wcp(transverse_pair(1.0), method="bogus")
 
     def test_principal_value_longitudinal(self):
         cfg = pair_from_alignment(1.0, 1e-4, 1.0, 1.0)

@@ -1,10 +1,13 @@
 """Command-line contract: flags, exit codes, CSV emission, validation runner."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -296,12 +299,12 @@ class TestBatchEqualsScalar:
         _, rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 5
 
-    def test_a_failing_chunk_names_its_span_of_x_in_one_line(self):
-        cfg = pair_from_alignment(np.array([1.0, 1e50, 1e120]), 1e-4)
+    def test_a_failing_chunk_names_its_first_bad_x_in_one_line(self):
+        cfg = pair_from_alignment(np.array([1.0, 1e50, 1e120, 1e150]), 1e-4)
         with pytest.raises(AccuracyError) as info:
             cli._evaluate(cfg, cfg.x, False)
         assert str(info.value) == ("concurrence_near: out of floating-point range at "
-                                   "an x in [1.0, 1e+120] (OverflowError)")
+                                   "x=1e+120 (OverflowError)")
 
 
 class TestConfigFile:
@@ -460,6 +463,86 @@ class TestExtremeSeparation:
         assert capsys.readouterr().err == (
             "vacpair: accuracy failure: reduce: mu is out of floating-point "
             "range at omega0=1e+300, |d_A|=1.0, |d_B|=1.0\n")
+
+    def test_overflowing_r_over_a0_names_its_x(self, capsys):
+        # k0 = 7.3e-303 puts R = x / k0 past 1.8e308 from x = 1.4e6 on, where
+        # every law holds (mu underflows to 0); the sweep's array division
+        # used to warn on stderr and print inf, and point left the line out
+        atoms = ["--omega0", "1e-300", "--dmag-a", "1", "--dmag-b", "1"]
+        expected = ("vacpair: accuracy failure: r_over_a0: out of floating-point "
+                    "range at x=10000000.0 (OverflowError)\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["point", *atoms, "--x", "1e7"]) == 1
+            assert capsys.readouterr() == ("", expected)
+            assert run_cli(["sweep", *atoms, "--xmin", "1", "--xmax", "1e7",
+                            "--points", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert err == expected
+        assert [row["r_over_a0"] for row in parse_csv(out)[1]] == [
+            "1.3703599908369579e+302", "4.3334587854122568e+305"]
+
+
+def _log_uniform(lo, hi):
+    """10**e for e uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# a vector component: 0, or of either sign with magnitude 1e-320 to 1e300
+_COMPONENT = st.one_of(st.just(0.0), st.builds(lambda sign, m: sign * m,
+                                               st.sampled_from((-1.0, 1.0)),
+                                               _log_uniform(-320.0, 300.0)))
+_X = _log_uniform(-323.3, 308.0)  # 5e-324 to 1e308
+
+
+@st.composite
+def _cli_argv(draw):
+    """A point or sweep argv that parses, from the whole range of each flag."""
+    command = draw(st.sampled_from(("point", "sweep")))
+    coupling = draw(st.sampled_from(("mu", "preset", "atoms")))
+    argv = [command]
+    if coupling == "mu":
+        argv += ["--mu", repr(draw(st.one_of(st.just(0.0), _log_uniform(-300.0, 300.0))))]
+    elif coupling == "preset":
+        argv += ["--preset", "hydrogen-1s2p"]
+    else:
+        for flag in ("--omega0", "--dmag-a", "--dmag-b"):
+            argv += [flag, repr(draw(_log_uniform(-300.0, 300.0)))]
+    for flag in ("--dipole-a", "--dipole-b", "--sep-dir"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}=" + ",".join(map(repr, draw(st.tuples(*[_COMPONENT] * 3)))))
+    if draw(st.booleans()):
+        argv.append("--isotropic")
+    if command == "sweep":
+        lo, hi = sorted((draw(_X), draw(_X)))
+        argv += ["--xmin", repr(lo), "--xmax", repr(hi),
+                 "--points", str(draw(st.integers(2, 20))),
+                 "--scale", draw(st.sampled_from(("log", "linear")))]
+    elif coupling != "mu" and draw(st.booleans()):
+        argv += ["--r", repr(draw(_X)), "--units", draw(st.sampled_from(("atomic", "si")))]
+    else:
+        argv += ["--x", repr(draw(_X))]
+    return argv
+
+
+class TestExitContractOverTheDomain:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(argv=_cli_argv())
+    def test_exit_code_and_one_stderr_line(self, argv):
+        # whatever the inputs, main returns 0, 1 or 2 with no exception and no
+        # warning, and a failure is its one `vacpair:` line on stderr
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            code = run_cli(argv)
+        assert code in (0, 1, 2)
+        message = err.getvalue()
+        if code == 0:
+            assert message == ""
+        else:
+            assert message.startswith("vacpair: ") and message.count("\n") == 1
+            assert message.endswith("\n")
 
 
 # run in a child, where nothing has imported scipy yet

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vacpair import DomainError, PairConfiguration, contracted_tensor
+from vacpair import (AccuracyError, DomainError, PairConfiguration, amplitude_c_ee,
+                     concurrence_far, concurrence_full, concurrence_near,
+                     contracted_tensor, perturbative_validity, vdw_near, wcp)
 from vacpair.kernel import cross_coherence_kernel
 from vacpair.oracle import modesum_second_order
 from vacpair.specfun import aux
 
-from conftest import random_rotation, random_unit, unit_vectors
+from conftest import mp_x_over_mu, random_rotation, random_unit, unit_vectors
 
 # unit to rounding and along no axis, so every entry of the matrix is nonzero
 TILTED = np.array([1.0, 2.0, 2.0]) / 3.0
@@ -145,3 +147,50 @@ class TestCrossCoherenceKernel:
                 + abs(a - 3.0 * b) * (v.f + 1.0 / x) / x) / math.pi
         rounding = 8.0 * sys.float_info.epsilon * size
         assert abs(cross_coherence_kernel(x, a, b) - rep.value) <= rep.abs_err_est + rounding
+
+    @pytest.mark.parametrize("cos_ab, proj_product",
+                             [(1.0, 0.0), (1.0, 1.0), (0.5, -0.25), (-0.3, 0.2)],
+                             ids=["transverse", "longitudinal", "mixed", "opposed"])
+    def test_matches_mpmath_down_to_tiny_x(self, rng, cos_ab, proj_product):
+        # collected, no two terms of order 1/x^2 cancel: with g + 1/x^2 - 2 f/x
+        # and (f - 1/x)/x the transverse kernel lost 15% at x = 1e-16 and was
+        # exactly 0 at 1e-60
+        for x in [1e-60, *(10.0 ** rng.uniform(-60.0, 0.0, 24)).tolist(), 1.0]:
+            ref = mp_x_over_mu(x, cos_ab, proj_product, 40 + int(2 * abs(math.log10(x))))
+            assert cross_coherence_kernel(x, cos_ab, proj_product) == pytest.approx(
+                ref, rel=1e-14, abs=0.0), x
+
+
+# every law of one value per x, on a configuration
+_LAWS = {
+    "contracted_tensor": lambda cfg: contracted_tensor(cfg.x, cfg.cos_ab, cfg.proj_product),
+    "cross_coherence_kernel":
+        lambda cfg: cross_coherence_kernel(cfg.x, cfg.cos_ab, cfg.proj_product),
+    **{law.__name__: law for law in (amplitude_c_ee, perturbative_validity, concurrence_full,
+                                     concurrence_near, concurrence_far, vdw_near, wcp)},
+}
+
+
+def _outcome(law, cfg):
+    """The law's value at cfg, or the type and message of its DomainError or
+    AccuracyError; any other exception escapes."""
+    try:
+        return law(cfg)
+    except (DomainError, AccuracyError) as exc:
+        return type(exc), str(exc)
+
+
+class TestReportingContract:
+    @pytest.mark.parametrize("mu", [1e-4, 1e200])
+    @pytest.mark.parametrize("x", [1e-200, 1e-110, 1e-60, 1e100, 1e200, 1e300])
+    @pytest.mark.parametrize("name", sorted(_LAWS))
+    def test_a_law_returns_or_raises_domain_or_accuracy_error(self, name, x, mu):
+        # far outside floating-point range at either end, and with mu**2
+        # overflowing; a float call and its one-element array name the same x
+        geometry = dict(n_a=TILTED, n_b=[0.0, 0.6, 0.8], r_hat=Z_HAT, mu=mu)
+        at_float = _outcome(_LAWS[name], PairConfiguration(x=x, **geometry))
+        at_array = _outcome(_LAWS[name], PairConfiguration(x=np.array([x]), **geometry))
+        if isinstance(at_float, tuple):
+            assert at_array == at_float
+        else:
+            assert not isinstance(at_array, tuple)

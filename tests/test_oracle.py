@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vacpair import AccuracyError, DomainError, oracle, pair_from_alignment, validate
+from vacpair import AccuracyError, DomainError, oracle, pair_from_alignment, validate, wcp
 from vacpair.entanglement import regularized_local_population
 from vacpair.kernel import contracted_tensor, cross_coherence_kernel
 from vacpair.oracle import (_binomial_weights, _default_segments, _euler_average,
@@ -19,7 +19,7 @@ from vacpair.oracle import (_binomial_weights, _default_segments, _euler_average
                             field_correlator, local_population,
                             modesum_first_order, modesum_second_order)
 
-from conftest import STANDARD_GRID, longitudinal_pair, transverse_pair
+from conftest import STANDARD_GRID, longitudinal_pair, mp_fg, mp_x_over_mu, transverse_pair
 
 G_1 = 0.343377961556427
 # exact antiderivative of k^3/(1+k)^2 on [0, L], times 2/(3 pi)
@@ -27,31 +27,14 @@ LOCAL_POP_RATIO_10_100 = 132.64183531800975
 LOCAL_POP_RATIO_100_1000 = 103.47697989996128
 
 
-def _mp_fg(mp, t):
-    """f and g at t from mpmath's Si and Ci, at the working precision."""
-    rest, c = mp.pi / 2 - mp.si(t), mp.ci(t)
-    return c * mp.sin(t) + rest * mp.cos(t), -c * mp.cos(t) + rest * mp.sin(t)
-
-
 def _t_over_pi(x, cos_ab, proj_product, digits):
     """T(x)/pi from mpmath's Si and Ci at the given precision, with f'' = 1/x - f."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(digits):
         t = mp.mpf(x)
-        f, g = _mp_fg(mp, t)
+        f, g = mp_fg(mp, t)
         return float(((cos_ab - proj_product) * (1 / t - f)
                       + (cos_ab - 3 * proj_product) * (f / t**2 + g / t)) / (t * mp.pi))
-
-
-def _x_over_mu(x, cos_ab, proj_product, digits):
-    """X/mu from mpmath's Si and Ci at the given precision, by the closed form
-    in cross_coherence_kernel's docstring."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(digits):
-        t = mp.mpf(x)
-        f, g = _mp_fg(mp, t)
-        return float(((cos_ab - proj_product) * (g + 1 / t**2 - 2 * f / t)
-                      + (cos_ab - 3 * proj_product) * (f - 1 / t) / t) / mp.pi)
 
 
 # the closed forms cancel like x^2 at large x and like 1/x at small x
@@ -192,7 +175,7 @@ class TestModesumSecondOrder:
     @_GEOMETRIES
     def test_matches_mpmath(self, x, cos_ab, proj_product):
         rep = modesum_second_order(x, cfg=pair_from_alignment(x, 1.0, cos_ab, proj_product))
-        _assert_matches(rep, _x_over_mu(x, cos_ab, proj_product, _digits(x)))
+        _assert_matches(rep, mp_x_over_mu(x, cos_ab, proj_product, _digits(x)))
 
 
 class TestLocalPopulation:
@@ -225,7 +208,7 @@ def _aux_references():
     out = []
     with mp.workdps(40):
         for x in np.geomspace(1e-6, 1e12, 90):
-            f, g = _mp_fg(mp, mp.mpf(float(x)))
+            f, g = mp_fg(mp, mp.mpf(float(x)))
             out += [(x, "f", f), (x, "g", g)]
     return out
 
@@ -264,7 +247,7 @@ class TestAuxIntegralRep:
         # 4: without it f at 1e-16 came out 16% low, estimated at 5e-14
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
-            refs = dict(zip("fg", _mp_fg(mp, mp.mpf(x))))
+            refs = dict(zip("fg", mp_fg(mp, mp.mpf(x))))
         for which, ref in refs.items():
             rep = aux_integral_rep(x, which)
             assert abs(rep.value - ref) <= min(rep.abs_err_est, 1e-13 * ref), which
@@ -314,6 +297,22 @@ class TestHonestErrors:
         _refined(monkeypatch)
         hi = modesum_second_order(x, cfg=cfg)
         assert abs(rep.value - hi.value) <= rep.abs_err_est
+
+
+class TestSegmentBudget:
+    def test_a_tail_past_the_budget_raises_before_it_allocates(self):
+        # 9x + 60 segments of 40 node values would take 2.9 GB at x = 1e6, and
+        # the real axis's 30x + 100 of them 9.6 GB; at 1e9 both are refused
+        cfg = transverse_pair(1e9)
+        with pytest.raises(DomainError, match="modesum_first_order at x=1000000000.0: "):
+            modesum_first_order(1e9, cfg=cfg)
+        with pytest.raises(DomainError,
+                           match="dispersion_integral_real_axis at x=1000000000.0: "):
+            wcp(cfg, method="principal_value_oracle")
+
+    def test_the_budget_leaves_mode_sums_up_to_x_1e4(self):
+        # the tests take mode sums up to x = 3000 and the real axis up to 50
+        assert _default_segments(1.1e4) <= oracle._MAX_SEGMENTS < _default_segments(1.2e4)
 
 
 class TestDispersionRealAxis:
