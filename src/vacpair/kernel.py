@@ -39,9 +39,10 @@ def per_x(law):
     `column` (the same configuration with such an x), and returns an array
     of one value per x or a dataclass of them.  numpy's floating-point
     warnings are off inside it.  A law raises DomainError or AccuracyError
-    only; an OverflowError from a float power of its scalar inputs, such as
-    mu**2, becomes AccuracyError at the first x.  For a float x every array
-    of the result comes back as its one Python scalar.
+    only: a float of its result that is not finite raises AccuracyError at
+    its x (the first such, fields in order), and so does an OverflowError
+    from a float power such as mu**2, at the first x.  For a float x every
+    array of the result comes back as its one Python scalar.
     """
     @functools.wraps(law)
     def one_value_per_x(first, *args, **kwargs):
@@ -54,19 +55,26 @@ def per_x(law):
                 result = law(column, *args, **kwargs)
         except OverflowError:
             raise out_of_range(np.ravel(x)[0], OverflowError) from None
-        return result if np.ndim(x) else _scalars(result)
+        return _finite(result, x, scalar=not np.ndim(x))
     return one_value_per_x
 
 
-def _scalars(result):
-    """result with each size-1 array in it, in nested dataclasses too, as
-    its one Python scalar."""
+def _finite(result, x, scalar: bool):
+    """result with its float arrays checked finite, and as scalars for a float x."""
     if isinstance(result, np.ndarray):
-        return result.item()
-    if dataclasses.is_dataclass(result):
-        return dataclasses.replace(result, **{f.name: _scalars(getattr(result, f.name))
-                                              for f in dataclasses.fields(result)})
-    return result
+        if scalar:
+            value = result.item()
+            if isinstance(value, float) and not math.isfinite(value):
+                raise out_of_range(x, OverflowError)
+            return value
+        if result.dtype.kind == "f":  # not the object arrays of validity flags
+            bad = ~np.isfinite(result)
+            if np.count_nonzero(bad):
+                raise out_of_range(x[np.flatnonzero(bad)[0]], OverflowError)
+        return result
+    fields = {f.name: _finite(getattr(result, f.name), x, scalar)
+              for f in dataclasses.fields(result)}
+    return dataclasses.replace(result, **fields) if scalar else result
 
 
 def out_of_range(x, error: type[ArithmeticError]) -> AccuracyError:

@@ -274,7 +274,7 @@ def perturbative_validity(cfg: PairConfiguration) -> ValidityReport:
     """Check whether the weak-coupling expansion is trustworthy at each x.
 
     The margin is the full formula's concurrence 2 |c_ee|, unclamped; OK for
-    margin <= 0.1, WARN up to 1, INVALID above 1 or NaN.
+    margin <= 0.1, WARN up to 1, INVALID above 1; kernel.per_x keeps it finite.
     """
     margin = 2.0 * abs(amplitude_c_ee(cfg))
     level = 2 - (margin <= _MARGIN_WARN) - (margin <= _MARGIN_OK)

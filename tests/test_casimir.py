@@ -220,8 +220,9 @@ class TestWcpClosedForm:
         assert wcp(transverse_pair(x, mu=mu)).energy == pytest.approx(london, rel=1e-12)
 
     def test_overflowing_energy_is_an_accuracy_error(self):
-        with pytest.raises(AccuracyError, match=r"wcp.*x=1e-60"):
+        with pytest.raises(AccuracyError) as info:
             wcp(transverse_pair(1e-60))
+        assert str(info.value) == "out of floating-point range at x=1e-60 (OverflowError)"
 
 
 class TestFarZoneCorrelatorForm:

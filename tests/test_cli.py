@@ -452,9 +452,17 @@ class TestExtremeSeparation:
 
     def test_overflowing_energy_names_wcp_and_x(self, capsys):
         assert run_cli(["point", "--mu", "1e-4", "--x", "1e-60"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("vacpair: accuracy failure: wcp_energy: wcp")
-        assert "x=1e-60" in err
+        assert capsys.readouterr().err == (
+            "vacpair: accuracy failure: wcp_energy: out of floating-point range "
+            "at x=1e-60 (OverflowError)\n")
+
+    def test_overflowing_concurrence_names_concurrence_full_and_x(self, capsys):
+        # T(x) ~ 1/x^3 overflows where x**2 is still normal; the far-zone
+        # law's x**4 underflows to 0 there, but concurrence_full runs first
+        assert run_cli(["point", "--mu", "1e-4", "--x", "1e-105"]) == 1
+        assert capsys.readouterr().err == (
+            "vacpair: accuracy failure: concurrence_full: out of floating-point "
+            "range at x=1e-105 (OverflowError)\n")
 
     def test_overflowing_coupling_names_mu_and_omega0(self, capsys):
         # mu = |d_A||d_B| k0^3 / omega0: k0^3 overflows before any row

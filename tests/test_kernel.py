@@ -2,6 +2,7 @@
 form, validated against direct numerics, the 3x3 matrix that T contracts
 (built here) and the second-order mode-sum oracle."""
 
+import dataclasses
 import math
 import sys
 
@@ -180,13 +181,25 @@ def _outcome(law, cfg):
         return type(exc), str(exc)
 
 
+def _floats(value):
+    """Every float in a law's value: its float arrays and floats, in nested
+    dataclasses too."""
+    if dataclasses.is_dataclass(value):
+        return [v for f in dataclasses.fields(value) for v in _floats(getattr(value, f.name))]
+    if isinstance(value, np.ndarray):
+        return value.tolist() if value.dtype.kind == "f" else []
+    return [value] if isinstance(value, float) else []
+
+
 class TestReportingContract:
     @pytest.mark.parametrize("mu", [1e-4, 1e200])
-    @pytest.mark.parametrize("x", [1e-200, 1e-110, 1e-60, 1e100, 1e200, 1e300])
+    # 5e-54: x**6 is subnormal but nonzero, so the London energy overflows
+    @pytest.mark.parametrize("x", [1e-200, 1e-110, 1e-60, 5e-54, 1e100, 1e200, 1e300])
     @pytest.mark.parametrize("name", sorted(_LAWS))
     def test_a_law_returns_or_raises_domain_or_accuracy_error(self, name, x, mu):
         # far outside floating-point range at either end, and with mu**2
-        # overflowing; a float call and its one-element array name the same x
+        # overflowing; a float call and its one-element array name the same
+        # x, and every float a law returns is finite
         geometry = dict(n_a=TILTED, n_b=[0.0, 0.6, 0.8], r_hat=Z_HAT, mu=mu)
         at_float = _outcome(_LAWS[name], PairConfiguration(x=x, **geometry))
         at_array = _outcome(_LAWS[name], PairConfiguration(x=np.array([x]), **geometry))
@@ -194,3 +207,5 @@ class TestReportingContract:
             assert at_array == at_float
         else:
             assert not isinstance(at_array, tuple)
+            assert all(map(math.isfinite, _floats(at_float)))
+            assert all(map(math.isfinite, _floats(at_array)))

@@ -470,8 +470,10 @@ class TestQuad:
             # left of and right of the pole window, at 4 x
             "oracle.dispersion_integral_real_axis": 8,
             "oracle.local_population": 1,
-            "oracle.aux_integral_rep('f')": 10,
-            "oracle.aux_integral_rep('g')": 10,
+            # the 10 grid x of the f and g checks, plus the 4 x of the Si and
+            # Ci reconstruction
+            "oracle.aux_integral_rep('f')": 14,
+            "oracle.aux_integral_rep('g')": 14,
         }
 
 
