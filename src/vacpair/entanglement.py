@@ -112,15 +112,14 @@ def _result(raw: np.ndarray, validity: ValidityReport) -> ConcurrenceResult:
 @per_x
 def concurrence_full(cfg: PairConfiguration) -> ConcurrenceResult:
     """Vacuum-induced concurrence C = 2 |c_ee|, valid at any separation."""
-    validity = perturbative_validity(cfg)  # its margin is this concurrence
-    return _result(validity.margin, validity)
+    return _result(cfg._validity.margin, cfg._validity)  # its margin is this concurrence
 
 
 @per_x
 def concurrence_near(cfg: PairConfiguration) -> ConcurrenceResult:
     """Near-zone law mu |n_a.n_b - 3 (n_a.r)(n_b.r)| / x^3 (for x << 1)."""
     raw = cfg.mu * abs(cfg.cos_ab - 3.0 * cfg.proj_product) / checked_power(cfg.x, 3)
-    return _result(raw, perturbative_validity(cfg))
+    return _result(raw, cfg._validity)
 
 
 @per_x
@@ -128,7 +127,7 @@ def concurrence_far(cfg: PairConfiguration) -> ConcurrenceResult:
     """Far-zone law (8 mu / pi) |n_a.n_b - 2 (n_a.r)(n_b.r)| / x^4 (for x >> 1)."""
     raw = ((8.0 * cfg.mu / np.pi) * abs(cfg.cos_ab - 2.0 * cfg.proj_product)
            / checked_power(cfg.x, 4))
-    return _result(raw, perturbative_validity(cfg))
+    return _result(raw, cfg._validity)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +282,10 @@ def _one_state(cfg: PairConfiguration, name: str) -> None:
                           f"got an array of {np.size(cfg.x)}")
 
 
-def cross_coherence(cfg: PairConfiguration) -> float:
-    """Finite cross term X = sum_k c_eg,k c*_ge,k = mu (3 T + x T') / pi."""
+@per_x
+def cross_coherence(cfg: PairConfiguration):
+    """Finite cross term X = sum_k c_eg,k c*_ge,k = mu (3 T + x T') / pi,
+    one value per x."""
     return cfg.mu * cross_coherence_kernel(cfg.x, cfg.cos_ab, cfg.proj_product)
 
 
@@ -297,15 +298,20 @@ def c1_c2_from_amplitudes(cfg: PairConfiguration,
     k = cutoff * k0 and P_ee = |c_ee|^2 + L_A L_B + X^2 (the two-photon
     population), P_gg = 1.  c2 is negative by construction, and c1 + mu L
     is |c_ee|, the amplitude behind C = 2 |c_ee|.  The root is a hypot, so
-    c2 stays finite wherever its value does.  It describes one state, so
-    cfg's x must be a float.
+    c2 stays finite wherever its value does; where mu L or the root
+    overflows, AccuracyError is raised.  It describes one state, so cfg's x
+    must be a float.
     """
     _one_state(cfg, "c1_c2_from_amplitudes")
-    local = cfg.mu * regularized_local_population(cutoff)  # checks the cutoff
+    with np.errstate(over="ignore"):  # an overflow raises below
+        local = cfg.mu * regularized_local_population(cutoff)  # checks the cutoff
     cee = amplitude_c_ee(cfg)
     x_coh = cross_coherence(cfg)
     c1 = abs(cee) - local
     c2 = abs(x_coh) - math.hypot(cee, local, x_coh)
+    if not math.isfinite(c2):  # so c1 is finite too
+        raise AccuracyError(f"c1_c2_from_amplitudes: out of floating-point range "
+                            f"at mu={cfg.mu!r}, cutoff={cutoff!r}")
     return float(c1), float(c2)
 
 

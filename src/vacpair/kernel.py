@@ -41,8 +41,8 @@ def per_x(law):
     warnings are off inside it.  A law raises DomainError or AccuracyError
     only: a float of its result that is not finite raises AccuracyError at
     its x (the first such, fields in order), and so does an OverflowError
-    from a float power such as mu**2, at the first x.  For a float x every
-    array of the result comes back as its one Python scalar.
+    from a float power such as mu**2, at the first x.  A float call is the
+    size-1 array call, checked alike, with each array then as its scalar.
     """
     @functools.wraps(law)
     def one_value_per_x(first, *args, **kwargs):
@@ -55,24 +55,19 @@ def per_x(law):
                 result = law(column, *args, **kwargs)
         except OverflowError:
             raise out_of_range(np.ravel(x)[0], OverflowError) from None
-        return _finite(result, x, scalar=not np.ndim(x))
+        return _finite(result, getattr(column, "x", column), scalar=not np.ndim(x))
     return one_value_per_x
 
 
-def _finite(result, x, scalar: bool):
-    """result with its float arrays checked finite, and as scalars for a float x."""
+def _finite(result, xs: np.ndarray, scalar: bool):
+    """result with its float arrays checked finite at xs, as scalars for a float call."""
     if isinstance(result, np.ndarray):
-        if scalar:
-            value = result.item()
-            if isinstance(value, float) and not math.isfinite(value):
-                raise out_of_range(x, OverflowError)
-            return value
         if result.dtype.kind == "f":  # not the object arrays of validity flags
             bad = ~np.isfinite(result)
             if np.count_nonzero(bad):
-                raise out_of_range(x[np.flatnonzero(bad)[0]], OverflowError)
-        return result
-    fields = {f.name: _finite(getattr(result, f.name), x, scalar)
+                raise out_of_range(xs[np.flatnonzero(bad)[0]], OverflowError)
+        return result.item() if scalar else result
+    fields = {f.name: _finite(getattr(result, f.name), xs, scalar)
               for f in dataclasses.fields(result)}
     return dataclasses.replace(result, **fields) if scalar else result
 

@@ -171,6 +171,11 @@ class PairConfiguration:
         """T(x), evaluated once per configuration for all the laws that need it."""
         return kernel.contracted_tensor(self.x, self.cos_ab, self.proj_product)
 
+    @cached_property
+    def _validity(self):
+        """perturbative_validity(self), made once for the laws that share it."""
+        return perturbative_validity(self)
+
 
 def pair_from_alignment(x: float, mu: float, cos_ab: float = 1.0,
                         proj_product: float = 0.0) -> PairConfiguration:
@@ -274,9 +279,12 @@ def perturbative_validity(cfg: PairConfiguration) -> ValidityReport:
     """Check whether the weak-coupling expansion is trustworthy at each x.
 
     The margin is the full formula's concurrence 2 |c_ee|, unclamped; OK for
-    margin <= 0.1, WARN up to 1, INVALID above 1; kernel.per_x keeps it finite.
+    margin <= 0.1, WARN up to 1, INVALID above 1.  kernel.per_x keeps it
+    finite; its arrays are read-only, as a configuration's laws share them.
     """
     margin = 2.0 * abs(amplitude_c_ee(cfg))
     level = 2 - (margin <= _MARGIN_WARN) - (margin <= _MARGIN_OK)
     flags = np.array(list(Validity), dtype=object)[level]  # OK, WARN, INVALID
+    for shared in (flags, margin):
+        shared.setflags(write=False)
     return ValidityReport(flag=flags, margin=margin)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from vacpair.model import pair_from_alignment
 from conftest import unit_vectors
 
 HYDROGEN_NEAR_10A0 = 0.0014798105528177165
+LAZY_IMPORT_PROBE = Path(__file__).with_name("lazy_import_probe.py")
 
 
 def run_cli(args):
@@ -175,29 +177,52 @@ class TestSweep:
                         "--points", "1"]) == 2
 
 
+def _count_calls(monkeypatch):
+    """The names called, one entry per call, of the layers a row evaluates:
+    T(x), aux, c_ee and the validity report, at every name a caller binds."""
+    from vacpair import entanglement, kernel, model, specfun
+
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(kernel, "contracted_tensor")
+    count(kernel, "aux")
+    count(specfun, "aux")
+    for module in (model, entanglement):
+        count(module, "amplitude_c_ee")
+        count(module, "perturbative_validity")
+    return calls
+
+
 class TestSweepStreaming:
     @pytest.mark.parametrize("x, aux_calls", [(0.5, 2), (1.99, 2), (2.0, 1), (10.0, 1)])
     def test_a_row_evaluates_the_tensor_once(self, monkeypatch, capsys, x, aux_calls):
-        # T(x) calls aux once; wcp calls it again, at 2x, below x = 2
-        from vacpair import kernel, specfun
-
-        calls = []
-
-        def count(module, name):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        count(kernel, "contracted_tensor")
-        count(kernel, "aux")
-        count(specfun, "aux")
+        # T(x) calls aux once; wcp calls it again, at 2x, below x = 2; the
+        # three concurrence laws share one c_ee and one validity report
+        calls = _count_calls(monkeypatch)
         assert run_cli(["point", "--mu", "1e-4", "--x", repr(x)]) == 0
         assert calls.count("contracted_tensor") == 1
         assert calls.count("aux") == aux_calls
+        assert calls.count("amplitude_c_ee") == 1
+        assert calls.count("perturbative_validity") == 1
+
+    def test_a_sweep_chunk_evaluates_the_tensor_once(self, monkeypatch, capsys):
+        # 256 rows are one chunk, one configuration with an array x
+        calls = _count_calls(monkeypatch)
+        assert run_cli(["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e3",
+                        "--points", "256"]) == 0
+        assert len(parse_csv(capsys.readouterr().out)[1]) == 256
+        assert calls.count("contracted_tensor") == 1
+        assert calls.count("amplitude_c_ee") == 1
+        assert calls.count("perturbative_validity") == 1
 
     def test_memory_stays_flat(self, tmp_path):
         # the real evaluator: rows are computed and written a chunk at a
@@ -553,21 +578,6 @@ class TestExitContractOverTheDomain:
             assert message.endswith("\n")
 
 
-# run in a child, where nothing has imported scipy yet
-_WITHOUT_SCIPY = """
-import sys
-sys.modules["scipy"] = None  # every import of scipy now raises ImportError
-from vacpair.cli import main
-assert main(["point", "--mu", "1e-4", "--x", "1.5"]) == 0
-assert main(["point", "--mu", "1e-4", "--x", "1.5", "--isotropic"]) == 0
-assert main(["validate", "--level", "full"]) == 0
-assert main(["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e3",
-             "--points", "50"]) == 0
-assert sys.modules["scipy"] is None
-assert not [name for name in sys.modules if name.startswith("scipy.")]
-"""
-
-
 class TestUnitVectorRange:
     @pytest.mark.parametrize("flag, value", [("--dipole-a", "1e200,0,0"),
                                              ("--dipole-a", "1e-320,0,0"),
@@ -593,70 +603,20 @@ class TestUnitVectorRange:
         assert capsys.readouterr().err == "vacpair: error: sep-dir must be finite\n"
 
 
-class TestScipyFreePath:
-    def test_point_and_sweep_run_with_scipy_blocked(self):
-        # and validate, whose oracles need numpy alone too
-        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY],
+class TestLazyImports:
+    def test_cli_paths_load_no_scipy_oracle_or_lazy_numpy_module(self):
+        # in one cold child: point, sweep and validate with scipy blocked,
+        # no oracle on the point and sweep paths, and neither numpy.polynomial
+        # nor numpy.random on any path (the probe's docstring has the list)
+        proc = subprocess.run([sys.executable, "-W", "error", str(LAZY_IMPORT_PROBE)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
-        assert "121/121 checks passed" in proc.stdout
-        _, rows = parse_csv(proc.stdout[proc.stdout.index("# vacpair sweep"):])
+        out = proc.stdout
+        assert "121/121 checks passed" in out
+        assert "37/37 checks passed" in out
+        _, rows = parse_csv(out[out.index("# vacpair sweep"):out.index("[PASS]")])
         assert len(rows) == 50
-
-    def test_cli_import_loads_no_scipy(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, vacpair.cli; print('scipy' in sys.modules)"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
-
-# run in a child, where nothing has imported vacpair yet
-_WITHOUT_VALIDATE = """
-import sys
-from vacpair.cli import main
-assert "vacpair.validate" not in sys.modules
-assert main(["point", "--mu", "1e-4", "--x", "1.5"]) == 0
-assert main(["point", "--mu", "1e-4", "--x", "1.5", "--isotropic"]) == 0
-assert main(["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e3",
-             "--points", "5"]) == 0
-assert "vacpair.validate" not in sys.modules
-assert "vacpair.oracle" not in sys.modules
-"""
-
-
-class TestLazyValidate:
-    def test_point_and_sweep_leave_validate_unloaded(self):
-        # nor the oracles: no production path calls or loads them
-        proc = subprocess.run([sys.executable, "-c", _WITHOUT_VALIDATE],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
-
-
-# run in a child, where nothing has loaded numpy's lazy submodules yet
-_WITHOUT_LAZY_NUMPY = """
-import sys
-from vacpair.cli import main
-assert main(["point", "--mu", "1e-4", "--x", "30"]) == 0
-assert main(["sweep", "--mu", "1e-4", "--xmin", "1e-3", "--xmax", "1e6",
-             "--points", "20"]) == 0
-assert main(["validate", "--level", "fast"]) == 0
-loaded = [name for name in ("numpy.polynomial", "numpy.random") if name in sys.modules]
-assert not loaded, loaded
-"""
-
-
-class TestLazyNumpy:
-    def test_cli_paths_load_neither_polynomial_nor_random(self):
-        # the quadrature rules are built with numpy.linalg and validate draws
-        # from the standard library's random
-        proc = subprocess.run([sys.executable, "-c", _WITHOUT_LAZY_NUMPY],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
 
 
 class TestValidateCommand:

@@ -79,6 +79,29 @@ class TestConcurrenceRegimes:
         assert validity.flag is flag
         assert validity == perturbative_validity(cfg)
 
+    @pytest.mark.parametrize("x", [0.7, np.array([0.01, 0.7, 3.0, 40.0])],
+                             ids=["float", "array"])
+    def test_the_three_laws_share_one_validity_report(self, x):
+        # C = 2 |c_ee| is the weak-coupling margin, so a configuration has one
+        # report, which the near and far laws read as the full law does; the
+        # array's flags are INVALID, WARN, OK and OK
+        cfg = transverse_pair(x, mu=0.3)
+        full = concurrence_full(cfg).validity
+        for law in (concurrence_near, concurrence_far):
+            validity = law(cfg).validity
+            assert np.array_equal(validity.flag, full.flag)
+            assert np.array_equal(validity.margin, full.margin)
+
+    def test_the_shared_report_is_read_only(self):
+        # every law of the configuration returns the same arrays, so none of
+        # its callers may write into them
+        cfg = transverse_pair(np.array([0.01, 0.7, 40.0]), mu=0.3)
+        full = concurrence_full(cfg)
+        assert concurrence_near(cfg).validity.margin is full.validity.margin
+        for shared in (full.validity.flag, full.validity.margin, full.raw):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = shared[1]
+
     def test_near_zone_closed_forms(self):
         cfg = transverse_pair(0.5, mu=2.0)
         assert concurrence_near(cfg).raw == pytest.approx(2.0 / 0.5**3, rel=1e-15)
@@ -390,6 +413,15 @@ class TestCutoffStructure:
             c1_c2_from_amplitudes(cfg, 100.0)
         with pytest.raises(DomainError, match="effective_density_matrix .* float x"):
             effective_density_matrix(cfg)
+
+    def test_overflowing_local_population_is_an_accuracy_error(self):
+        # mu L(1e100) = 1e200 * 1.06e199 overflows though L itself does not;
+        # this used to return (-inf, -inf) with a RuntimeWarning on stderr
+        cfg = pair_from_alignment(1.0, 1e200)
+        with pytest.raises(AccuracyError, match=re.escape(
+                "c1_c2_from_amplitudes: out of floating-point range at mu=1e+200, "
+                "cutoff=1e+100")):
+            c1_c2_from_amplitudes(cfg, 1e100)
 
     def test_cross_coherence_scales_with_mu(self):
         x1 = cross_coherence(transverse_pair(1.0, mu=1e-3))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from vacpair import (AccuracyError, DomainError, PairConfiguration, amplitude_c_ee,
                      concurrence_far, concurrence_full, concurrence_near,
                      contracted_tensor, perturbative_validity, vdw_near, wcp)
+from vacpair.entanglement import cross_coherence
 from vacpair.kernel import cross_coherence_kernel
 from vacpair.oracle import modesum_second_order
 from vacpair.specfun import aux
@@ -168,7 +169,8 @@ _LAWS = {
     "cross_coherence_kernel":
         lambda cfg: cross_coherence_kernel(cfg.x, cfg.cos_ab, cfg.proj_product),
     **{law.__name__: law for law in (amplitude_c_ee, perturbative_validity, concurrence_full,
-                                     concurrence_near, concurrence_far, vdw_near, wcp)},
+                                     concurrence_near, concurrence_far, cross_coherence,
+                                     vdw_near, wcp)},
 }
 
 
