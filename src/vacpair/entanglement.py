@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-# contracted_tensor is bound here for perfbench's span tracer, which wraps it
+# contracted_tensor and perturbative_validity are bound here for perfbench's
+# span tracer, which wraps them
 from .kernel import checked_power, contracted_tensor, cross_coherence_kernel, per_x
 from .model import (PairConfiguration, Validity, ValidityReport, amplitude_c_ee,
                     perturbative_validity)
@@ -323,14 +324,13 @@ def effective_density_matrix(cfg: PairConfiguration) -> TwoQubitState:
     pure superposition, so rho^2 = rho exactly.  cfg's x must be a float.
     """
     _one_state(cfg, "effective_density_matrix")
-    cee = amplitude_c_ee(cfg)
-    validity = perturbative_validity(cfg)
-    if validity.flag is Validity.INVALID:
+    column = cfg.column  # caches c_ee and its validity report, so c_ee is made once
+    if column._validity.flag[0] is Validity.INVALID:
         raise DomainError(
             f"effective state undefined outside the weak-coupling regime "
-            f"(margin {validity.margin:.3g})")
+            f"(margin {column._validity.margin[0]:.3g})")
     psi = np.zeros(4, dtype=complex)
     psi[3] = 1.0
-    psi[0] = cee
+    psi[0] = column._amplitude[0]
     psi /= np.linalg.norm(psi)
     return TwoQubitState(np.outer(psi, psi.conj()))

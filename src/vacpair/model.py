@@ -172,6 +172,12 @@ class PairConfiguration:
         return kernel.contracted_tensor(self.x, self.cos_ab, self.proj_product)
 
     @cached_property
+    def _amplitude(self):
+        """The signed c_ee, amplitude_c_ee(self), made once for its validity
+        report and the one-state laws."""
+        return amplitude_c_ee(self)
+
+    @cached_property
     def _validity(self):
         """perturbative_validity(self), made once for the laws that share it."""
         return perturbative_validity(self)
@@ -282,7 +288,7 @@ def perturbative_validity(cfg: PairConfiguration) -> ValidityReport:
     margin <= 0.1, WARN up to 1, INVALID above 1.  kernel.per_x keeps it
     finite; its arrays are read-only, as a configuration's laws share them.
     """
-    margin = 2.0 * abs(amplitude_c_ee(cfg))
+    margin = 2.0 * abs(cfg._amplitude)
     level = 2 - (margin <= _MARGIN_WARN) - (margin <= _MARGIN_OK)
     flags = np.array(list(Validity), dtype=object)[level]  # OK, WARN, INVALID
     for shared in (flags, margin):

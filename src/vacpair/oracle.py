@@ -168,9 +168,9 @@ def _quad(func, a: float, b: float, *, where: str, epsrel: float,
                                      in zip((lo, hi, value, err, floor), added))
 
 
-# a full validate run reads 18 distinct m; the bound keeps the weights of
+# a full validate run reads 65 distinct m; the bound keeps the weights of
 # many long tails (m of 9x at separation x) from piling up
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=128)
 def _binomial_weights(m: int) -> np.ndarray:
     """C(m, i) / 2^m for i = 0..m, the weights of m rounds of pairwise means.
 
@@ -276,7 +276,7 @@ def _oscillatory(phased, n_segments: int, where: str) -> tuple[float, float]:
 def _default_segments(x: float) -> int:
     # the tail must reach past kappa ~ 25 before asymptotic alternation is
     # clean, which costs ~ x/pi segments per unit kappa
-    return max(360, int(60 + 9.0 * x))
+    return int(60 + 9.0 * x)
 
 
 def _modesum(name: str, x: float, cos_ab: float, proj_product: float, power: int,
@@ -455,7 +455,7 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
     if not (np.isfinite(x) and x > 0):
         raise DomainError(f"x must be finite and positive, got {x}")
     delta = 0.005  # half width of the finite-part window around the pole
-    n_segments = max(400, int(100 + 30 * x))
+    n_segments = int(100 + 30 * x)
     pi_c = _pi_coefficients(p, q, x)
 
     def n_complex(kappa):

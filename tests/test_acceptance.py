@@ -1,37 +1,44 @@
 """End-to-end acceptance suite.
 
-Each test pins one headline contract of the library at its stated tolerance
-and prints a PASS/FAIL line, so `pytest -s tests/test_acceptance.py` doubles
-as a human-readable acceptance report.  Criterion 9 (far zone) is an
-expected failure: the literature estimate it encodes is dimensionally
-inconsistent with the implemented far-zone law (see the assertion message).
+Each test pins one headline contract of the library and prints a PASS/FAIL
+line, so `pytest -s tests/test_acceptance.py` doubles as a human-readable
+acceptance report.  Criteria 1-8 read the checks of `vacpair validate
+--level full` that state them, one run shared by the module, and print the
+worst |observed - expected| over its tolerance among them.  Criterion 9
+(far zone) is an expected failure: the literature estimate it encodes is
+dimensionally inconsistent with the implemented far-zone law (see the
+assertion message).
 """
 
 import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
-from vacpair import (concurrence_full, concurrence_near, entanglement_of_formation,
-                     fit_powerlaw, hydrogen_1s2p, pair_from_alignment, reduce,
-                     vdw_near, wcp, wootters_concurrence)
-from vacpair.entanglement import (amplitude_c_ee, c1_c2_from_amplitudes,
-                                  correlators_from_state,
-                                  effective_density_matrix, palma_concurrence)
-from vacpair.kernel import contracted_tensor
+from vacpair import (concurrence_far, concurrence_full, concurrence_near,
+                     hydrogen_1s2p, pair_from_alignment, reduce)
 from vacpair.model import FINE_STRUCTURE
-from vacpair.oracle import aux_integral_rep, modesum_first_order
-from vacpair.specfun import aux
+from vacpair.validate import run_validation
 
-from conftest import STANDARD_GRID, random_x_state, transverse_pair
-
-GEOMETRIES = {
-    "transverse-parallel": (1.0, 0.0),
-    "longitudinal": (1.0, 1.0),
-    "mixed": (1.0, 0.25),
-    "orthogonal-zero": (0.0, 0.0),
+# criterion -> (label, the name prefixes of its `validate --level full`
+# checks, how many checks they select)
+CRITERIA = {
+    1: ("mode-sum identity on the 10 x 3 grid",
+        ("kernel.contracted_tensor vs oracle.modesum_first_order",), 30),
+    2: ("near-zone law and x^-3 slope",
+        ("near-zone law", "concurrence log-log slope on (0.005"), 4),
+    3: ("far-zone law and x^-4 slope",
+        ("far-zone law", "concurrence log-log slope on (50.0"), 4),
+    4: ("auxiliary functions vs integral representation and derivatives",
+        ("specfun.f vs", "specfun.g vs", "f' = -g", "g' = f - 1/x"), 34),
+    5: ("pair-energy scaling (x^-6 near, x^-7 far, London limit)",
+        ("wcp vs London limit", "wcp log-log slope"), 3),
+    6: ("Wootters paths on 300 X states; E_F endpoints and monotonicity",
+        ("wootters general vs x-state", "E_F"), 4),
+    7: ("consistency triangle on 20 weak-coupling configurations",
+        ("consistency triangle",), 1),
+    8: ("c2 branch negative on the {x} x {cutoff} grid", ("c2 < 0",), 9),
 }
 
 
@@ -41,142 +48,42 @@ def report(criterion, label, passed, detail=""):
     assert passed, f"acceptance {criterion} failed: {label} {detail}"
 
 
-def test_c01_mode_sum_identity():
-    t0 = time.time()
-    worst_rel, worst_abs = 0.0, 0.0
-    for name, (a, b) in GEOMETRIES.items():
-        for x in STANDARD_GRID:
-            cfg = pair_from_alignment(x, 1.0, a, b)
-            direct = modesum_first_order(x, cfg=cfg).value
-            closed = contracted_tensor(x, a, b) / np.pi
-            if name == "orthogonal-zero":
-                worst_abs = max(worst_abs, abs(direct - closed))
-            else:
-                worst_rel = max(worst_rel, abs(direct - closed) / abs(closed))
-    elapsed = time.time() - t0
-    report(1, "mode-sum identity on 10 x 4 grid",
-           worst_rel <= 1e-6 and worst_abs <= 1e-9 and elapsed < 60.0,
-           f"(worst rel {worst_rel:.2e}, zero-geometry abs {worst_abs:.2e}, "
-           f"{elapsed:.1f}s)")
+@pytest.fixture(scope="module")
+def full_report():
+    return run_validation("full")
 
 
-def test_c02_near_zone_law():
-    worst = 0.0
-    for x in (0.005, 0.01, 0.02):
-        cfg = transverse_pair(x)
-        full = concurrence_full(cfg).raw
-        near = cfg.mu * abs(cfg.cos_ab - 3 * cfg.proj_product) / x**3
-        worst = max(worst, abs(full - near) / near)
-    xs = np.geomspace(0.005, 0.02, 9)
-    curve = [(x, concurrence_full(transverse_pair(x)).raw) for x in xs]
-    slope = fit_powerlaw(curve, (0.005, 0.02)).slope
-    report(2, "near-zone law and x^-3 slope",
-           worst <= 0.01 and abs(slope + 3.0) <= 0.1,
-           f"(worst rel {worst:.2e}, slope {slope:.4f})")
+def _checks(full_report, criterion):
+    prefixes = CRITERIA[criterion][1]
+    return [r for r in full_report if r.name.startswith(prefixes)]
 
 
-def test_c03_far_zone_law():
-    worst = 0.0
-    for x in (100.0, 150.0, 200.0):
-        cfg = transverse_pair(x)
-        full = concurrence_full(cfg).raw
-        far = (8 * cfg.mu / np.pi) * abs(cfg.cos_ab - 2 * cfg.proj_product) / x**4
-        worst = max(worst, abs(full - far) / far)
-    xs = np.geomspace(50.0, 200.0, 9)
-    curve = [(x, concurrence_full(transverse_pair(x)).raw) for x in xs]
-    slope = fit_powerlaw(curve, (50.0, 200.0)).slope
-    report(3, "far-zone law and x^-4 slope",
-           worst <= 0.01 and abs(slope + 4.0) <= 0.1,
-           f"(worst rel {worst:.2e}, slope {slope:.4f})")
+def _excess(check):
+    """|observed - expected| over the tolerance, None for a pass/fail condition."""
+    if check.tolerance == 0.0:
+        return None
+    scale = max(abs(check.expected), 1e-300) if check.relative else 1.0
+    return abs(check.observed - check.expected) / scale / check.tolerance
 
 
-def test_c04_auxiliary_function_core():
-    worst = 0.0
-    for x in STANDARD_GRID:
-        v = aux(x)
-        worst = max(worst, abs(v.f - aux_integral_rep(x, "f").value),
-                    abs(v.g - aux_integral_rep(x, "g").value))
-    worst_deriv = 0.0
-    for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
-        h = 1e-5 * max(1.0, x)
-        v = aux(x)
-        fp = (aux(x + h).f - aux(x - h).f) / (2 * h)
-        gp = (aux(x + h).g - aux(x - h).g) / (2 * h)
-        worst_deriv = max(worst_deriv,
-                          abs(fp + v.g) / abs(v.g),
-                          abs(gp - (v.f - 1 / x)) / abs(v.f - 1 / x))
-    report(4, "auxiliary functions vs integral representation",
-           worst <= 1e-10 and worst_deriv <= 1e-6,
-           f"(worst abs {worst:.2e}, worst derivative rel {worst_deriv:.2e})")
+def test_every_criterion_reads_its_checks(full_report):
+    # a renamed check would leave a criterion reading fewer checks, or none
+    assert ({c: len(_checks(full_report, c)) for c in CRITERIA}
+            == {c: count for c, (_, _, count) in CRITERIA.items()})
 
 
-def test_c05_casimir_polder_scaling():
-    cfg = transverse_pair(0.01)
-    london_rel = abs(wcp(cfg).energy - vdw_near(cfg).energy) / abs(vdw_near(cfg).energy)
-    slopes = {}
-    for window, target in (((0.005, 0.02), -6.0), ((50.0, 200.0), -7.0)):
-        xs = np.geomspace(window[0], window[1], 9)
-        curve = [(x, wcp(transverse_pair(x)).energy) for x in xs]
-        slopes[target] = fit_powerlaw(curve, window).slope
-    report(5, "pair-energy scaling (x^-6 near, x^-7 far, London limit)",
-           london_rel <= 0.01 and abs(slopes[-6.0] + 6.0) <= 0.1
-           and abs(slopes[-7.0] + 7.0) <= 0.1,
-           f"(London rel {london_rel:.2e}, slopes {slopes[-6.0]:.4f} / "
-           f"{slopes[-7.0]:.4f})")
-
-
-def test_c06_entanglement_algebra():
-    rng = np.random.default_rng(1234)
-    worst = 0.0
-    for _ in range(1000):
-        m = random_x_state(rng)
-        worst = max(worst, abs(wootters_concurrence(m, method="general")
-                               - wootters_concurrence(m, method="xstate")))
-    endpoints = (entanglement_of_formation(0.0) == 0.0
-                 and entanglement_of_formation(1.0) == 1.0)
-    grid = np.linspace(0.0, 1.0, 1000)
-    vals = [entanglement_of_formation(c) for c in grid]
-    monotone = all(b > a for a, b in zip(vals, vals[1:]))
-    report(6, "Wootters paths on 1000 X-states; E_F endpoints and monotonicity",
-           worst <= 1e-10 and endpoints and monotone,
-           f"(worst path difference {worst:.2e})")
-
-
-def test_c07_consistency_triangle():
-    # pairwise agreement within relative c_ee^2, with a 1e-13 absolute floor
-    # covering the double-precision noise of the eigenvalue paths
-    rng = np.random.default_rng(77)
-    count, worst = 0, -np.inf
-    while count < 20:
-        x = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
-        a = float(rng.uniform(-1.0, 1.0))
-        b = float(rng.uniform(0.0, 0.4)) * a
-        cfg = pair_from_alignment(x, 10 ** rng.uniform(-4, -3), a, b)
-        cee = amplitude_c_ee(cfg)
-        if abs(cee) < 1e-14:
-            continue
-        count += 1
-        direct = 2.0 * abs(cee)
-        state = effective_density_matrix(cfg)
-        w = wootters_concurrence(state)
-        p = palma_concurrence(correlators_from_state(state))
-        tol = direct * cee * cee + 1e-13
-        for lhs, rhs in ((w, direct), (p, direct), (w, p)):
-            worst = max(worst, abs(lhs - rhs) - tol)
-    report(7, "consistency triangle on 20 weak-coupling configurations",
-           worst <= 0.0, f"(worst tolerance excess {worst:.2e})")
-
-
-def test_c08_c2_negativity():
-    all_negative = True
-    worst = -np.inf
-    for x in (0.1, 1.0, 10.0):
-        for cutoff in (10.0, 100.0, 1000.0):
-            _, c2 = c1_c2_from_amplitudes(transverse_pair(x, mu=1e-3), cutoff)
-            all_negative &= c2 < 0.0
-            worst = max(worst, c2)
-    report(8, "c2 branch negative on the {x} x {cutoff} grid",
-           all_negative, f"(largest c2 {worst:.3e})")
+@pytest.mark.parametrize("criterion", sorted(CRITERIA), ids="c{:02d}".format)
+def test_criterion(full_report, criterion):
+    checks = _checks(full_report, criterion)
+    failed = [r.name for r in checks if not r.passed]
+    ratios = [e for e in map(_excess, checks) if e is not None]
+    detail = f"{len(checks)} check{'s' * (len(checks) != 1)}"
+    if ratios:
+        detail += f", worst |observed - expected| / tol {max(ratios):.2e}"
+    if failed:
+        detail += f"; {len(failed)} failed, the first {failed[0]}"
+    report(criterion, CRITERIA[criterion][0], bool(checks) and not failed,
+           f"({detail})")
 
 
 def _hydrogen_near_far_ratios():
@@ -188,7 +95,6 @@ def _hydrogen_near_far_ratios():
     x_far = 150.0
     r_far = x_far / k0
     cfg_far = reduce(atom, atom, [0.0, 0.0, r_far])
-    from vacpair.entanglement import concurrence_far
     far_ratio = concurrence_far(cfg_far).raw / (FINE_STRUCTURE * r_far**-4)
     return near_ratio, far_ratio
 

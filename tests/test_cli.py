@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacpair import PairConfiguration, cli, fit_powerlaw, validate
-from vacpair.entanglement import concurrence_full
+from vacpair.entanglement import concurrence_full, effective_density_matrix
 from vacpair.errors import AccuracyError
 from vacpair.model import pair_from_alignment
 
@@ -211,6 +211,13 @@ class TestSweepStreaming:
         assert run_cli(["point", "--mu", "1e-4", "--x", repr(x)]) == 0
         assert calls.count("contracted_tensor") == 1
         assert calls.count("aux") == aux_calls
+        assert calls.count("amplitude_c_ee") == 1
+        assert calls.count("perturbative_validity") == 1
+
+    def test_the_effective_state_evaluates_c_ee_once(self, monkeypatch):
+        # the state and its validity check read the configuration's one c_ee
+        calls = _count_calls(monkeypatch)
+        effective_density_matrix(pair_from_alignment(1.0, 1e-4))
         assert calls.count("amplitude_c_ee") == 1
         assert calls.count("perturbative_validity") == 1
 
@@ -613,8 +620,8 @@ class TestLazyImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         out = proc.stdout
-        assert "121/121 checks passed" in out
-        assert "37/37 checks passed" in out
+        assert "127/127 checks passed" in out
+        assert "43/43 checks passed" in out
         _, rows = parse_csv(out[out.index("# vacpair sweep"):out.index("[PASS]")])
         assert len(rows) == 50
 

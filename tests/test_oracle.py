@@ -462,18 +462,18 @@ class TestQuad:
         assert counts == {
             # 10 grid x times 3 geometries, plus the second-order check's 2
             "oracle.modesum_first_order": 32,
-            # 3 x times 3 geometries of the cross-coherence check, plus the
-            # second-order check's 1
-            "oracle.modesum_second_order": 10,
+            # 3 x times 3 geometries of the cross-coherence check, whose
+            # x = 1 transverse value the second-order check reuses
+            "oracle.modesum_second_order": 9,
             "oracle.field_correlator": 1,
             "oracle.dispersion_integral_rotated": 10,
             # left of and right of the pole window, at 4 x
             "oracle.dispersion_integral_real_axis": 8,
             "oracle.local_population": 1,
-            # the 10 grid x of the f and g checks, plus the 4 x of the Si and
-            # Ci reconstruction
-            "oracle.aux_integral_rep('f')": 14,
-            "oracle.aux_integral_rep('g')": 14,
+            # the 10 grid x of the f and g checks, which hold the 4 x of the
+            # Si and Ci reconstruction
+            "oracle.aux_integral_rep('f')": 10,
+            "oracle.aux_integral_rep('g')": 10,
         }
 
 
