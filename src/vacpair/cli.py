@@ -229,6 +229,8 @@ def cmd_point(args) -> int:
         if r_atomic <= 0:
             raise DomainError("separation must be positive")
         x = r_atomic * atoms[0].wavenumber()
+        if np.isfinite(args.r) and not 0 < x < np.inf:
+            raise AccuracyError(f"r: x = r*k0 is out of floating-point range at r={args.r!r}")
     elif args.x is None:
         raise DomainError("a separation is required: --x or --r")
     elif args.x <= 0:

@@ -42,24 +42,6 @@ def longitudinal_pair(x, mu=1e-4):
     return pair_from_alignment(x, mu, cos_ab=1.0, proj_product=1.0)
 
 
-def mp_fg(mp, t):
-    """f and g at t from mpmath's Si and Ci, at the working precision."""
-    rest, c = mp.pi / 2 - mp.si(t), mp.ci(t)
-    return c * mp.sin(t) + rest * mp.cos(t), -c * mp.cos(t) + rest * mp.sin(t)
-
-
-def mp_x_over_mu(x, cos_ab, proj_product, digits):
-    """X/mu from mpmath's Si and Ci at the given precision, as
-    (3 T + x T')/pi before cross_coherence_kernel collects its terms: two of
-    them cancel like 1/x^2, which the digits must cover."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(digits):
-        t = mp.mpf(x)
-        f, g = mp_fg(mp, t)
-        return float(((cos_ab - proj_product) * (g + 1 / t**2 - 2 * f / t)
-                      + (cos_ab - 3 * proj_product) * (f - 1 / t) / t) / mp.pi)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -13,6 +13,7 @@ from vacpair import (AccuracyError, DomainError, PairConfiguration, casimir,
                      fit_powerlaw, pair_from_alignment, vdw_near, wcp)
 from vacpair.oracle import dispersion_integral_rotated, field_correlator
 
+import mpref
 from conftest import transverse_pair, unit_vectors
 
 
@@ -131,42 +132,10 @@ class TestWcp:
         assert pv == pytest.approx(iso, rel=1e-6)
 
 
-def mp_wcp(cfg, isotropic):
-    """(W, the sum of the magnitudes of its terms) at 100 digits.
-
-    J(x) = sum_n c_n I_n(2x) / x^(6-n), with c_n the coefficients of v^n in
-    v^6 [p/(vx) + q/(vx)^2 + q/(vx)^3]^2 (p = a - b, q = a - 3b) or their
-    rotational average, and the moments I_n(s) = int v^n e^(-sv)/(1+v^2)^2 dv
-    reduced exactly to f and g at s, which come from the mpmath Si and Ci.
-    The reduction loses about 4 log10(s) digits, 50 at x = 1e12.
-    """
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(100):
-        x = mp.mpf(cfg.x)
-        s = 2 * x
-        rest, c = mp.pi / 2 - mp.si(s), mp.ci(s)
-        f = c * mp.sin(s) + rest * mp.cos(s)
-        g = -c * mp.cos(s) + rest * mp.sin(s)
-        i0, i1 = (f + s * g) / 2, (1 - s * f) / 2
-        moments = (i0, i1, f - i0, g - i1, 1 / s - 2 * f + i0)
-
-        def pattern(p, q):
-            return (q * q, 2 * q * q, q * q + 2 * p * q, 2 * p * q, p * p)
-
-        if isotropic:
-            coeffs = [(2 * t + l) / 9 for t, l in zip(pattern(1, 1), pattern(0, -2))]
-        else:
-            a, b = mp.mpf(cfg.cos_ab), mp.mpf(cfg.proj_product)
-            coeffs = pattern(a - b, a - 3 * b)
-        terms = [c_n * moments[n] / x ** (6 - n) for n, c_n in enumerate(coeffs)]
-        factor = 2 * mp.mpf(cfg.mu) ** 2 / mp.pi
-        return -factor * mp.fsum(terms), factor * mp.fsum(abs(t) for t in terms)
-
-
 def check_against_mpmath(cfg, isotropic):
     """The conditioned error is at most 1e-12 and abs_err_est bounds the true error."""
     res = wcp(cfg, isotropic=isotropic)
-    value, scale = mp_wcp(cfg, isotropic)
+    value, scale = mpref.wcp(cfg.x, cfg.mu, cfg.cos_ab, cfg.proj_product, isotropic)
     err = float(abs(res.energy - value))
     assert err <= 1e-12 * float(scale), (cfg.x, err / float(scale))
     assert err <= res.abs_err_est, (cfg.x, err, res.abs_err_est)

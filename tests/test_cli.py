@@ -504,6 +504,16 @@ class TestExtremeSeparation:
             "vacpair: accuracy failure: reduce: mu is out of floating-point "
             "range at omega0=1e+300, |d_A|=1.0, |d_B|=1.0\n")
 
+    @pytest.mark.parametrize("argv", [["--r", "1e300", "--units", "si"], ["--r", "1e-322"]],
+                             ids=["overflow", "underflow"])
+    def test_separation_out_of_range_names_r(self, capsys, argv):
+        # x = r k0 leaves the float range: inf from 1e300 m, 0 from 1e-322 a0;
+        # the message names the r the user typed, not the x it gave
+        assert run_cli(["point", "--preset", "hydrogen-1s2p", *argv]) == 1
+        assert capsys.readouterr().err == (
+            "vacpair: accuracy failure: r: x = r*k0 is out of floating-point "
+            f"range at r={float(argv[1])!r}\n")
+
     def test_overflowing_r_over_a0_names_its_x(self, capsys):
         # k0 = 7.3e-303 puts R = x / k0 past 1.8e308 from x = 1.4e6 on, where
         # every law holds (mu underflows to 0); the sweep's array division

@@ -19,7 +19,8 @@ from vacpair.kernel import cross_coherence_kernel
 from vacpair.oracle import modesum_second_order
 from vacpair.specfun import aux
 
-from conftest import mp_x_over_mu, random_rotation, random_unit, unit_vectors
+import mpref
+from conftest import random_rotation, random_unit, unit_vectors
 
 # unit to rounding and along no axis, so every entry of the matrix is nonzero
 TILTED = np.array([1.0, 2.0, 2.0]) / 3.0
@@ -158,9 +159,24 @@ class TestCrossCoherenceKernel:
         # and (f - 1/x)/x the transverse kernel lost 15% at x = 1e-16 and was
         # exactly 0 at 1e-60
         for x in [1e-60, *(10.0 ** rng.uniform(-60.0, 0.0, 24)).tolist(), 1.0]:
-            ref = mp_x_over_mu(x, cos_ab, proj_product, 40 + int(2 * abs(math.log10(x))))
+            ref = float(mpref.x_over_mu(x, cos_ab, proj_product).value)
             assert cross_coherence_kernel(x, cos_ab, proj_product) == pytest.approx(
                 ref, rel=1e-14, abs=0.0), x
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "far-zone cancellation: aux stores f'' as 1/x - f, and X subtracts O(1/x^2) "
+    "terms to leave O(1/x^4); ROADMAP item 5, one Gauss-Laguerre moment engine, "
+    "computes f'' and h directly"))
+@pytest.mark.parametrize("x", [1e4, 1e6, 1e8, 1e12])
+@pytest.mark.parametrize("law, reference", [(contracted_tensor, mpref.tensor),
+                                            (cross_coherence_kernel, mpref.x_over_mu)],
+                         ids=["T", "X"])
+def test_transverse_far_zone_matches_mpmath(law, reference, x):
+    # the closed forms miss by a relative 3.0e-9, 3.9e-5, 0.33 and 0.5 (T) and
+    # 1.2e-8, 2.5e-4, 0.54 and 1.0 (X) at these x
+    assert law(x, 1.0, 0.0) == pytest.approx(float(reference(x, 1.0, 0.0).value),
+                                             rel=1e-12, abs=0.0)
 
 
 # every law of one value per x, on a configuration

@@ -19,27 +19,13 @@ from vacpair.oracle import (_binomial_weights, _default_segments, _euler_average
                             field_correlator, local_population,
                             modesum_first_order, modesum_second_order)
 
-from conftest import STANDARD_GRID, longitudinal_pair, mp_fg, mp_x_over_mu, transverse_pair
+import mpref
+from conftest import STANDARD_GRID, longitudinal_pair, transverse_pair
 
 G_1 = 0.343377961556427
 # exact antiderivative of k^3/(1+k)^2 on [0, L], times 2/(3 pi)
 LOCAL_POP_RATIO_10_100 = 132.64183531800975
 LOCAL_POP_RATIO_100_1000 = 103.47697989996128
-
-
-def _t_over_pi(x, cos_ab, proj_product, digits):
-    """T(x)/pi from mpmath's Si and Ci at the given precision, with f'' = 1/x - f."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(digits):
-        t = mp.mpf(x)
-        f, g = mp_fg(mp, t)
-        return float(((cos_ab - proj_product) * (1 / t - f)
-                      + (cos_ab - 3 * proj_product) * (f / t**2 + g / t)) / (t * mp.pi))
-
-
-# the closed forms cancel like x^2 at large x and like 1/x at small x
-def _digits(x):
-    return 30 + int(2 * abs(math.log10(x)))
 
 
 _GEOMETRIES = pytest.mark.parametrize(
@@ -87,7 +73,7 @@ class TestModesumFirstOrder:
         # x = 1000 and 2.0% at x = 3000
         for cfg in (transverse_pair(x), longitudinal_pair(x)):
             rep = modesum_first_order(x, cfg=cfg)
-            ref = _t_over_pi(x, cfg.cos_ab, cfg.proj_product, digits=40)
+            ref = float(mpref.tensor(x, cfg.cos_ab, cfg.proj_product).value) / math.pi
             assert abs(rep.value - ref) <= rep.abs_err_est, (cfg.proj_product, x)
             if x == 3000.0 and cfg.proj_product == 0.0:
                 assert rep.abs_err_est < 0.05 * abs(rep.value)
@@ -99,7 +85,7 @@ class TestModesumFirstOrder:
         # each tail node takes its phase from the rule's own sin and cos, so
         # no term carries the rounding of sin(rho) at rho up to 3000
         rep = modesum_first_order(x, cfg=pair_from_alignment(x, 1.0, cos_ab, proj_product))
-        _assert_matches(rep, _t_over_pi(x, cos_ab, proj_product, _digits(x)))
+        _assert_matches(rep, float(mpref.tensor(x, cos_ab, proj_product).value) / math.pi)
 
     @pytest.mark.parametrize("cos_ab, proj_product", [(1.0, 0.0), (1.0, 0.25)],
                              ids=["transverse", "mixed"])
@@ -175,7 +161,7 @@ class TestModesumSecondOrder:
     @_GEOMETRIES
     def test_matches_mpmath(self, x, cos_ab, proj_product):
         rep = modesum_second_order(x, cfg=pair_from_alignment(x, 1.0, cos_ab, proj_product))
-        _assert_matches(rep, mp_x_over_mu(x, cos_ab, proj_product, _digits(x)))
+        _assert_matches(rep, float(mpref.x_over_mu(x, cos_ab, proj_product).value))
 
 
 class TestLocalPopulation:
@@ -203,14 +189,9 @@ class TestLocalPopulation:
 
 @functools.cache
 def _aux_references():
-    """(x, "f" or "g", value) at 90 x in [1e-6, 1e12], 40 digits from mpmath's Si and Ci."""
-    mp = pytest.importorskip("mpmath")
-    out = []
-    with mp.workdps(40):
-        for x in np.geomspace(1e-6, 1e12, 90):
-            f, g = mp_fg(mp, mp.mpf(float(x)))
-            out += [(x, "f", f), (x, "g", g)]
-    return out
+    """(x, "f" or "g", value) at 90 x in [1e-6, 1e12]."""
+    return [(x, which, ref.value) for x in np.geomspace(1e-6, 1e12, 90)
+            for which, ref in zip("fg", mpref.fg(x))]
 
 
 class TestAuxIntegralRep:
@@ -245,10 +226,7 @@ class TestAuxIntegralRep:
     def test_below_the_cli_domain(self, x):
         # the partition is graded from t ~ 1/x down to t ~ 1 in factors of
         # 4: without it f at 1e-16 came out 16% low, estimated at 5e-14
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            refs = dict(zip("fg", mp_fg(mp, mp.mpf(x))))
-        for which, ref in refs.items():
+        for which, (ref, _) in zip("fg", mpref.fg(x)):
             rep = aux_integral_rep(x, which)
             assert abs(rep.value - ref) <= min(rep.abs_err_est, 1e-13 * ref), which
 
@@ -332,25 +310,6 @@ class TestDispersionRealAxis:
         assert abs(real.value - rot.value) <= 0.1 * real.abs_err_est
 
 
-def _mp_dispersion(x, cos_ab, proj_product):
-    """J(x) from its moments I_n(2x) = int v^n e^(-2xv)/(1+v^2)^2 dv, reduced
-    exactly to f and g at 2x from mpmath's Si and Ci; the reduction loses
-    about 4 log10(2x) digits, so the precision grows with x."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(60 + 4 * max(0, int(math.log10(2 * x)))):
-        s = 2 * mp.mpf(x)
-        rest, c = mp.pi / 2 - mp.si(s), mp.ci(s)
-        f = c * mp.sin(s) + rest * mp.cos(s)
-        g = -c * mp.cos(s) + rest * mp.sin(s)
-        i0, i1 = (f + s * g) / 2, (1 - s * f) / 2
-        moments = (i0, i1, f - i0, g - i1, 1 / s - 2 * f + i0)
-        a, b = mp.mpf(cos_ab), mp.mpf(proj_product)
-        p, q = a - b, a - 3 * b
-        coeffs = (q * q, 2 * q * q, q * q + 2 * p * q, 2 * p * q, p * p)
-        return mp.fsum(c_n * moments[n] / (s / 2) ** (6 - n)
-                       for n, c_n in enumerate(coeffs))
-
-
 class TestDispersionRotated:
     def test_matches_mpmath_over_the_cli_domain(self):
         # it returned exactly 0 from x ~ 1.3e5 on, where the half-line map
@@ -362,7 +321,7 @@ class TestDispersionRotated:
                 # rounds q = 5.6e-17 to 0, which moves J(1e-6) by 2.6e-10
                 rep = dispersion_integral_rotated(float(x), a - b,
                                                   math.fsum((a, -b, -b, -b)))
-                ref = _mp_dispersion(float(x), a, b)
+                ref = mpref.dispersion(x, a, b).value
                 err = abs(rep.value - ref)
                 assert err <= 1e-13 * ref, (x, a, b, float(err / ref))
                 assert err <= rep.abs_err_est, (x, a, b)
