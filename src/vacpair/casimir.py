@@ -223,12 +223,10 @@ def wcp(cfg: PairConfiguration, method: str = "rotated_contour",
     else:
         from . import oracle  # loaded only for this independent check
 
-        reps = [(w, [oracle.dispersion_integral_real_axis(v, p, q) for v in cfg.x.tolist()])
-                for w, p, q in channels]
-        energy = prefactor * (weight * sum(w * np.array([r.value for r in rep])
-                                           for w, rep in reps))
-        err = abs(prefactor) * (weight * sum(w * np.array([r.abs_err_est for r in rep])
-                                             for w, rep in reps))
+        # one call per channel over every x
+        reps = [(w, oracle.dispersion_integral_real_axis(cfg.x, p, q)) for w, p, q in channels]
+        energy = prefactor * (weight * sum(w * rep.value for w, rep in reps))
+        err = abs(prefactor) * (weight * sum(w * rep.abs_err_est for w, rep in reps))
     return PotentialResult(energy=energy, abs_err_est=err)
 
 

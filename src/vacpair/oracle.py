@@ -6,20 +6,29 @@ and nothing from the production closed forms.  Two engines do the work:
 * a globally adaptive Gauss-Legendre quadrature over a finite interval
   (`_quad`: the 21-point rule, with the 10-point one for its error
   estimate, as QUADPACK's QAG pairs Gauss and Kronrod rules) for the smooth
-  integrals; breakpoints start its partition where an integrand has a
-  narrow peak.  f, g and the rotated-contour dispersion integral are
-  Laplace integrals, each one `_quad` pass of `_laplace` in u = s v over
-  [0, 80];
+  integrals.  One call takes many integrals, one per row: each starts on a
+  partition graded by its integrand's own feature scale (a + scale 4^k,
+  with breakpoints where an integrand has a narrow peak), stops once its
+  estimate less its rounding floors meets the target, and each pass
+  evaluates the new halves of every open row in one integrand call.  f, g
+  and the rotated-contour dispersion integral are Laplace integrals, one
+  `_quad` row of `_laplace` each, in u = s v over [0, 80];
 * `_oscillatory` for the mode sums and the real-axis dispersion integral,
   each written once as phased(u, sin u, cos u) in its phase u >= 0: one
-  `_quad` pass on the head [0, pi], then the segments [pi (j+1), pi (j+2)]
-  phase-folded (sin u = (-1)^(j+1) sin phi at u = pi (j+1) + phi, with
-  the rule's phi cached, so no node calls sin or cos or rounds sin(u) at
-  large u) and summed by iterated averaging of the alternating partial
-  sums, which sums the conditionally convergent and Abel-summable tails of
-  vacuum mode sums where naive truncation fails.  The m rounds of pairwise
-  means are binomial means 2^-m sum_i C(m, i) s_(j+i) of the partial sums,
-  so a tail of n segments costs O(n) work.
+  `_quad` call on the heads [0, pi], then the segments [pi (j+1), pi (j+2)]
+  of every row in one integrand call, phase-folded (sin u = (-1)^(j+1)
+  sin phi at u = pi (j+1) + phi, with the rule's phi cached, so no node
+  calls sin or cos or rounds sin(u) at large u) and summed row by row by
+  iterated averaging of the alternating partial sums, which sums the
+  conditionally convergent and Abel-summable tails of vacuum mode sums
+  where naive truncation fails.  The m rounds of pairwise means are
+  binomial means 2^-m sum_i C(m, i) s_(j+i) of the partial sums, so a tail
+  of n segments costs O(n) work.
+
+The mode sums, `aux_integral_rep` and `dispersion_integral_rotated` take x
+as a float or a 1-d array, one row per x, and each entry of an array call
+is its float call bit for bit: a row's partition, stop and sums never
+depend on the rows beside it.
 
 Oracle code is allowed to be slow compared to the closed-form production
 paths; its job is to be simple, direct and independent.
@@ -39,10 +48,11 @@ from .model import PairConfiguration
 
 @dataclass(frozen=True)
 class QuadratureReport:
-    """Value of one oracle quadrature and a bound on its error."""
+    """Value of an oracle quadrature and a bound on its error: floats, or
+    arrays of one entry per x for an array x."""
 
-    value: float
-    abs_err_est: float
+    value: float | np.ndarray
+    abs_err_est: float | np.ndarray
 
 
 # Gauss-Legendre order of the phase-folded segments of _oscillatory
@@ -54,8 +64,8 @@ _MAX_SEGMENTS = 100_000
 _QUAD_ORDERS = (21, 10)
 # _quad's rounding floor per interval, in ulps of the integral of |f|
 _QUAD_ROUNDING = 50.0 * np.finfo(float).eps
-# func sees at most this many nodes per call, which bounds the memory its
-# temporaries take on a long oscillatory tail
+# func sees at most this many nodes per call, and _gauss_pair sums them
+# before the next call, which bounds the memory a long oscillatory tail takes
 _FUNC_BLOCK = 1 << 14
 
 
@@ -95,77 +105,145 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_pair(func, lo: np.ndarray, hi: np.ndarray,
-                orders: tuple[int, int] = _QUAD_ORDERS, *, where: str
+                orders: tuple[int, int] = _QUAD_ORDERS, *, where, rows=None, args=()
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, error estimates and rounding floors of func's integrals over
     [lo[i], hi[i]] by the Gauss-Legendre rules of two orders, as in _quad.
 
     func sees the nodes a block of intervals at a time, one row per interval:
-    the nodes of the orders[0] rule, then those of the orders[1] rule.  A
-    value that is not finite raises AccuracyError naming `where`, before
-    numpy warns of it.
+    the nodes of the orders[0] rule, then those of the orders[1] rule, and
+    after them one column for each array in args, whose entry rows[i] goes
+    with interval i.  Each rule sums its row elementwise, so an interval's
+    bits do not depend on the other intervals of the call, and block by
+    block, so a call holds one block's values at a time.  A value that is
+    not finite raises AccuracyError naming `where` (or where[rows[i]] for
+    the first such interval i), before numpy warns of it.
     """
     (x_hi, w_hi), (x_lo, w_lo) = (_gauss_rule(n) for n in orders)
     t = np.concatenate((x_hi, x_lo))
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)
-    rows = max(1, _FUNC_BLOCK // t.size)
+    cols = [np.asarray(arg)[rows, None] for arg in args]
+    block = max(1, _FUNC_BLOCK // t.size)
     n = x_hi.size
+
+    def rule_sums(i):
+        # both rules and the rule of |f|, summed row by row within the block;
+        # the weights are positive, so |f w| rounds as |f| w does
+        vals = np.asarray(func(mid[i:i + block] + half[i:i + block, None] * t,
+                               *(c[i:i + block] for c in cols)), dtype=float)
+        terms = vals[:, :n] * w_hi
+        return [terms.sum(axis=1), (vals[:, n:] * w_lo).sum(axis=1),
+                np.abs(terms, out=terms).sum(axis=1)]
+
     with np.errstate(all="ignore"):
-        vals = np.concatenate([
-            np.asarray(func(mid[i:i + rows] + half[i:i + rows, None] * t), dtype=float)
-            for i in range(0, lo.size, rows)])
-        value = half * (vals[:, :n] @ w_hi)
-        diff = np.abs(value - half * (vals[:, n:] @ w_lo))
-    if not np.isfinite(diff).all():  # a value that is not finite makes its diff so
-        raise AccuracyError(f"{where}: the integrand is not finite")
-    rounding = _QUAD_ROUNDING * half * (np.abs(vals[:, :n]) @ w_hi)
+        high, low, magnitude = np.concatenate(
+            [rule_sums(i) for i in range(0, lo.size, block)], axis=1)
+        value = half * high
+        diff = np.abs(value - half * low)
+    bad = ~np.isfinite(diff)  # a value that is not finite makes its diff so
+    if np.count_nonzero(bad):
+        i = np.flatnonzero(bad)[0]
+        raise AccuracyError(f"{where if rows is None else where[rows[i]]}: "
+                            "the integrand is not finite")
+    rounding = _QUAD_ROUNDING * half * magnitude
     return value, np.maximum(diff, rounding), rounding
 
 
-def _quad(func, a: float, b: float, *, where: str, epsrel: float,
-          limit: int, points=()) -> tuple[float, float, int]:
-    """Globally adaptive Gauss-Legendre quadrature of func over the finite [a, b].
+def _start_partition(a: float, b: float, scale: float, points=()) -> list[float]:
+    """The edges _quad starts an integral on: a, then a + scale 4^k for
+    k >= -1 and the breakpoints `points`, those inside (a, b), then b."""
+    graded = []
+    # scale 4^k by ldexp, with no power of 4 to overflow; 4^1049 takes the
+    # least subnormal scale past the largest float
+    for k in range(-1, 1050):
+        u = a + math.ldexp(scale, 2 * k)
+        if not u < b:
+            break
+        graded.append(u)
+    return [a, *sorted({u for u in (*graded, *points) if a < u < b}), b]
+
+
+def _quad(func, a, b, *, scale, where, epsrel: float, limit: int, points=(), args=()
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Globally adaptive Gauss-Legendre quadrature of integrals over finite
+    [a, b], one per entry of a, b and scale, floats or 1-d arrays broadcast
+    together.
 
     It serves the smooth integrals and the head [0, pi] of each phase
-    integrand of _oscillatory.  func takes and returns 1-d arrays.  Each
-    interval's value is the 21-point Gauss-Legendre rule (A&S 25.4.29); its
-    error estimate is the difference from the 10-point rule, floored at 50
-    ulps of the 21-point integral of |f|, the rounding QUADPACK (Piessens et
-    al., 1983) allows for.
-    While the summed estimate exceeds epsrel |I|, each pass bisects the
-    intervals of largest error that together hold the excess and evaluates
-    all the new halves in one _gauss_pair call.  Once every interval's
-    estimate is its floor, bisection cannot lower the sum, and the result
-    returns with that sum as its estimate, as QUADPACK stops on detecting
-    round-off.  The interior breakpoints `points` (ascending, inside
-    (a, b)) start the partition.  Returns (value, abs_err_est, intervals);
-    needing more than `limit` intervals, or an integrand value that is not
-    finite, raises AccuracyError naming `where`, the oracle and its x.
+    integrand of _oscillatory.  func takes the nodes as a 2-d array, one row
+    per interval, then one column for each array in args (one entry per
+    integral), and returns its values in the nodes' shape.  Each interval's
+    value is the 21-point Gauss-Legendre rule (A&S 25.4.29); its error
+    estimate is the difference from the 10-point rule, floored at 50 ulps of
+    the 21-point integral of |f|, the rounding QUADPACK (Piessens et al.,
+    1983) allows for.
+    Integral r starts on the graded partition a[r] + scale[r] 4^k, k >= -1,
+    below b[r], where scale[r] is the distance of its integrand's feature
+    (a pole, a peak) from a[r], with the breakpoints `points` added
+    (_start_partition): each interval then sees the feature from a few of
+    its own widths away, and one pass usually meets the target.  An
+    integral is done once its estimates less their floors sum to at most
+    epsrel |I|: bisection lowers only that part, so an integral whose floor
+    exceeds the target returns with the floor in its estimate, as QUADPACK
+    stops on detecting round-off.  While any is open, each pass bisects,
+    in every open integral, the intervals of largest reducible error that
+    together hold its excess, and evaluates all the new halves in one
+    _gauss_pair call.  An integral's intervals keep one order whatever
+    others share its passes, and its sums run in that order, so each
+    integral's bits are those of its call alone.  Returns (value,
+    abs_err_est, intervals), arrays of one entry per integral; needing more
+    than `limit` intervals, or an integrand value that is not finite,
+    raises AccuracyError naming `where` (one str, or one per integral).
     """
-    edges = np.array([a, *points, b], dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    value, err, floor = _gauss_pair(func, lo, hi, where=where)
+    bounds = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                   for v in (a, b, scale)))
+    n = bounds[0].size
+    names = [where] * n if isinstance(where, str) else where
+    edges = [_start_partition(*row_bounds, points)
+             for row_bounds in zip(*(v.tolist() for v in bounds))]
+    row = np.repeat(np.arange(n), [len(e) - 1 for e in edges])
+    lo = np.array([u for e in edges for u in e[:-1]])
+    hi = np.array([u for e in edges for u in e[1:]])
+    value, err, floor = _gauss_pair(func, lo, hi, where=names, rows=row, args=args)
+    total, total_err, used = np.empty(n), np.empty(n), np.empty(n, dtype=int)
+    is_open = np.ones(n, dtype=bool)
     while True:
-        total, total_err = value.sum(), err.sum()
-        excess = total_err - epsrel * abs(total)
-        if excess <= 0.0 or np.array_equal(err, floor):
-            return float(total), float(total_err), lo.size
-        worst = np.argsort(err)[::-1]
-        n_split = min(int(np.searchsorted(np.cumsum(err[worst]), excess)) + 1,
-                      lo.size)
-        if lo.size + n_split > limit:
+        key = err - floor  # the part of each estimate that bisection can lower
+        count = np.bincount(row, minlength=n)
+        sums, sums_err, reducible = (np.bincount(row, w, minlength=n)
+                                     for w in (value, err, key))
+        excess = reducible - epsrel * np.abs(sums)
+        done = is_open & (excess <= 0.0)
+        total[done], total_err[done], used[done] = sums[done], sums_err[done], count[done]
+        is_open &= ~done
+        if not np.count_nonzero(is_open):
+            return total, total_err, used
+        # the open integrals' intervals, each integral's by descending key,
+        # and in each the keys before it, summed in that order
+        order = np.lexsort((-key, row))
+        order = order[is_open[row[order]]]
+        lo, hi, row, value, err, floor, key = (
+            v[order] for v in (lo, hi, row, value, err, floor, key))
+        pos = np.arange(row.size) - np.searchsorted(row, row)
+        before = np.zeros((n, pos.max() + 2))
+        before[row, pos + 1] = key
+        split = np.cumsum(before, axis=1)[row, pos] < excess[row]
+        over = count + np.bincount(row[split], minlength=n) > limit
+        if np.count_nonzero(over):
+            r = np.flatnonzero(over)[0]
             raise AccuracyError(
-                f"{where}: the adaptive quadrature needs more than {limit} "
-                f"intervals (estimate {total_err:.3g} for {total:.17g})")
-        split, keep = worst[:n_split], worst[n_split:]
+                f"{names[r]}: the adaptive quadrature needs more than {limit} "
+                f"intervals (estimate {sums_err[r]:.3g} for {sums[r]:.17g})")
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[split], mid))
-        new_hi = np.concatenate((mid, hi[split]))
+        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        new_row = np.tile(row[split], 2)
         # the kept intervals, then the new halves with their rule values
-        added = (new_lo, new_hi, *_gauss_pair(func, new_lo, new_hi, where=where))
-        lo, hi, value, err, floor = (np.concatenate((old[keep], new)) for old, new
-                                     in zip((lo, hi, value, err, floor), added))
+        added = (new_lo, new_hi, new_row,
+                 *_gauss_pair(func, new_lo, new_hi, where=names, rows=new_row, args=args))
+        lo, hi, row, value, err, floor = (
+            np.concatenate((old[~split], new)) for old, new
+            in zip((lo, hi, row, value, err, floor), added))
 
 
 # a full validate run reads 65 distinct m; the bound keeps the weights of
@@ -234,43 +312,82 @@ def _rule_phases(order: int) -> tuple[np.ndarray, np.ndarray]:
     return phases
 
 
-def _oscillatory(phased, n_segments: int, where: str) -> tuple[float, float]:
-    """(value, abs_err_est) of the integral over u >= 0 of an integrand that
-    oscillates like sin u and cos u, given as phased(u, sin u, cos u).
+def _segment_budget(n_segments: int, where: str) -> None:
+    if n_segments > _MAX_SEGMENTS:
+        raise DomainError(f"{where}: {n_segments} tail segments exceed {_MAX_SEGMENTS}")
 
-    The head [0, pi] is one _quad pass on phased(u, sin u, cos u).  Past it,
-    segment j = 0 .. n_segments - 1 is [pi (j+1), pi (j+2)] and its nodes
-    are u = pi (j+1) + phi, phi = (pi/2)(1 + t) for the rule nodes t, where
+
+def _oscillatory(phased, n_segments, where, *, scale, args=()
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(value, abs_err_est), arrays of one entry per integral, of integrals
+    over u >= 0 of integrands that oscillate like sin u and cos u, given as
+    phased(u, sin u, cos u, *columns of args), as _quad hands func its args.
+
+    n_segments, where (the names for errors) and scale hold one entry per
+    integral, as does each array in args.  The heads [0, pi] are one
+    _quad call on phased(u, sin u, cos u), graded from 0 by scale, with a
+    breakpoint at pi/2, where sin u turns (without it one of 660 mode-sum
+    heads at x in [1e-3, 300] took a second pass, its last interval
+    [0.8, pi] at x = 0.05).  Past the head, segment j = 0 .. n_segments - 1
+    is [pi (j+1), pi (j+2)] and its nodes are u = pi (j+1) + phi,
+    phi = (pi/2)(1 + t) for the rule nodes t, where
     sin u = (-1)^(j+1) sin phi and cos u = (-1)^(j+1) cos phi.  The
     integrand there is (-1)^(j+1) phased(u, sin phi, cos phi), with sin phi
     and cos phi from the cached rule phases, so no node rounds a sine or
-    cosine of a large u.  _gauss_pair takes each segment at
+    cosine of a large u.  One _gauss_pair call takes the segments of
+    consecutive integrals while their count stays within _MAX_SEGMENTS, at
     (_GAUSS_ORDER, max(8, _GAUSS_ORDER - 8)); the sign multiplies whole
-    segment values, which leaves their error estimates and floors as they are.
+    segment values, which leaves their error estimates and floors as they
+    are.  Each integral's tail has its own Euler average.  An integral past
+    the budget raises DomainError before anything is evaluated.
     """
-    if n_segments > _MAX_SEGMENTS:
-        raise DomainError(f"{where}: {n_segments} tail segments exceed {_MAX_SEGMENTS}")
-    head, head_err, _ = _quad(lambda u: phased(u, np.sin(u), np.cos(u)), 0.0, np.pi,
-                              limit=800, epsrel=1e-12, where=where)
+    for n, name in zip(n_segments, where):
+        _segment_budget(n, name)
+    n_segments = np.array(n_segments)
+    value, err, _ = _quad(lambda u, *cols: phased(u, np.sin(u), np.cos(u), *cols),
+                          0.0, np.pi, scale=scale, limit=800, epsrel=1e-12,
+                          points=(0.5 * np.pi,), where=where, args=args)
     orders = (_GAUSS_ORDER, max(8, _GAUSS_ORDER - 8))
     (sin_hi, cos_hi), (sin_lo, cos_lo) = (_rule_phases(n) for n in orders)
     sin_phi, cos_phi = np.concatenate((sin_hi, sin_lo)), np.concatenate((cos_hi, cos_lo))
-    # in units of pi the edges are the integers j + 1, so every segment is
-    # exactly one unit wide, with no rounding in hi - lo to perturb its weight
-    j = np.arange(n_segments)
-    values, seg_err, _ = _gauss_pair(lambda v: phased(np.pi * v, sin_phi, cos_phi),
-                                     j + 1.0, j + 2.0, orders, where=where)
-    terms = np.pi * np.where(j % 2 == 0, -values, values)
-    # error estimate, three components: spread of the accelerated value over
-    # several truncation lengths (tail truncation), the segments' estimates
-    # (quadrature truncation, floored at their rounding), and round-off
-    # accumulated over the (possibly huge) alternating terms
+    ends = np.cumsum(n_segments)
+    begins = ends - n_segments
+    start = 0
+    while start < n_segments.size:
+        # this row and the next ones whose segments fit the budget with it
+        stop = start + 1 + int(np.searchsorted(ends[start + 1:], begins[start] + _MAX_SEGMENTS,
+                                               side="right"))
+        base = begins[start]
+        rows = np.repeat(np.arange(start, stop), n_segments[start:stop])
+        # in units of pi the edges are the integers j + 1, so every segment
+        # is exactly one unit wide, with no rounding in hi - lo to perturb
+        # its weight
+        j = np.arange(base, ends[stop - 1]) - begins[rows]
+        values, seg_err, _ = _gauss_pair(
+            lambda v, *cols: phased(np.pi * v, sin_phi, cos_phi, *cols),
+            j + 1.0, j + 2.0, orders, where=where, rows=rows, args=args)
+        terms = np.pi * np.where(j % 2 == 0, -values, values)
+        for r in range(start, stop):
+            tail = slice(begins[r] - base, ends[r] - base)
+            tail_value, tail_err = _tail(terms[tail], seg_err[tail])
+            value[r] += tail_value
+            err[r] += tail_err
+        start = stop
+    return value, err
+
+
+def _tail(terms: np.ndarray, seg_err: np.ndarray) -> tuple[float, float]:
+    """The Euler sum of one integral's signed segment values, and its error
+    estimate, of three components: the spread of the accelerated value over
+    several truncation lengths (tail truncation), the segments' estimates
+    (quadrature truncation, floored at their rounding), and round-off
+    accumulated over the (possibly huge) alternating terms."""
+    n = terms.size
     value, diff, truncations = _euler_average(
-        terms, [max(4, (n_segments * frac) // 8) for frac in (4, 5, 6, 7)])
+        terms, [max(4, (n * frac) // 8) for frac in (4, 5, 6, 7)])
     spread = max(abs(value - t) for t in truncations)
     noise = 1e-15 * float(np.abs(terms).sum())
-    return (head + value, head_err + 4.0 * diff + 2.0 * spread
-            + np.pi * float(seg_err.sum()) + noise)
+    return value, 4.0 * diff + 2.0 * spread + np.pi * float(seg_err.sum()) + noise
 
 
 def _default_segments(x: float) -> int:
@@ -279,10 +396,28 @@ def _default_segments(x: float) -> int:
     return int(60 + 9.0 * x)
 
 
-def _modesum(name: str, x: float, cos_ab: float, proj_product: float, power: int,
+def _rows(x) -> np.ndarray:
+    """x, a float or a nonempty 1-d array, as a 1-d float array, each entry
+    finite and positive."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1 or not xs.size:
+        raise DomainError(f"x must be a float or a nonempty 1-d array, got shape {xs.shape}")
+    bad = ~(np.isfinite(xs) & (xs > 0))
+    if np.count_nonzero(bad):
+        raise DomainError(f"x must be finite and positive, got {xs[bad][0].item()}")
+    return xs
+
+
+def _report(x, value: np.ndarray, err: np.ndarray) -> QuadratureReport:
+    """One report of arrays, or of floats for a float x."""
+    if np.ndim(x):
+        return QuadratureReport(value=value, abs_err_est=err)
+    return QuadratureReport(value=value.item(), abs_err_est=err.item())
+
+
+def _modesum(name: str, x, cos_ab: float, proj_product: float, power: int,
              resonance: float):
-    if not (np.isfinite(x) and x > 0):
-        raise DomainError(f"x must be finite and positive, got {x}")
+    xs = _rows(x)
     if resonance <= 0:
         raise DomainError("resonance parameter must be positive")
 
@@ -293,14 +428,18 @@ def _modesum(name: str, x: float, cos_ab: float, proj_product: float, power: int
     # q = cos_ab - 3 proj_product, rho K is
     # pattern = sin(rho) (p - q/rho^2) + q cos(rho)/rho, and the integrand
     # k^3/(resonance + k)^power K dk becomes
-    # rho^2 pattern / ((resonance x + rho)^power x^(4 - power)) drho
+    # rho^2 pattern / ((resonance x + rho)^power x^(4 - power)) drho, whose
+    # pole at rho = -resonance x grades the head
     p, q = cos_ab - proj_product, cos_ab - 3.0 * proj_product
 
-    def phased(rho, sin_rho, cos_rho):
-        pattern = sin_rho * (p - q / (rho * rho)) + q * cos_rho / rho
-        return rho * rho / (resonance * x + rho) ** power * pattern / x ** (4 - power)
+    def phased(rho, sin_rho, cos_rho, x):
+        # rho^2 pattern = (p rho^2 - q) sin rho + q rho cos rho
+        numerator = (p * rho * rho - q) * sin_rho + rho * (q * cos_rho)
+        return numerator / ((resonance * x + rho) ** power * x ** (4 - power))
 
-    return _oscillatory(phased, _default_segments(x), where=f"oracle.{name} at x={x!r}")
+    return _oscillatory(phased, [_default_segments(v) for v in xs.tolist()],
+                        [f"oracle.{name} at x={v!r}" for v in xs.tolist()],
+                        scale=resonance * xs, args=(xs,))
 
 
 def modesum_first_order(x: float, *, cfg: PairConfiguration,
@@ -310,11 +449,12 @@ def modesum_first_order(x: float, *, cfg: PairConfiguration,
     Evaluates -(1/pi) * int_0^inf dk k^3/(resonance + k) K(k x) where K is the
     polarization-and-angle integrated kernel contracted with the dipole
     orientations.  When the closed-form identity holds this equals
-    (1/pi) T(x) from the kernel module.
+    (1/pi) T(x) from the kernel module.  x is a float or a 1-d array, with
+    one value per x, each the bits of its float call.
     """
     raw, err = _modesum("modesum_first_order", x, cfg.cos_ab, cfg.proj_product,
                         power=1, resonance=resonance)
-    return QuadratureReport(value=-raw / np.pi, abs_err_est=err / np.pi)
+    return _report(x, -raw / np.pi, err / np.pi)
 
 
 def modesum_second_order(x: float, *, cfg: PairConfiguration) -> QuadratureReport:
@@ -323,11 +463,11 @@ def modesum_second_order(x: float, *, cfg: PairConfiguration) -> QuadratureRepor
     Evaluates (1/pi) * int_0^inf dk k^3/(1 + k)^2 K(k x): the one-photon
     cross term between the two atoms.  Finite without any cutoff, and equal
     to the derivative of the first-order sum with respect to its resonance
-    parameter.
+    parameter.  x is a float or a 1-d array, as in modesum_first_order.
     """
     raw, err = _modesum("modesum_second_order", x, cfg.cos_ab, cfg.proj_product,
                         power=2, resonance=1.0)
-    return QuadratureReport(value=raw / np.pi, abs_err_est=err / np.pi)
+    return _report(x, raw / np.pi, err / np.pi)
 
 
 def local_population(cutoff: float) -> QuadratureReport:
@@ -338,53 +478,57 @@ def local_population(cutoff: float) -> QuadratureReport:
     """
     if not (np.isfinite(cutoff) and cutoff > 1):
         raise DomainError(f"cutoff must exceed 1, got {cutoff}")
-    val, err, _ = _quad(lambda k: k**3 / (1.0 + k) ** 2, 0.0, cutoff,
+    # the integrand's pole at k = -1 grades the partition from 0 by 1
+    val, err, _ = _quad(lambda k: k**3 / (1.0 + k) ** 2, 0.0, cutoff, scale=1.0,
                         limit=200, epsrel=1e-12,
                         where=f"oracle.local_population at cutoff={cutoff!r}")
     scale = 2.0 / (3.0 * np.pi)
-    return QuadratureReport(value=scale * val, abs_err_est=scale * err)
+    return QuadratureReport(value=scale * val.item(), abs_err_est=scale * err.item())
 
 
 # exp(-80) = 1.8e-35: _laplace's integrand is below every tolerance past it
 _LAPLACE_END = 80.0
 
 
-def _laplace(s: float, weight, power: int, where: str) -> QuadratureReport:
-    """int_0^inf exp(-s v) weight(v)/(1 + v^2)^power dv, with its error estimate.
+def _laplace(s: np.ndarray, weight, power: int, where: list[str], args=()
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^inf exp(-s v) weight(v, *args)/(1 + v^2)^power dv, with its
+    error estimate, at each s of the 1-d array s: two arrays.
 
-    One _quad pass in u = s v over [0, 80].  1/(1 + v^2) falls off from u = s
-    on and exp(-u) on u of order 1, so the partition starts at u = s/4 times
-    the powers of 4 and at u = 2, 6, 14, 30, those below 80: no scale is
-    stepped over (f came out 16% low below x = 1e-15 with s/4, s, 4s alone),
-    and a moderate s needs no bisection.  Below s = 1e-150, 1 + v^2 overflows.
+    One _quad call in u = s v over [0, 80], each s a row whose entry of
+    each array in args reaches weight as a column.  1/(1 + v^2) falls off
+    from u = s on and exp(-u) on u of order 1, so each partition starts
+    graded by s (at s/4 times the powers of 4) with the breakpoints
+    u = 2, 6, 14, 30: no scale is stepped over (f came out 16% low below
+    x = 1e-15 with s/4, s, 4s alone), and a moderate s needs no bisection.
+    Below s = 1e-150, 1 + v^2 overflows.
     """
-    if s < 1e-150:
-        raise DomainError(f"{where}: out of range, 1 + (u/s)^2 overflows")
+    low = s < 1e-150
+    if np.count_nonzero(low):
+        raise DomainError(f"{where[np.flatnonzero(low)[0]]}: out of range, "
+                          "1 + (u/s)^2 overflows")
 
-    def integrand(u):
+    def integrand(u, s, *cols):
         v = u / s
-        return np.exp(-u) * weight(v) / (1.0 + v * v) ** power
+        return np.exp(-u) * weight(v, *cols) / (1.0 + v * v) ** power
 
-    graded = s * 4.0 ** np.arange(-1.0, math.log(_LAPLACE_END / s, 4))
-    points = sorted({u for u in (*graded, 2.0, 6.0, 14.0, 30.0) if u < _LAPLACE_END})
-    val, err, _ = _quad(integrand, 0.0, _LAPLACE_END, limit=800, epsrel=1e-13,
-                        points=points, where=where)
-    return QuadratureReport(value=val / s, abs_err_est=err / s)
+    val, err, _ = _quad(integrand, 0.0, _LAPLACE_END, scale=s, limit=800, epsrel=1e-13,
+                        points=(2.0, 6.0, 14.0, 30.0), where=where, args=(s, *args))
+    return val / s, err / s
 
 
 def aux_integral_rep(x: float, which: str) -> QuadratureReport:
     """Laplace-representation oracle for the auxiliary functions.
 
     f: int_0^inf exp(-x t)/(1+t^2) dt;  g: int_0^inf t exp(-x t)/(1+t^2) dt,
-    each one _laplace pass.
+    one _laplace call for every x of a float or a 1-d array.
     """
     if which not in ("f", "g"):
         raise DomainError(f"which must be 'f' or 'g', got {which!r}")
-    if not (np.isfinite(x) and x > 0):
-        raise DomainError(f"x must be finite and positive, got {x}")
+    xs = _rows(x)
     weight = (lambda t: 1.0) if which == "f" else (lambda t: t)
-    return _laplace(x, weight, 1,
-                    where=f"oracle.aux_integral_rep({which!r}) at x={x!r}")
+    return _report(x, *_laplace(xs, weight, 1, [
+        f"oracle.aux_integral_rep({which!r}) at x={v!r}" for v in xs.tolist()]))
 
 
 def field_correlator(x: float, cos_ab: float, proj_product: float) -> QuadratureReport:
@@ -396,7 +540,7 @@ def field_correlator(x: float, cos_ab: float, proj_product: float) -> Quadrature
     """
     value, err = _modesum("field_correlator", x, cos_ab, proj_product, power=0,
                           resonance=1.0)
-    return QuadratureReport(value=value, abs_err_est=err)
+    return _report(x, value, err)
 
 
 # ---------------------------------------------------------------------------
@@ -409,22 +553,23 @@ def dispersion_integral_rotated(x: float, p: float, q: float) -> QuadratureRepor
 
     J(x) = int_0^inf (p v^2/x + q v/x^2 + q/x^3)^2 exp(-2 v x) / (1 + v^2)^2 dv,
     the square of v^3 times the radiation pattern p/(vx) + q/(vx)^2 + q/(vx)^3
-    at imaginary wavenumber i v: one _laplace pass at s = 2x, which holds
-    its accuracy from x = 1e-6 to 1e12.
+    at imaginary wavenumber i v: one _laplace call at s = 2x for every x of
+    a float or a 1-d array, which holds its accuracy from x = 1e-6 to 1e12.
     """
-    if not (np.isfinite(x) and x > 0):
-        raise DomainError(f"x must be finite and positive, got {x}")
+    xs = _rows(x)
 
-    def pattern_squared(v):
+    def pattern_squared(v, x):
         pattern = p * v * v / x + q * v / x**2 + q / x**3
         return pattern * pattern
 
-    return _laplace(2.0 * x, pattern_squared, 2,
-                    where=f"oracle.dispersion_integral_rotated at x={x!r}")
+    return _report(x, *_laplace(2.0 * xs, pattern_squared, 2, [
+        f"oracle.dispersion_integral_rotated at x={v!r}" for v in xs.tolist()],
+        args=(xs,)))
 
 
-def _pi_coefficients(p: float, q: float, x: float) -> np.ndarray:
-    """Coefficients (kappa^4 .. kappa^0) of the outgoing-wave polynomial.
+def _pi_coefficients(p: float, q: float, x: np.ndarray) -> np.ndarray:
+    """Coefficients (kappa^4 .. kappa^0) of the outgoing-wave polynomial, a
+    row each, with one column per x of the 1-d x.
 
     kappa^6 G(kappa x)^2 with G(y) = p/y + i q/y^2 - q/y^3 expands to the
     polynomial p^2 k^4/x^2 + 2ipq k^3/x^3 - (q^2+2pq) k^2/x^4 - 2iq^2 k/x^5
@@ -450,49 +595,62 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
     circle), and the outgoing-wave residue term pi * Re N'(1) subtracted.
     That subtraction is exact for the ground-state (no real photon exchange)
     prescription and makes the result identical to the rotated-contour
-    integral.
+    integral.  Both sides of the window are graded toward the pole, which
+    lies 2 x delta in the phase u beyond each.  x is a float or a 1-d
+    array, as in the mode sums.
     """
-    if not (np.isfinite(x) and x > 0):
-        raise DomainError(f"x must be finite and positive, got {x}")
+    xs = _rows(x)
+    names = [f"oracle.dispersion_integral_real_axis at x={v!r}" for v in xs.tolist()]
+    n_segments = [int(100 + 30 * v) for v in xs.tolist()]
+    for n, name in zip(n_segments, names):
+        _segment_budget(n, name)  # before any power of x is formed
     delta = 0.005  # half width of the finite-part window around the pole
-    n_segments = int(100 + 30 * x)
-    pi_c = _pi_coefficients(p, q, x)
-
-    def n_complex(kappa):
-        kappa = np.asarray(kappa, dtype=complex)
-        poly = np.polyval(pi_c, kappa)
-        return poly * np.exp(2j * kappa * x) / (1.0 + kappa) ** 2
 
     # Taylor coefficients of N around kappa = 1 from a Cauchy circle; N grows
     # like exp(2 x r) on a circle of radius r, so a radius that shrinks as
     # 1/x from x = 5 on keeps the coefficients' rounding below the window's
     m_nodes = 128
-    radius = 0.2 * min(1.0, 5.0 / x)
+    radius = 0.2 * np.minimum(1.0, 5.0 / xs)
     theta = 2.0 * np.pi * np.arange(m_nodes) / m_nodes
-    ring = n_complex(1.0 + radius * np.exp(1j * theta))
-    coef = np.array([(ring * np.exp(-1j * k * theta)).mean() / radius**k
-                     for k in range(12)])
+    kappa = 1.0 + radius[:, None] * np.exp(1j * theta)
+    with np.errstate(all="ignore"):
+        pi_c = _pi_coefficients(p, q, xs)
+        ring = (np.polyval(pi_c[:, :, None], kappa) * np.exp(2j * kappa * xs[:, None])
+                / (1.0 + kappa) ** 2)
+        coef = np.array([(ring * np.exp(-1j * k * theta)).mean(axis=1) / radius**k
+                         for k in range(12)])
+    # a power of a small x out of range leaves a coefficient that is not finite
+    bad = ~np.isfinite(coef).all(axis=0)
+    if np.count_nonzero(bad):
+        raise AccuracyError(f"{names[np.flatnonzero(bad)[0]]}: the integrand is not finite")
 
-    # the phase u = 2 x (kappa - 1 - delta), so that
-    # exp(2 i kappa x) = exp(2 i x (1 + delta)) exp(i u); u >= 0 is right of
-    # the window, and its head [0, pi] holds the pole spike
-    base_phase = np.exp(2j * x * (1.0 + delta))
+    # the phase u = 2 x (kappa - 1 - delta), so that exp(2 i kappa x) =
+    # exp(i (b + u)) with b = 2 x (1 + delta); u >= 0 is right of the window,
+    # and its head [0, pi] holds the pole spike
+    base = 2.0 * xs * (1.0 + delta)
 
-    def phased(u, sin_u, cos_u):
+    def phased(u, sin_u, cos_u, x, sin_b, cos_b, c0, c1, c2, c3, c4):
+        # the polynomial's even powers have real coefficients and its odd
+        # ones imaginary, so Im[N] (1 + kappa)^2 is its even part times
+        # sin(b + u) plus its odd part over i times cos(b + u)
         kappa = 1.0 + delta + u / (2.0 * x)
-        phase = base_phase * (cos_u + 1j * sin_u)
-        n_kappa = np.polyval(pi_c, kappa) * phase / (1.0 + kappa) ** 2
-        return np.imag(n_kappa) / (kappa - 1.0) ** 2 / (2.0 * x)
+        k2 = kappa * kappa
+        sin_phase = sin_b * cos_u + cos_b * sin_u
+        cos_phase = cos_b * cos_u - sin_b * sin_u
+        im_n = ((c0 * k2 + c2) * k2 + c4) * sin_phase + (c1 * k2 + c3) * kappa * cos_phase
+        return im_n / (((1.0 + kappa) * (kappa - 1.0)) ** 2 * (2.0 * x))
 
-    where = f"oracle.dispersion_integral_real_axis at x={x!r}"
-    right, right_err = _oscillatory(phased, n_segments, where)  # checks the budget first
-    # left of the window: kappa in [0, 1 - delta] is u in [-2x (1 + delta), -4x delta]
-    left, left_err, _ = _quad(lambda u: phased(u, np.sin(u), np.cos(u)),
-                              -2.0 * x * (1.0 + delta), -4.0 * x * delta,
-                              limit=800, epsrel=1e-12, where=where)
+    args = (xs, np.sin(base), np.cos(base), pi_c[0].real, pi_c[1].imag, pi_c[2].real,
+            pi_c[3].imag, pi_c[4].real)
+    pole = 2.0 * xs * delta
+    right, right_err = _oscillatory(phased, n_segments, names, scale=pole, args=args)
+    # left of the window: kappa in [0, 1 - delta] is u in [-2x (1 + delta),
+    # -2 pole], integrated in w = -u from 2 pole so as to grade toward the pole
+    left, left_err, _ = _quad(lambda w, *cols: phased(-w, -np.sin(w), np.cos(w), *cols),
+                              2.0 * pole, 2.0 * xs * (1.0 + delta), scale=pole,
+                              limit=800, epsrel=1e-12, where=names, args=args)
     window = sum(2.0 * np.imag(coef[k]) * delta ** (k - 1) / (k - 1)
                  for k in range(2, 12, 2))
     finite_part = left + right + window - 2.0 * np.imag(coef[0]) / delta
     err = left_err + right_err + abs(coef[11]) * delta**10
-    return QuadratureReport(value=finite_part - np.pi * np.real(coef[1]),
-                            abs_err_est=err)
+    return _report(x, finite_part - np.pi * np.real(coef[1]), err)

@@ -99,12 +99,14 @@ def _trig_reconstruction(grid, fg):
 
 def _modesum_checks(name, closed_form, modesum, tol, grid, geometries):
     out = []
+    xs = np.array(grid)
     for gname, (a, b) in geometries.items():
-        closed = closed_form(np.array(grid), a, b)  # one call per geometry
-        for x, value in zip(grid, closed.tolist()):
-            direct = modesum(x, cfg=pair_from_alignment(x, 1.0, a, b)).value
+        # one call of each side per geometry
+        closed = closed_form(xs, a, b)
+        direct = modesum(xs, cfg=pair_from_alignment(xs, 1.0, a, b)).value
+        for x, observed, expected in zip(grid, direct.tolist(), closed.tolist()):
             out.append(_compare(f"{name} vs oracle.{modesum.__name__} x={x} {gname}",
-                                direct, value, tol))
+                                observed, expected, tol))
     return out
 
 
@@ -223,10 +225,10 @@ def _casimir_checks(fast=True):
     a, b = _GEOMETRIES["mixed"]
     grid = (0.01, 0.5, 1.99, 2.01, 10.0, 100.0, 1e3, 1e6, 1e9, 1e12)
     closed = casimir.wcp(pair_from_alignment(np.array(grid), 1.0, a, b)).energy
-    for x, energy in zip(grid, closed.tolist()):
-        direct = oracle.dispersion_integral_rotated(x, a - b, a - 3 * b).value
+    direct = oracle.dispersion_integral_rotated(np.array(grid), a - b, a - 3 * b).value
+    for x, energy, integral in zip(grid, closed.tolist(), direct.tolist()):
         out.append(_compare(f"wcp closed form vs oracle.dispersion_integral_rotated "
-                            f"x={x}", energy, -(2.0 / np.pi) * direct, 1e-10))
+                            f"x={x}", energy, -(2.0 / np.pi) * integral, 1e-10))
     grid = (0.5, 1.0, 2.0, 5.0)
     cfgx = pair_from_alignment(np.array(grid), 1e-4, 1.0, 0.0)
     rot = casimir.wcp(cfgx, method="rotated_contour").energy
@@ -280,9 +282,10 @@ def run_validation(level: str = "fast") -> list[CheckResult]:
     fast = level == "fast"
     aux_grid = (0.05, 1.0, 10.0) if fast else _STANDARD_GRID
     trig_grid = (0.1, 1.0, 10.0, 100.0)
-    # the oracle's f and g, evaluated once per x for both checks that read them
-    fg = {x: [oracle.aux_integral_rep(x, which).value for which in "fg"]
-          for x in {*aux_grid, *trig_grid}}
+    # the oracle's f and g, one call each over every x of both checks that read them
+    xs = sorted({*aux_grid, *trig_grid})
+    f, g = (oracle.aux_integral_rep(np.array(xs), which).value.tolist() for which in "fg")
+    fg = {x: (fx, gx) for x, fx, gx in zip(xs, f, g)}
     results = []
     results += _aux_checks(aux_grid, fg)
     results += _derivative_checks((0.5, 2.0) if fast else (0.1, 0.5, 1.0, 2.0,

@@ -12,7 +12,7 @@ from vacpair import AccuracyError, DomainError, oracle, pair_from_alignment, val
 from vacpair.entanglement import regularized_local_population
 from vacpair.kernel import contracted_tensor, cross_coherence_kernel
 from vacpair.oracle import (_binomial_weights, _default_segments, _euler_average,
-                            _gauss_pair, _gauss_rule, _quad,
+                            _gauss_pair, _gauss_rule, _quad, _start_partition,
                             aux_integral_rep,
                             dispersion_integral_real_axis,
                             dispersion_integral_rotated,
@@ -287,6 +287,10 @@ class TestSegmentBudget:
         with pytest.raises(DomainError,
                            match="dispersion_integral_real_axis at x=1000000000.0: "):
             wcp(cfg, method="principal_value_oracle")
+        # at 1e300 the outgoing-wave polynomial's x**2 overflowed before the
+        # budget was checked, a bare OverflowError
+        with pytest.raises(DomainError, match="dispersion_integral_real_axis at x=1e\\+300: "):
+            dispersion_integral_real_axis(1e300, 1.0, 1.0)
 
     def test_the_budget_leaves_mode_sums_up_to_x_1e4(self):
         # the tests take mode sums up to x = 3000 and the real axis up to 50
@@ -308,6 +312,16 @@ class TestDispersionRealAxis:
         real = dispersion_integral_real_axis(x, a - b, a - 3 * b)
         rot = dispersion_integral_rotated(x, a - b, a - 3 * b)
         assert abs(real.value - rot.value) <= 0.1 * real.abs_err_est
+
+
+    @pytest.mark.parametrize("x", [1e-60, 5e-52])
+    def test_coefficients_out_of_range_are_an_accuracy_error(self, x):
+        # q^2/x^6 overflows at x = 1e-60, and at 5e-52 the Cauchy
+        # coefficients do: a ZeroDivisionError and a numpy overflow warning
+        # used to escape wcp, whose laws raise DomainError or AccuracyError only
+        with pytest.raises(AccuracyError,
+                           match=f"dispersion_integral_real_axis at x={x!r}: .*not finite"):
+            wcp(transverse_pair(x), method="principal_value_oracle")
 
 
 class TestDispersionRotated:
@@ -366,54 +380,120 @@ class TestRules:
         assert w * 2**7 == pytest.approx([math.comb(7, i) for i in range(8)], rel=1e-15)
 
 
+def _bits(values):
+    """Floats by their bits (float.hex tells -0.0 apart)."""
+    return [float(v).hex() for v in values]
+
+
+def _passes(monkeypatch):
+    """The interval count of every _gauss_pair call from here on, in order."""
+    seen = []
+
+    def spy(func, lo, *args, **kwargs):
+        seen.append(lo.size)
+        return _gauss_pair(func, lo, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_gauss_pair", spy)
+    return seen
+
+
 class TestQuad:
+    def test_start_partition_is_graded_by_the_scale(self):
+        # a + scale 4^k for k >= -1 below b, then the breakpoints inside (a, b)
+        assert _start_partition(0.0, np.pi, 0.01) == [
+            0.0, 0.0025, 0.01, 0.04, 0.16, 0.64, 2.56, np.pi]
+        assert _start_partition(1.0, 3.0, 1.0, points=(0.5, 2.5, 3.0)) == [
+            1.0, 1.25, 2.0, 2.5, 3.0]
+        # a scale of at least 4 (b - a), or of 0 (an x that underflowed),
+        # leaves [a, b] whole; a subnormal one forms no power of 4 that overflows
+        assert _start_partition(0.0, 1.0, 4.0) == [0.0, 1.0]
+        assert _start_partition(0.0, 1.0, 0.0) == [0.0, 1.0]
+        edges = _start_partition(0.0, 1.0, 5e-324)
+        assert edges[1:3] == [5e-324, 2e-323] and edges[-2:] == [0.25, 1.0]
+
     def test_breakpoints_start_the_partition(self):
         # a kink at the breakpoint costs nothing once it is an edge
-        val, err, used = _quad(lambda v: np.abs(v - 0.3), 0.0, 1.0, epsrel=1e-13,
-                               limit=100, where="test", points=[0.3])
-        assert val == pytest.approx(0.29, rel=1e-15)
-        assert used == 2
+        val, err, used = _quad(lambda v: np.abs(v - 0.3), 0.0, 1.0, scale=4.0,
+                               epsrel=1e-13, limit=100, where="test", points=[0.3])
+        assert val[0] == pytest.approx(0.29, rel=1e-15)
+        assert used.tolist() == [2]
 
     def test_rounding_floor(self):
         # both rules integrate 3 v^2 exactly, so the estimate is the floor of
         # 50 ulps of the integral of |f|, which still covers the rounding
-        val, err, used = _quad(lambda v: 3.0 * v * v, 0.0, 1.0, epsrel=1e-13,
-                               limit=100, where="test")
-        assert err == pytest.approx(50 * np.finfo(float).eps, rel=1e-12)
-        assert abs(val - 1.0) <= err
-        assert used == 1
+        val, err, used = _quad(lambda v: 3.0 * v * v, 0.0, 1.0, scale=4.0,
+                               epsrel=1e-13, limit=100, where="test")
+        assert err[0] == pytest.approx(50 * np.finfo(float).eps, rel=1e-12)
+        assert abs(val[0] - 1.0) <= err[0]
+        assert used.tolist() == [1]
 
     def test_target_below_the_floor_returns_the_floor(self):
         # the integral of sin over a period is 0, so no estimate meets a
-        # relative target; every interval at its floor ends the bisection
-        val, err, used = _quad(np.sin, 0.0, 2 * np.pi, epsrel=1e-12, limit=100,
-                               where="test")
-        assert err == pytest.approx(50 * np.finfo(float).eps * 4.0, rel=1e-2)
-        assert abs(val) <= err
-        assert used == 1
+        # relative target; an interval at its floor has nothing to bisect
+        val, err, used = _quad(np.sin, 0.0, 2 * np.pi, scale=8 * np.pi, epsrel=1e-12,
+                               limit=100, where="test")
+        assert err[0] == pytest.approx(50 * np.finfo(float).eps * 4.0, rel=1e-2)
+        assert abs(val[0]) <= err[0]
+        assert used.tolist() == [1]
 
     def test_limit_raises_accuracy_error(self):
         # sqrt's derivative is unbounded at 0, so bisection gains a constant
         # factor per level and cannot reach 1e-15 in 20 intervals
         with pytest.raises(AccuracyError, match="test oracle at x=1.5.*20 intervals"):
-            _quad(np.sqrt, 0.0, 1.0, epsrel=1e-15, limit=20,
+            _quad(np.sqrt, 0.0, 1.0, scale=4.0, epsrel=1e-15, limit=20,
                   where="test oracle at x=1.5")
 
+    def test_every_row_is_its_own_call_bit_for_bit(self, monkeypatch):
+        # rows of 1/(c + v) graded by c: the wider a row's start, the fewer
+        # passes it takes, and no row's value, estimate or intervals depend
+        # on the rows beside it or on the order they come in
+        c = np.array([1e-6, 0.3, 1e-2, 2.0, 1e-4])
+        func = lambda v, c: 1.0 / (c + v)
+        kwargs = dict(scale=np.full(c.size, 4.0), epsrel=1e-14, limit=400, where="test")
+        seen = _passes(monkeypatch)
+        rows = _quad(func, 0.0, 1.0, args=(c,), **kwargs)
+        assert len(seen) > 1
+        kwargs["scale"] = 4.0
+        alone = [_quad(func, 0.0, 1.0, args=(np.array([v]),), **kwargs) for v in c.tolist()]
+        for got, want in zip(rows, zip(*alone)):
+            assert _bits(got) == _bits(np.concatenate(want))
+        assert len(set(rows[2].tolist())) > 1  # the rows stopped in different passes
+        kwargs["scale"] = np.full(c.size, 4.0)
+        reordered = _quad(func, 0.0, 1.0, args=(c[::-1],), **kwargs)
+        for got, want in zip(reordered, rows):
+            assert _bits(got) == _bits(want[::-1])
+
+    def test_errors_name_the_row(self):
+        # where gives one name per row; the row at fault is named
+        func = lambda v, c: 1.0 / (c + v) ** 0.5
+        kwargs = dict(scale=np.full(2, 4.0), limit=20, where=["row 0", "row 1"],
+                      args=(np.array([1.0, 0.0]),))
+        with pytest.raises(AccuracyError, match="^row 1: the adaptive quadrature needs more"):
+            _quad(func, 0.0, 1.0, epsrel=1e-15, **kwargs)
+        with pytest.raises(AccuracyError, match="^row 1: the integrand is not finite"):
+            _quad(lambda v, c: np.log(c) + v, 0.0, 1.0, epsrel=1e-12, **kwargs)
+
     def test_agrees_with_quadpack_on_every_validate_integral(self, monkeypatch):
-        # every _quad call of `validate --level full` is repeated by
-        # scipy's QUADPACK at the same tolerances: the two results differ by
-        # no more than the sum of the two error estimates
+        # every row of every _quad call of `validate --level full` is
+        # repeated by scipy's QUADPACK at the same tolerances, from the same
+        # start partition: the two results differ by no more than the sum of
+        # the two error estimates
         quad = pytest.importorskip("scipy.integrate").quad
         seen = []
 
-        def both(func, a, b, *, epsrel, limit, where, points=()):
-            value, err, used = _quad(func, a, b, epsrel=epsrel, limit=limit,
-                                     where=where, points=points)
-            ref, ref_err = quad(func, a, b, epsabs=0.0, epsrel=epsrel,
-                                limit=limit, points=points if len(points) else None)
-            assert abs(value - ref) <= err + ref_err, (where, value, ref)
-            seen.append(where.split(" at ")[0])
-            return value, err, used
+        def both(func, a, b, *, scale, epsrel, limit, where, points=(), args=()):
+            values, errs, used = _quad(func, a, b, scale=scale, epsrel=epsrel,
+                                       limit=limit, where=where, points=points, args=args)
+            rows = np.broadcast_arrays(*(np.atleast_1d(v) for v in (a, b, scale)))
+            names = [where] * values.size if isinstance(where, str) else where
+            for r, (a_r, b_r, s_r) in enumerate(zip(*(v.tolist() for v in rows))):
+                inner = _start_partition(a_r, b_r, s_r, points)[1:-1]
+                ref, ref_err = quad(func, a_r, b_r, args=tuple(arg[r] for arg in args),
+                                    epsabs=0.0, epsrel=epsrel, limit=limit,
+                                    points=inner or None)
+                assert abs(values[r] - ref) <= errs[r] + ref_err, (names[r], values[r], ref)
+            seen.extend(name.split(" at ")[0] for name in names)
+            return values, errs, used
 
         monkeypatch.setattr(oracle, "_quad", both)
         assert all(r.passed for r in validate.run_validation("full"))
@@ -434,6 +514,113 @@ class TestQuad:
             "oracle.aux_integral_rep('f')": 10,
             "oracle.aux_integral_rep('g')": 10,
         }
+
+
+class TestPasses:
+    # the adaptive passes (_gauss_pair calls) of the engine, pinned
+    def test_validate_full(self, monkeypatch):
+        # each oracle family takes its grid in one call, and most integrals
+        # finish in their first pass
+        seen = _passes(monkeypatch)
+        validate.run_validation("full")
+        assert len(seen) <= 32
+
+    def test_each_mode_sum_head_on_the_standard_grid_takes_one_pass(self, monkeypatch):
+        # a float call is its head's passes, then one pass for the tail
+        seen = _passes(monkeypatch)
+        for x in STANDARD_GRID:
+            for a, b in ((1.0, 0.0), (1.0, 1.0), (1.0, 0.25)):
+                for modesum in (modesum_first_order, modesum_second_order):
+                    seen.clear()
+                    modesum(x, cfg=pair_from_alignment(x, 1.0, a, b))
+                    assert len(seen) == 2, (modesum.__name__, x, a, b)
+
+    def test_a_head_below_its_rounding_floor_stops_within_three_passes(self, monkeypatch):
+        # TestModesumSecondOrder's x = 0.1294 head, whose floor exceeds its target
+        seen = _passes(monkeypatch)
+        modesum_second_order(0.1294, cfg=pair_from_alignment(0.1294, 1.0, -0.274, 0.241))
+        assert len(seen) - 1 <= 3
+
+
+class TestArrayEqualsFloat:
+    # each array oracle over validate's grids, and a few x whose heads take
+    # more passes, against its float calls bit for bit
+    @pytest.mark.parametrize("modesum", [modesum_first_order, modesum_second_order])
+    @pytest.mark.parametrize("cos_ab, proj_product",
+                             [(1.0, 0.0), (1.0, 1.0), (1.0, 0.25), (-0.274, 0.241)],
+                             ids=["transverse", "longitudinal", "mixed", "generic"])
+    def test_mode_sums(self, monkeypatch, modesum, cos_ab, proj_product):
+        xs = np.array([*STANDARD_GRID, 0.1294, 7e-3, 4e2])
+        seen = _passes(monkeypatch)
+        batch = modesum(xs, cfg=pair_from_alignment(xs, 1.0, cos_ab, proj_product))
+        head_passes = len(seen) - 1
+        singles = [modesum(x, cfg=pair_from_alignment(x, 1.0, cos_ab, proj_product))
+                   for x in xs.tolist()]
+        assert _bits(batch.value) == _bits(r.value for r in singles)
+        assert _bits(batch.abs_err_est) == _bits(r.abs_err_est for r in singles)
+        if modesum is modesum_second_order and cos_ab < 0:
+            assert head_passes > 1  # x = 0.1 takes two, the others one
+
+    @pytest.mark.parametrize("which", ["f", "g"])
+    def test_aux(self, monkeypatch, which):
+        # one pass from x = 1 on, three at x = 1e-6
+        xs = np.array([*STANDARD_GRID, 1e-6, 3e-4, 1e6, 1e12])
+        seen = _passes(monkeypatch)
+        batch = aux_integral_rep(xs, which)
+        assert len(seen) > 1
+        singles = [aux_integral_rep(x, which) for x in xs.tolist()]
+        assert _bits(batch.value) == _bits(r.value for r in singles)
+        assert _bits(batch.abs_err_est) == _bits(r.abs_err_est for r in singles)
+
+    @_GEOMETRIES
+    def test_dispersion_rotated(self, cos_ab, proj_product):
+        xs = np.array([0.01, 0.5, 1.99, 2.01, 10.0, 100.0, 1e3, 1e6, 1e9, 1e12, 1e-6])
+        p, q = cos_ab - proj_product, cos_ab - 3 * proj_product
+        batch = dispersion_integral_rotated(xs, p, q)
+        singles = [dispersion_integral_rotated(x, p, q) for x in xs.tolist()]
+        assert _bits(batch.value) == _bits(r.value for r in singles)
+        assert _bits(batch.abs_err_est) == _bits(r.abs_err_est for r in singles)
+
+    @_GEOMETRIES
+    def test_dispersion_real_axis(self, cos_ab, proj_product):
+        # validate's principal-value grid and two larger x, whose heads take
+        # from one to four bisections
+        xs = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+        p, q = cos_ab - proj_product, cos_ab - 3 * proj_product
+        batch = dispersion_integral_real_axis(xs, p, q)
+        singles = [dispersion_integral_real_axis(x, p, q) for x in xs.tolist()]
+        assert _bits(batch.value) == _bits(r.value for r in singles)
+        assert _bits(batch.abs_err_est) == _bits(r.abs_err_est for r in singles)
+
+    def test_tails_share_a_call_within_the_budget(self, monkeypatch):
+        # at a budget of 500 segments, the tails of 69, 150, 330, 420 and 69
+        # segments take three calls: 69 + 150, then 330, then 420 + 69
+        monkeypatch.setattr(oracle, "_MAX_SEGMENTS", 500)
+        xs = np.array([1.0, 10.0, 30.0, 40.0, 1.0])
+        cfg = pair_from_alignment(xs, 1.0, 1.0, 0.25)
+        seen = _passes(monkeypatch)
+        batch = modesum_first_order(xs, cfg=cfg)
+        assert seen[1:] == [219, 330, 489]
+        singles = [modesum_first_order(x, cfg=cfg) for x in xs.tolist()]
+        assert _bits(batch.value) == _bits(r.value for r in singles)
+        assert _bits(batch.abs_err_est) == _bits(r.abs_err_est for r in singles)
+
+    def test_a_float_call_returns_floats_and_an_array_call_arrays(self):
+        assert type(aux_integral_rep(1.0, "f").value) is float
+        assert type(modesum_first_order(1.0, cfg=transverse_pair(1.0)).abs_err_est) is float
+        rep = dispersion_integral_rotated(np.array([1.0]), 1.0, 1.0)
+        assert isinstance(rep.value, np.ndarray) and rep.value.shape == (1,)
+
+    def test_array_domain(self):
+        # the first x at fault is named; a float call's messages are unchanged
+        with pytest.raises(DomainError, match="got -1.0$"):
+            aux_integral_rep(np.array([1.0, -1.0, 0.0]), "f")
+        with pytest.raises(DomainError, match="1-d array"):
+            modesum_first_order(np.ones((2, 2)), cfg=transverse_pair(1.0))
+        with pytest.raises(DomainError, match="1-d array"):
+            dispersion_integral_rotated(np.array([]), 1.0, 1.0)
+        with pytest.raises(DomainError, match="modesum_first_order at x=1000000000.0: "):
+            modesum_first_order(np.array([1.0, 1e9]), cfg=transverse_pair(1.0))
 
 
 def _five_pass(terms, lengths):
