@@ -49,18 +49,17 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
+from ._record import Record
 from .errors import DomainError
 from .kernel import checked_power, per_x
 from .model import PairConfiguration
 
 
-@dataclass(frozen=True)
-class PotentialResult:
+class PotentialResult(Record):
     """Interaction energy of one configuration, in units of hbar omega0, one
     value per x: floats for a float x, arrays for an array x."""
 
@@ -245,8 +244,7 @@ def vdw_near(cfg: PairConfiguration) -> PotentialResult:
     return PotentialResult(energy=energy, abs_err_est=np.zeros_like(energy))
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(Record):
     slope: float
     stderr: float
 

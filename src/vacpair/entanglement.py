@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import AccuracyError, DomainError
 # contracted_tensor and perturbative_validity are bound here for perfbench's
 # span tracer, which wraps them
@@ -41,8 +41,7 @@ def _per_state(values: np.ndarray):
     return values.item() if values.ndim == 0 else values
 
 
-@dataclass(frozen=True, eq=False)
-class TwoQubitState:
+class TwoQubitState(Record, eq=False):
     """4x4 density matrix of the atom pair in the (ee, eg, ge, gg) basis, or a
     stack of them with shape (..., 4, 4); every check holds for each one."""
 
@@ -70,21 +69,21 @@ class TwoQubitState:
         return _per_state(off < 1e-12)
 
 
-@dataclass(frozen=True, eq=False)
-class SpinCorrelators:
-    """Two-atom spin expectation values.
+class SpinCorrelators(Record, eq=False):
+    """Two-atom spin expectation values, of one state or of each in a stack.
 
-    g[i, j] = <S_i^A S_j^B> for i, j in (x, y, z); m_z = <S_z^A + S_z^B>/2;
-    delta_s_z = <S_z^A - S_z^B>.  Spin-1/2 convention, eigenvalues +-1/2.
+    g[..., i, j] = <S_i^A S_j^B> for i, j in (x, y, z); m_z = <S_z^A + S_z^B>/2;
+    delta_s_z = <S_z^A - S_z^B>, of shape (...).  Spin-1/2 convention,
+    eigenvalues +-1/2.
     """
 
     g: np.ndarray
-    m_z: float
-    delta_s_z: float
+    m_z: float | np.ndarray
+    delta_s_z: float | np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.g, dtype=float)
-        if m.shape != (3, 3):
+        if m.ndim < 2 or m.shape[-2:] != (3, 3):
             raise DomainError(f"correlator matrix must be 3x3, got {m.shape}")
         if np.max(np.abs(m)) > 0.25 + 1e-10:
             raise DomainError("spin-1/2 correlators are bounded by 1/4")
@@ -92,8 +91,7 @@ class SpinCorrelators:
         object.__setattr__(self, "g", m)
 
 
-@dataclass(frozen=True)
-class ConcurrenceResult:
+class ConcurrenceResult(Record):
     """Concurrence with its weak-coupling validity flag, one value per x.
 
     value is raw clamped to [0, 1]; raw is preserved so a perturbative
@@ -217,22 +215,20 @@ def _correlator_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def correlators_from_state(state: TwoQubitState) -> SpinCorrelators:
-    """Extract <S_i^A S_j^B>, <S_z^A + S_z^B>/2 and <S_z^A - S_z^B>."""
+    """Extract <S_i^A S_j^B>, <S_z^A + S_z^B>/2 and <S_z^A - S_z^B>, for one
+    state or for each in a stack."""
     m = state.matrix
-    if m.ndim != 2:
-        raise DomainError(f"correlators take one 4x4 state, got a stack {m.shape}")
     pairs, z_a, z_b = _correlator_operators()
-    g = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            g[i, j] = 0.25 * np.trace(m @ pairs[i, j]).real
-    sz_a = 0.5 * np.trace(m @ z_a).real
-    sz_b = 0.5 * np.trace(m @ z_b).real
+    # each is Re tr(rho A); the nine pair operators' axes go after the stack's
+    g = 0.25 * np.trace(m[..., None, None, :, :] @ pairs, axis1=-2, axis2=-1).real
+    sz_a = 0.5 * np.trace(m @ z_a, axis1=-2, axis2=-1).real
+    sz_b = 0.5 * np.trace(m @ z_b, axis1=-2, axis2=-1).real
     return SpinCorrelators(g=g, m_z=0.5 * (sz_a + sz_b), delta_s_z=sz_a - sz_b)
 
 
-def palma_concurrence(corr: SpinCorrelators) -> float:
-    """Concurrence from spin correlators, for two-diagonal density matrices.
+def palma_concurrence(corr: SpinCorrelators):
+    """Concurrence from spin correlators, for two-diagonal density matrices:
+    a float for one state, an array of one value per state for a stack.
 
     C = 2 max(0, C1, C2) with
     C1 = sqrt((g_xx - g_yy)^2 + (g_xy + g_yx)^2) - sqrt((1/4 - g_zz)^2 - (dSz/2)^2)
@@ -243,16 +239,20 @@ def palma_concurrence(corr: SpinCorrelators) -> float:
     rho_eg,eg * rho_ge,ge and rho_ee,ee * rho_gg,gg of a two-diagonal state,
     so the expression reproduces the Wootters value exactly on that class.
     A negative radicand means the correlators are inconsistent with such a
-    state and raises DomainError.
+    state and raises DomainError, at the first such state of a stack.
     """
     g = corr.g
-    rad1 = (0.25 - g[2, 2]) ** 2 - (0.5 * corr.delta_s_z) ** 2
-    rad2 = (0.25 + g[2, 2]) ** 2 - corr.m_z**2
-    if rad1 < -1e-12 or rad2 < -1e-12:
-        raise DomainError("inconsistent spin correlators (negative radicand)")
-    c1 = np.hypot(g[0, 0] - g[1, 1], g[0, 1] + g[1, 0]) - np.sqrt(max(0.0, rad1))
-    c2 = np.hypot(g[0, 0] + g[1, 1], g[0, 1] - g[1, 0]) - np.sqrt(max(0.0, rad2))
-    return float(max(0.0, 2.0 * c1, 2.0 * c2))
+    rad1 = (0.25 - g[..., 2, 2]) ** 2 - (0.5 * corr.delta_s_z) ** 2
+    rad2 = (0.25 + g[..., 2, 2]) ** 2 - corr.m_z**2
+    bad = np.flatnonzero((rad1 < -1e-12) | (rad2 < -1e-12))
+    if bad.size:
+        where = f" at state {bad[0]}" if g.ndim > 2 else ""
+        raise DomainError(f"inconsistent spin correlators (negative radicand){where}")
+    c1 = (np.hypot(g[..., 0, 0] - g[..., 1, 1], g[..., 0, 1] + g[..., 1, 0])
+          - np.sqrt(np.maximum(0.0, rad1)))
+    c2 = (np.hypot(g[..., 0, 0] + g[..., 1, 1], g[..., 0, 1] - g[..., 1, 0])
+          - np.sqrt(np.maximum(0.0, rad2)))
+    return _per_state(np.maximum(0.0, np.maximum(2.0 * c1, 2.0 * c2)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +317,24 @@ def c1_c2_from_amplitudes(cfg: PairConfiguration,
 
 
 def effective_density_matrix(cfg: PairConfiguration) -> TwoQubitState:
-    """Pure effective state (|gg> + c_ee |ee>)/sqrt(1 + c_ee^2).
+    """Pure effective state (|gg> + c_ee |ee>)/sqrt(1 + c_ee^2): one 4x4
+    state for a float x, a stack of shape (n, 4, 4) for n separations.
 
     This is the near-zone description with the local dressing terms dropped:
     the field degrees of freedom are eliminated and the pair is left in a
-    pure superposition, so rho^2 = rho exactly.  cfg's x must be a float.
+    pure superposition, so rho^2 = rho exactly.  An x where the weak-coupling
+    expansion is INVALID raises DomainError, the first such x of an array.
     """
-    _one_state(cfg, "effective_density_matrix")
     column = cfg.column  # caches c_ee and its validity report, so c_ee is made once
-    if column._validity.flag[0] is Validity.INVALID:
+    invalid = np.flatnonzero(column._validity.flag == Validity.INVALID)
+    if invalid.size:
+        i = invalid[0]
         raise DomainError(
             f"effective state undefined outside the weak-coupling regime "
-            f"(margin {column._validity.margin[0]:.3g})")
-    psi = np.zeros(4, dtype=complex)
-    psi[3] = 1.0
-    psi[0] = column._amplitude[0]
-    psi /= np.linalg.norm(psi)
-    return TwoQubitState(np.outer(psi, psi.conj()))
+            f"(margin {column._validity.margin[i]:.3g} at x={float(column.x[i])!r})")
+    psi = np.zeros((column.x.size, 4), dtype=complex)
+    psi[:, 3] = 1.0
+    psi[:, 0] = column._amplitude
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    return TwoQubitState(rho if np.ndim(cfg.x) else rho[0])

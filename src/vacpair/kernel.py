@@ -20,7 +20,6 @@ through cos_ab = n_a.n_b and proj_product = (n_a.r_hat)(n_b.r_hat).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
@@ -37,7 +36,7 @@ def per_x(law):
     configuration that carries one as its x.  The law receives x as a 1-d
     float array, of size 1 for a float, or the configuration as its
     `column` (the same configuration with such an x), and returns an array
-    of one value per x or a dataclass of them.  numpy's floating-point
+    of one value per x or a Record of them.  numpy's floating-point
     warnings are off inside it.  A law raises DomainError or AccuracyError
     only: a float of its result that is not finite raises AccuracyError at
     its x (the first such, fields in order), and so does an OverflowError
@@ -67,9 +66,8 @@ def _finite(result, xs: np.ndarray, scalar: bool):
             if np.count_nonzero(bad):
                 raise out_of_range(xs[np.flatnonzero(bad)[0]], OverflowError)
         return result.item() if scalar else result
-    fields = {f.name: _finite(getattr(result, f.name), xs, scalar)
-              for f in dataclasses.fields(result)}
-    return dataclasses.replace(result, **fields) if scalar else result
+    fields = {name: _finite(getattr(result, name), xs, scalar) for name in result._fields}
+    return result.replace(**fields) if scalar else result
 
 
 def out_of_range(x, error: type[ArithmeticError]) -> AccuracyError:

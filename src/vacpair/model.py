@@ -9,16 +9,15 @@ orders of magnitude of unity; hbar = 1 drops out of every formula.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import kernel
+from ._record import Record
 from .errors import AccuracyError, DomainError, FrequencyMismatchError
 
 FINE_STRUCTURE = 7.2973525693e-3  # CODATA 2018
@@ -70,8 +69,7 @@ def _norm_and_direction(v: np.ndarray, name: str | None = None,
     return scale * norm, length * s / norm
 
 
-@dataclass(frozen=True, eq=False)
-class TwoLevelAtom:
+class TwoLevelAtom(Record, eq=False):
     """A two-level atom: transition frequency and a real transition dipole."""
 
     omega0: float
@@ -112,8 +110,7 @@ def hydrogen_1s2p(orientation=(1.0, 0.0, 0.0)) -> TwoLevelAtom:
     return TwoLevelAtom(omega0=0.375, dipole=dipole)
 
 
-@dataclass(frozen=True, eq=False)
-class PairConfiguration:
+class PairConfiguration(Record, eq=False):
     """Dimensionless description of the two-atom geometry.
 
     x     : k0 * R, separation in units of the inverse transition wavenumber,
@@ -164,7 +161,7 @@ class PairConfiguration:
     def column(self) -> PairConfiguration:
         """This configuration with x as a 1-d array, of size 1 for a float x:
         the form the laws compute with, so that they share its T(x)."""
-        return self if np.ndim(self.x) else dataclasses.replace(self, x=np.array([self.x]))
+        return self if np.ndim(self.x) else self.replace(x=np.array([self.x]))
 
     @cached_property
     def _tensor(self):
@@ -256,8 +253,7 @@ class Validity(enum.Enum):
     INVALID = "INVALID"
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     """One flag and margin per x: floats for a float x, arrays for an array x."""
 
     flag: Validity | np.ndarray

@@ -38,16 +38,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import AccuracyError, DomainError
 from .model import PairConfiguration
 
 
-@dataclass(frozen=True)
-class QuadratureReport:
+class QuadratureReport(Record):
     """Value of an oracle quadrature and a bound on its error: floats, or
     arrays of one entry per x for an array x."""
 
@@ -598,6 +597,12 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
     integral.  Both sides of the window are graded toward the pole, which
     lies 2 x delta in the phase u beyond each.  x is a float or a 1-d
     array, as in the mode sums.
+
+    Verified from x = 6e-3 on: there it agrees with the rotated contour to
+    a relative 2e-15 at 6e-3, 1e-2 and 0.1, and its estimate bounds its
+    error up to x = 500.  Below about 5e-3 (seen at 1e-3, 3e-3 and 5e-3)
+    the window's adaptive quadrature needs more than its 800 intervals and
+    raises AccuracyError.
     """
     xs = _rows(x)
     names = [f"oracle.dispersion_integral_real_axis at x={v!r}" for v in xs.tolist()]

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import AccuracyError, DomainError
 
 EULER_GAMMA = 0.5772156649015329
@@ -31,8 +31,7 @@ _CF_MAX_ITER = 400
 _CF_TOL = 2 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class AuxFunValue:
+class AuxFunValue(Record):
     """f, g and f'' at one argument.
 
     f' is -g; f_double_prime is filled from the identity f'' = 1/x - f, so

@@ -230,6 +230,51 @@ class TestWootters:
             wootters_concurrence(ms, method="xstate")
 
 
+class TestStackEqualsSingle:
+    """The one-state laws over a stack give their per-state values bit for bit."""
+
+    def test_effective_state_over_an_array_x(self):
+        xs = np.geomspace(0.05, 20.0, 9)
+        cfg = pair_from_alignment(xs, 1e-4, -0.6, -0.15)
+        stack = effective_density_matrix(cfg)
+        assert isinstance(stack, TwoQubitState) and stack.matrix.shape == (9, 4, 4)
+        for x, m in zip(xs.tolist(), stack.matrix):
+            single = effective_density_matrix(pair_from_alignment(x, 1e-4, -0.6, -0.15))
+            assert single.matrix.shape == (4, 4)
+            assert np.array_equal(single.matrix, m)
+
+    def test_correlators_and_palma_over_a_stack(self, rng):
+        # X states and general ones; Palma reads the correlators of X states
+        ms = np.array([random_x_state(rng) for _ in range(25)]
+                      + [random_density_matrix(rng) for _ in range(25)])
+        stack = correlators_from_state(TwoQubitState(ms))
+        assert stack.g.shape == (50, 3, 3) and stack.m_z.shape == (50,)
+        singles = [correlators_from_state(TwoQubitState(m)) for m in ms]
+        for i, corr in enumerate(singles):
+            assert corr.g.shape == (3, 3) and type(corr.m_z) is np.float64
+            assert np.array_equal(corr.g, stack.g[i])
+            assert (corr.m_z, corr.delta_s_z) == (stack.m_z[i], stack.delta_s_z[i])
+        x_stack = correlators_from_state(TwoQubitState(ms[:25]))
+        single = [palma_concurrence(corr) for corr in singles[:25]]
+        assert all(type(c) is float for c in single)
+        assert palma_concurrence(x_stack).tolist() == single
+        grid = correlators_from_state(TwoQubitState(ms[:25].reshape(5, 5, 4, 4)))
+        assert palma_concurrence(grid).ravel().tolist() == single
+
+    def test_an_invalid_x_in_a_stack_is_a_domain_error(self):
+        # weak coupling fails at the smallest separations, x = 0.01 first
+        cfg = transverse_pair(np.array([1.0, 0.01, 0.005, 2.0]), mu=1e-3)
+        with pytest.raises(DomainError, match=r"weak-coupling regime .* at x=0\.01\)"):
+            effective_density_matrix(cfg)
+
+    def test_an_inconsistent_state_in_a_stack_is_a_domain_error(self):
+        g = np.zeros((4, 3, 3))
+        g[:, 2, 2] = 0.25
+        m_z = np.array([-0.5, -0.5, 0.9, 0.9])
+        with pytest.raises(DomainError, match="negative radicand.* at state 2"):
+            palma_concurrence(SpinCorrelators(g=g, m_z=m_z, delta_s_z=np.zeros(4)))
+
+
 class TestEntanglementOfFormation:
     def test_endpoints_exact(self):
         assert entanglement_of_formation(0.0) == 0.0
@@ -298,10 +343,6 @@ class TestPalma:
             sz_b = 0.5 * np.trace(m @ np.kron(eye, paulis[2])).real
             assert corr.g.tolist() == g
             assert (corr.m_z, corr.delta_s_z) == (0.5 * (sz_a + sz_b), sz_a - sz_b)
-
-    def test_correlators_reject_a_stack(self):
-        with pytest.raises(DomainError, match="stack"):
-            correlators_from_state(TwoQubitState(np.array([BELL_PHI_PLUS] * 2)))
 
     def test_inconsistent_correlators_rejected(self):
         g = np.zeros((3, 3))
@@ -411,8 +452,6 @@ class TestCutoffStructure:
         cfg = transverse_pair(np.array([1.0, 2.0]))
         with pytest.raises(DomainError, match="c1_c2_from_amplitudes .* float x"):
             c1_c2_from_amplitudes(cfg, 100.0)
-        with pytest.raises(DomainError, match="effective_density_matrix .* float x"):
-            effective_density_matrix(cfg)
 
     def test_overflowing_local_population_is_an_accuracy_error(self):
         # mu L(1e100) = 1e200 * 1.06e199 overflows though L itself does not;

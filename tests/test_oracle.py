@@ -313,6 +313,16 @@ class TestDispersionRealAxis:
         rot = dispersion_integral_rotated(x, a - b, a - 3 * b)
         assert abs(real.value - rot.value) <= 0.1 * real.abs_err_est
 
+    @pytest.mark.xfail(strict=True, raises=AccuracyError, reason=(
+        "below x of about 5e-3 the adaptive quadrature of the finite-part "
+        "window needs more than 800 intervals (also at 3e-3 and 5e-3; 6e-3 "
+        "and 1e-2 return); a likely cause, not verified: the window's half "
+        "width delta is fixed while the pole's distance 2 x delta in the "
+        "phase shrinks with x"))
+    def test_small_x_matches_the_rotated_contour(self):
+        real = dispersion_integral_real_axis(1e-3, 1.0, 1.0)
+        rot = dispersion_integral_rotated(1e-3, 1.0, 1.0)
+        assert real.value == pytest.approx(rot.value, rel=1e-10)
 
     @pytest.mark.parametrize("x", [1e-60, 5e-52])
     def test_coefficients_out_of_range_are_an_accuracy_error(self, x):
@@ -690,7 +700,8 @@ class TestEulerAverage:
 
 def test_oracle_imports_no_production_closed_form():
     # the oracles check the closed forms, so they must not be built on them:
-    # from the package, oracle.py imports its errors and PairConfiguration only
+    # from the package, oracle.py imports its errors, PairConfiguration and
+    # the Record base of its report, which holds no closed form
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     package = set()
     for node in ast.walk(tree):
@@ -700,4 +711,4 @@ def test_oracle_imports_no_production_closed_form():
             package.add(node.module)
         elif isinstance(node, ast.Import):
             package.update(a.name for a in node.names if a.name.split(".")[0] == "vacpair")
-    assert package == {".errors", ".model"}
+    assert package == {"._record", ".errors", ".model"}
