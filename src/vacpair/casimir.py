@@ -37,11 +37,14 @@ by _laguerre_rule) takes over: the integrand's poles at t = +-i s are far
 from its nodes there.  Against 120-digit mpmath over 300 log-spaced x in
 [1e-6, 1e12], three random geometries and the isotropic average, the worst
 relative error is 2.2e-14.  The sum is formed by Horner's rule in 1/x, so
-no power of x is formed and W overflows only where its value does.
+no power of x is formed and W overflows only where its value does; mu and
+(p, q) enter as mantissas and powers of two, so no factor loses bits below
+the normal range, and the bound counts what the sum's terms lose there.
 
 Independent checks re-evaluate J by adaptive quadrature on the rotated
-contour (oracle.dispersion_integral_rotated) and on the real wavenumber axis
-through the resonance pole (oracle.dispersion_integral_real_axis).
+contour (oracle.dispersion_integral_rotated) and on the real wavenumber axis,
+indented above the resonance pole by a small arc
+(oracle.dispersion_integral_real_axis).
 """
 
 from __future__ import annotations
@@ -97,6 +100,9 @@ def _channels(cfg: PairConfiguration, isotropic: bool):
 
 
 _EPS = sys.float_info.epsilon
+# wcp's power of two goes into the Horner sum down to 2^-960: the sum's
+# largest coefficient, at least 2^-8 before it, stays 54 bits above subnormal
+_EXP_FLOOR = -960
 # worst relative error of the 60-node Laguerre moments against 120-digit
 # mpmath on 400 log-spaced s in [4, 1e13], half of them in [4, 8], is 3.7e-14
 # (node and weight rounding; the truncation error is smaller); the stated
@@ -173,18 +179,23 @@ def _moments(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return moments, errors
 
 
-def _radial_integral(x: np.ndarray, coeffs: list[float], sizes: list[float]) -> np.ndarray:
+def _radial_integral(x: np.ndarray, coeffs: list, sizes: list,
+                     floor: float | np.ndarray) -> np.ndarray:
     """sum_n coeffs[n] I_n(2x) / x^(6-n) at every x, and a bound on its error.
 
     Horner in 1/x, so no power of x is formed and the sum overflows only
     when its value does.  sizes[n] >= |coeffs[n]| bounds the terms the
-    coefficient was summed from, for the rounding made in forming it.
+    coefficient was summed from, for the rounding made in forming it; each
+    coefficient and size is a float or an array of one per x.  floor bounds
+    the rounding below the normal range in each coefficient, term and Horner
+    step, per unit of 1 + I_n, where no share of a size bounds it.
     """
     moments, errors = _moments(2.0 * x)
     # the sum's terms and their error bounds, shape (5, 2, x.size), so that
     # one Horner step advances both
-    terms = np.stack((np.array(coeffs)[:, None] * moments,
-                      np.array(sizes)[:, None] * (errors + 8.0 * _EPS * moments)), axis=1)
+    terms = np.stack((np.array(coeffs).reshape(5, -1) * moments,
+                      np.array(sizes).reshape(5, -1) * (errors + 8.0 * _EPS * moments)
+                      + floor * (moments + 1.0)), axis=1)
     u = 1.0 / x
     total = 0.0
     for term in terms:
@@ -202,23 +213,54 @@ def wcp(cfg: PairConfiguration, method: str = "rotated_contour",
     docstring), reduced to f and g below x = 2 and by Gauss-Laguerre from
     x = 2 on; its worst measured relative error is 2.2e-14 for x in
     [1e-6, 1e12].  abs_err_est carries aux's error through the reduction,
-    or the rule's stated bound of 1e-13 per moment, plus the rounding.
-    "principal_value_oracle" evaluates the equivalent real-axis finite-part
-    integral as an independent check; another method raises DomainError.
+    or the rule's stated bound of 1e-13 per moment, plus the rounding, which
+    below the normal range is a share of the floats' spacing there.
+    "principal_value_oracle" evaluates the equivalent real-axis integral, on
+    a contour indented above the resonance pole, as an independent check
+    (relative 1e-6 up to x = 50); another method raises DomainError.
     isotropic=True uses rotationally averaged polarizabilities instead of
     the fixed dipole orientations.  The energy is in units of hbar omega0;
-    where it, its bound or mu**2 is not finite, per_x raises AccuracyError.
+    where it or its bound is not finite, per_x raises AccuracyError.  The
+    bound overflows where the sum's terms fall below the floats' range, as
+    for mu = 1e-206 at x = 1e-120.
     """
     if method not in ("rotated_contour", "principal_value_oracle"):
         raise DomainError(f"unknown method {method!r}")
-    prefactor = -(2.0 / np.pi) * cfg.mu**2
+    # mu and (p, q) as mantissas and powers of two (math.frexp), and W as a
+    # value times 2^exponent, which is exact wherever W is normal
+    mantissa, exponent = math.frexp(cfg.mu)
+    prefactor = -(2.0 / np.pi) * (mantissa * mantissa)
     weight, channels = _channels(cfg, isotropic)
+    largest, pq_exponent = math.frexp(max(abs(v) for _, p, q in channels for v in (p, q)))
+    exponent *= 2
+    # the floats' spacing below the normal range, where W is not exactly 0
+    spacing = math.ulp(0.0) if mantissa and largest else 0.0
     if method == "rotated_contour":
-        # the prefactor goes in before the 1/x^(6-n) scaling, so W stays finite
-        # wherever it is representable
-        scale = prefactor * weight
+        channels = [(w, math.ldexp(p, -pq_exponent), math.ldexp(q, -pq_exponent))
+                    for w, p, q in channels]
+        exponent += 2 * pq_exponent
+        # the part of the power that goes in before the 1/x^(6-n) scaling:
+        # all of it up to 2^1000, so that no coefficient overflows, and at
+        # least 2^_EXP_FLOOR, which keeps the sum's terms normal, unless
+        # x = m 2^e < 1, where the normalised terms sum to under 2^(11 - 6e)
+        # and 2^before times that must stay under 2^1011.  The rest, applied
+        # after, grows the sum only where all of it fits and otherwise
+        # shrinks it: W overflows only where its value does
+        before = min(exponent, 1000)
+        if before < _EXP_FLOOR:  # an array only here, so a float call stays scalar
+            room = 1000 + 6 * np.minimum(0, np.frexp(cfg.x)[1])
+            before = np.maximum(before, np.minimum(_EXP_FLOOR, room))
+        scale = np.ldexp(prefactor * weight, before)
+        exponent = exponent - before
         sizes = _channel_sum(abs(scale), [(w, abs(p), abs(q)) for w, p, q in channels])
-        energy, err = _radial_integral(cfg.x, _channel_sum(scale, channels), sizes)
+        # below the normal range a rounding errs by up to half a spacing
+        # rather than a share of its size: in each coefficient up to
+        # 1 + 11 |scale| of them (the pattern products and the scaling), 3 in
+        # its term and Horner step, 1 + 1/x in the last two products, and as
+        # many again in the bound's own row
+        floor = (4.0 + 11.0 * abs(scale)) * spacing
+        energy, err = _radial_integral(cfg.x, _channel_sum(scale, channels), sizes, floor)
+        err = err + 2 * spacing
     else:
         from . import oracle  # loaded only for this independent check
 
@@ -226,6 +268,12 @@ def wcp(cfg: PairConfiguration, method: str = "rotated_contour",
         reps = [(w, oracle.dispersion_integral_real_axis(cfg.x, p, q)) for w, p, q in channels]
         energy = prefactor * (weight * sum(w * rep.value for w, rep in reps))
         err = abs(prefactor) * (weight * sum(w * rep.abs_err_est for w, rep in reps))
+    if np.count_nonzero(exponent):
+        energy, err = np.ldexp(energy, exponent), np.ldexp(err, exponent)
+    below = abs(energy) < sys.float_info.min
+    if np.count_nonzero(below):
+        # W and its bound each round by less than a spacing there
+        err = err + 2 * spacing * below
     return PotentialResult(energy=energy, abs_err_est=err)
 
 

@@ -237,7 +237,7 @@ def _casimir_checks(fast=True):
     for x, energy, integral in zip(grid, closed.tolist(), direct.tolist()):
         out.append(_compare(f"wcp closed form vs oracle.dispersion_integral_rotated "
                             f"x={x}", energy, -(2.0 / np.pi) * integral, 1e-10))
-    grid = (0.5, 1.0, 2.0, 5.0)
+    grid = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
     cfgx = pair_from_alignment(np.array(grid), 1e-4, 1.0, 0.0)
     rot = casimir.wcp(cfgx, method="rotated_contour").energy
     pv = casimir.wcp(cfgx, method="principal_value_oracle").energy

@@ -2,6 +2,7 @@
 form against mpmath and the quadrature oracle, fitting."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -133,11 +134,14 @@ class TestWcp:
 
 
 def check_against_mpmath(cfg, isotropic):
-    """The conditioned error is at most 1e-12 and abs_err_est bounds the true error."""
+    """abs_err_est bounds the true error, and where |W| is normal the
+    conditioned error is at most 1e-12: below the normal range half a
+    spacing of the floats can exceed it."""
     res = wcp(cfg, isotropic=isotropic)
     value, scale = mpref.wcp(cfg.x, cfg.mu, cfg.cos_ab, cfg.proj_product, isotropic)
     err = float(abs(res.energy - value))
-    assert err <= 1e-12 * float(scale), (cfg.x, err / float(scale))
+    if abs(res.energy) >= sys.float_info.min:
+        assert err <= 1e-12 * float(scale), (cfg.x, err / float(scale))
     assert err <= res.abs_err_est, (cfg.x, err, res.abs_err_est)
 
 
@@ -177,14 +181,51 @@ class TestWcpClosedForm:
         assert not (t.flags.writeable or w.flags.writeable)
 
     def test_huge_x_underflows_to_zero(self):
-        # the true |W| is below 1e-400; no power of x may overflow on the way
+        # the true |W| is below 1e-400; no power of x may overflow on the way,
+        # and the bound holds the sum's roundings below the normal range
         res = wcp(transverse_pair(1e60))
         assert res.energy == 0.0
-        assert res.abs_err_est == 0.0
+        assert 0.0 < res.abs_err_est <= 16 * math.ulp(0.0)
 
-    def test_tiny_x_energy_that_fits_is_returned(self):
-        # x^-6 overflows at x = 1e-52, but mu^2 x^-6 does not
-        x, mu = 1e-52, 1e-4
+    # the factors mu^2 and (p, q) below the normal range keep their bits,
+    # and the bound holds W's rounding below it
+    def test_tiny_pattern_energy_is_not_zero(self):
+        # point --mu 1e-3 --x 1e-5 --dipole-a 0,0,1 --dipole-b 0,1,0
+        # --sep-dir 0,1,1e-162 printed wcp_energy = 0, against -4.5e-300
+        cfg = PairConfiguration(x=1e-5, n_a=(0, 0, 1), n_b=(0, 1, 0),
+                                r_hat=(0, 1, 1e-162), mu=1e-3)
+        assert wcp(cfg).energy == pytest.approx(-4.5e-300, rel=1e-10)
+        check_against_mpmath(cfg, False)
+
+    def test_tiny_coupling_keeps_its_bits(self):
+        # mu^2 = 1e-320 is subnormal: a relative error of 1.6e-6, bound 0
+        check_against_mpmath(pair_from_alignment(1e-5, 1e-160), False)
+        check_against_mpmath(pair_from_alignment(1e-5, 1e-160), True)
+
+    def test_subnormal_energy_from_a_tiny_coupling(self):
+        # mu^2 = 1e-340 underflowed to 0: W was 0 against -5e-311
+        res = wcp(pair_from_alignment(1e-5, 1e-170))
+        assert res.energy == pytest.approx(-5e-311, rel=1e-9)
+        check_against_mpmath(pair_from_alignment(1e-5, 1e-170), False)
+
+    def test_subnormal_energy_bound_holds_its_rounding(self):
+        # found by test_matches_mpmath: an error of 5.98e-322 against a bound of 0
+        cfg = PairConfiguration(x=0.3895385001989907, n_a=(0, 0, 1), n_b=(0, 1, 0),
+                                r_hat=(0, 1, 7.232899620817668e-158), mu=1e-3)
+        check_against_mpmath(cfg, False)
+
+    def test_principal_value_path_scales_a_tiny_coupling(self):
+        # its prefactor mu^2 = 1e-320 was subnormal too
+        cfg = pair_from_alignment(1.0, 1e-160)
+        pv = wcp(cfg, method="principal_value_oracle")
+        rot = wcp(cfg)
+        assert pv.energy == pytest.approx(rot.energy, rel=1e-12)
+        assert abs(pv.energy - rot.energy) <= pv.abs_err_est + rot.abs_err_est
+
+    @pytest.mark.parametrize("x, mu", [(1e-52, 1e-4), (1e-101, 1e-150)])
+    def test_tiny_x_energy_that_fits_is_returned(self, x, mu):
+        # x^-6 overflows at x = 1e-52, but mu^2 x^-6 does not; at 1e-101,
+        # mu^2 = 1e-300 goes into the sum only as far as it stays finite
         london = -0.5 * (mu / x**3) ** 2
         assert wcp(transverse_pair(x, mu=mu)).energy == pytest.approx(london, rel=1e-12)
 
@@ -192,6 +233,37 @@ class TestWcpClosedForm:
         with pytest.raises(AccuracyError) as info:
             wcp(transverse_pair(1e-60))
         assert str(info.value) == "out of floating-point range at x=1e-60 (OverflowError)"
+
+    @pytest.mark.parametrize("x, mu, cos_ab, proj_product, isotropic", [
+        (100.0, 5e153, 1.0, 1.0, False),  # longitudinal: (p, q) = (0, -2)
+        (100.0, 1.3e154, 1.0, 0.0, True),
+        (1.0, 1.2e154, 1.0, 0.0, False),  # mu^2 (2/pi) q^2 overflows, W does not
+        (1e50, 1e200, 1.0, 0.0, False),  # mu^2 overflows, W does not
+    ])
+    def test_energy_near_the_overflow_fits(self, x, mu, cos_ab, proj_product, isotropic):
+        # W is 2^600 times its value at mu / 2^300, bit for bit
+        res = wcp(pair_from_alignment(x, mu, cos_ab, proj_product), isotropic=isotropic)
+        small = wcp(pair_from_alignment(x, math.ldexp(mu, -300), cos_ab, proj_product),
+                    isotropic=isotropic)
+        assert res.energy == math.ldexp(small.energy, 600)
+        assert res.abs_err_est == pytest.approx(math.ldexp(small.abs_err_est, 600), rel=1e-12)
+
+    @pytest.mark.parametrize("x, mu", [(1.3e-103, 3.1e-160), (1.7e-104, 2.3e-170),
+                                       (3e-105, 1e-172)])
+    def test_bound_holds_terms_below_the_normal_range(self, x, mu):
+        # 2^-960 times x^-6 would overflow here, so the sum's terms go below
+        # the normal range and lose bits (a relative 4.5e-8, 1.2e-2, and all
+        # of them with W = 0): the bound holds each loss
+        cfg = pair_from_alignment(x, mu)
+        res = wcp(cfg)
+        value, _ = mpref.wcp(cfg.x, cfg.mu, cfg.cos_ab, cfg.proj_product, False)
+        assert float(abs(res.energy - value)) <= res.abs_err_est
+
+    def test_energy_with_no_digit_left_is_an_accuracy_error(self):
+        # W = -5e307, but its sum's terms all fall below the floats: the
+        # bound overflows
+        with pytest.raises(AccuracyError, match="OverflowError"):
+            wcp(pair_from_alignment(1e-120, 1e-206))
 
 
 class TestFarZoneCorrelatorForm:

@@ -630,7 +630,7 @@ class TestLazyImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         out = proc.stdout
-        assert "127/127 checks passed" in out
+        assert "129/129 checks passed" in out
         assert "43/43 checks passed" in out
         _, rows = parse_csv(out[out.index("# vacpair sweep"):out.index("[PASS]")])
         assert len(rows) == 50
