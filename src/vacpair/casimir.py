@@ -36,10 +36,15 @@ cancel like s^4, so from s = 4 on a 60-node Gauss-Laguerre rule in t = s v
 by _laguerre_rule) takes over: the integrand's poles at t = +-i s are far
 from its nodes there.  Against 120-digit mpmath over 300 log-spaced x in
 [1e-6, 1e12], three random geometries and the isotropic average, the worst
-relative error is 2.2e-14.  The sum is formed by Horner's rule in 1/x, so
-no power of x is formed and W overflows only where its value does; mu and
-(p, q) enter as mantissas and powers of two, so no factor loses bits below
-the normal range, and the bound counts what the sum's terms lose there.
+relative error is 2.2e-14.  Where the I_4 term dominates (|q| << |p|) it
+is larger just below s = 4, where I_4 cancels most: 3.7e-13 for q = 0.
+
+Each term is a float mantissa times a power of two: with x = m 2^k
+(np.frexp), x^(n-6) is m^(n-6) 2^((n-6)k), and from s = 4 on every term
+shares the one power x^-7.  mu and (p, q) enter as mantissas too, the terms
+are scaled to the largest power among them and summed, and np.ldexp applies
+the power once at the end.  So no factor on the way leaves the normal range,
+and W overflows or underflows only where its value does.
 
 Independent checks re-evaluate J by adaptive quadrature on the rotated
 contour (oracle.dispersion_integral_rotated) and on the real wavenumber axis,
@@ -58,7 +63,7 @@ import numpy as np
 from . import specfun
 from ._record import Record
 from .errors import DomainError
-from .kernel import checked_power, per_x
+from .kernel import per_x
 from .model import PairConfiguration
 
 
@@ -100,9 +105,6 @@ def _channels(cfg: PairConfiguration, isotropic: bool):
 
 
 _EPS = sys.float_info.epsilon
-# wcp's power of two goes into the Horner sum down to 2^-960: the sum's
-# largest coefficient, at least 2^-8 before it, stays 54 bits above subnormal
-_EXP_FLOOR = -960
 # worst relative error of the 60-node Laguerre moments against 120-digit
 # mpmath on 400 log-spaced s in [4, 1e13], half of them in [4, 8], is 3.7e-14
 # (node and weight rounding; the truncation error is smaller); the stated
@@ -142,65 +144,48 @@ def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _moments(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """I_n(s) = int_0^inf v^n exp(-s v)/(1+v^2)^2 dv for n = 0..4, and error
-    bounds, at every s: two arrays of shape (5, s.size).
+def _terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms I_n(2x) x^(n-6), n = 0..4, at every x as a 2^e: an array of
+    shape (5, 2, x.size) of the mantissas a and bounds on their errors, and
+    one of shape (5, x.size) of the integer exponents e.  Every a is positive.
 
-    Below the specfun series/continued-fraction seam the moments follow
-    exactly from f and g at s; above it from the Gauss-Laguerre rule in
-    t = s v.  Every moment is positive.
+    With x = m 2^k (np.frexp), below the specfun series/continued-fraction
+    seam the moments follow exactly from f and g at s = 2x, and
+    x^(n-6) = m^(n-6) 2^((n-6)k).  From x = 2 on the Gauss-Laguerre rule in
+    t = s v sums s^(n+1) I_n = sum w t^n / (1 + t^2/s^2)^2, which no x can
+    underflow, so each term is that sum times 2^-(n+1) m^-7 2^(-7k).
     """
-    moments, errors = np.empty((5, s.size)), np.empty((5, s.size))
+    m, k = np.frexp(x)
+    s = 2.0 * x
+    rows = np.empty((5, 2, x.size))
     low = s < specfun._BRANCH_CUTOVER
+    powers = np.where(low, np.arange(-6, -1)[:, None], -7)
     if np.count_nonzero(low):
         s_low = s[low]
         fg = [specfun.aux(v) for v in s_low.tolist()]
         f, g, aux_err = np.array([(v.f, v.g, v.abs_err_est) for v in fg]).T
         i0 = 0.5 * (f + s_low * g)
         i1 = 0.5 * (1.0 - s_low * f)
-        moments[:, low] = i0, i1, f - i0, g - i1, 1.0 / s_low - 2.0 * f + i0
+        rows[:, 0, low] = i0, i1, f - i0, g - i1, 1.0 / s_low - 2.0 * f + i0
         # aux's error in f and g enters each moment with a weight of at most
         # (5 + s)/2; the rounding is a few ulps of its terms before they cancel
         m1 = 0.5 * (1.0 + s_low * f)
         magnitudes = np.array((i0, m1, f + i0, g + m1, 1.0 / s_low + 2.0 * f + i0))
-        errors[:, low] = 0.5 * (5.0 + s_low) * aux_err + 4.0 * _EPS * magnitudes
+        rows[:, 1, low] = 0.5 * (5.0 + s_low) * aux_err + 4.0 * _EPS * magnitudes
     high = ~low
     if np.count_nonzero(high):
         t, w = _laguerre_rule()
-        s_high = s[high, None]
-        v = t / s_high
-        term = w / (s_high * (1.0 + v * v) ** 2)
+        v = t / s[high, None]
+        # 2^-(n+1) as the halves of w and of t, which round as w and t do;
         # elementwise products summed along each row, so that a row's sums do
         # not depend on how many rows share the call, as a matrix product's can
+        term, half_t = 0.5 * w / (1.0 + v * v) ** 2, 0.5 * t
         for n in range(5):
-            moments[n, high] = term.sum(axis=-1)
-            term *= v
-        errors[:, high] = _LAGUERRE_REL_ERR * moments[:, high]
-    return moments, errors
-
-
-def _radial_integral(x: np.ndarray, coeffs: list, sizes: list,
-                     floor: float | np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n] I_n(2x) / x^(6-n) at every x, and a bound on its error.
-
-    Horner in 1/x, so no power of x is formed and the sum overflows only
-    when its value does.  sizes[n] >= |coeffs[n]| bounds the terms the
-    coefficient was summed from, for the rounding made in forming it; each
-    coefficient and size is a float or an array of one per x.  floor bounds
-    the rounding below the normal range in each coefficient, term and Horner
-    step, per unit of 1 + I_n, where no share of a size bounds it.
-    """
-    moments, errors = _moments(2.0 * x)
-    # the sum's terms and their error bounds, shape (5, 2, x.size), so that
-    # one Horner step advances both
-    terms = np.stack((np.array(coeffs).reshape(5, -1) * moments,
-                      np.array(sizes).reshape(5, -1) * (errors + 8.0 * _EPS * moments)
-                      + floor * (moments + 1.0)), axis=1)
-    u = 1.0 / x
-    total = 0.0
-    for term in terms:
-        total = total * u + term
-    return total * u * u  # its two rows: the sum and its error bound
+            rows[n, 0, high] = term.sum(axis=-1)
+            term *= half_t
+        rows[:, 1, high] = _LAGUERRE_REL_ERR * rows[:, 0, high]
+    rows *= (m ** powers)[:, None]
+    return rows, powers * k
 
 
 @per_x
@@ -212,22 +197,21 @@ def wcp(cfg: PairConfiguration, method: str = "rotated_contour",
     imaginary-wavenumber integral through the moments I_n (module
     docstring), reduced to f and g below x = 2 and by Gauss-Laguerre from
     x = 2 on; its worst measured relative error is 2.2e-14 for x in
-    [1e-6, 1e12].  abs_err_est carries aux's error through the reduction,
-    or the rule's stated bound of 1e-13 per moment, plus the rounding, which
-    below the normal range is a share of the floats' spacing there.
+    [1e-6, 1e12], and 3.7e-13 for q = 0.  abs_err_est carries aux's
+    error through the reduction, or the rule's stated bound of 1e-13 per
+    moment, plus the rounding, which below the normal range is a few of the
+    floats' spacings there.
     "principal_value_oracle" evaluates the equivalent real-axis integral, on
     a contour indented above the resonance pole, as an independent check
     (relative 1e-6 up to x = 50); another method raises DomainError.
     isotropic=True uses rotationally averaged polarizabilities instead of
     the fixed dipole orientations.  The energy is in units of hbar omega0;
-    where it or its bound is not finite, per_x raises AccuracyError.  The
-    bound overflows where the sum's terms fall below the floats' range, as
-    for mu = 1e-206 at x = 1e-120.
+    where it is not finite, per_x raises AccuracyError.
     """
     if method not in ("rotated_contour", "principal_value_oracle"):
         raise DomainError(f"unknown method {method!r}")
     # mu and (p, q) as mantissas and powers of two (math.frexp), and W as a
-    # value times 2^exponent, which is exact wherever W is normal
+    # value times 2^exponent, applied once at the end
     mantissa, exponent = math.frexp(cfg.mu)
     prefactor = -(2.0 / np.pi) * (mantissa * mantissa)
     weight, channels = _channels(cfg, isotropic)
@@ -238,29 +222,25 @@ def wcp(cfg: PairConfiguration, method: str = "rotated_contour",
     if method == "rotated_contour":
         channels = [(w, math.ldexp(p, -pq_exponent), math.ldexp(q, -pq_exponent))
                     for w, p, q in channels]
-        exponent += 2 * pq_exponent
-        # the part of the power that goes in before the 1/x^(6-n) scaling:
-        # all of it up to 2^1000, so that no coefficient overflows, and at
-        # least 2^_EXP_FLOOR, which keeps the sum's terms normal, unless
-        # x = m 2^e < 1, where the normalised terms sum to under 2^(11 - 6e)
-        # and 2^before times that must stay under 2^1011.  The rest, applied
-        # after, grows the sum only where all of it fits and otherwise
-        # shrinks it: W overflows only where its value does
-        before = min(exponent, 1000)
-        if before < _EXP_FLOOR:  # an array only here, so a float call stays scalar
-            room = 1000 + 6 * np.minimum(0, np.frexp(cfg.x)[1])
-            before = np.maximum(before, np.minimum(_EXP_FLOOR, room))
-        scale = np.ldexp(prefactor * weight, before)
-        exponent = exponent - before
-        sizes = _channel_sum(abs(scale), [(w, abs(p), abs(q)) for w, p, q in channels])
-        # below the normal range a rounding errs by up to half a spacing
-        # rather than a share of its size: in each coefficient up to
-        # 1 + 11 |scale| of them (the pattern products and the scaling), 3 in
-        # its term and Horner step, 1 + 1/x in the last two products, and as
-        # many again in the bound's own row
-        floor = (4.0 + 11.0 * abs(scale)) * spacing
-        energy, err = _radial_integral(cfg.x, _channel_sum(scale, channels), sizes, floor)
-        err = err + 2 * spacing
+        coeffs = _channel_sum(prefactor * weight, channels)
+        sizes = _channel_sum(abs(prefactor * weight),
+                             [(w, abs(p), abs(q)) for w, p, q in channels])
+        rows, exponents = _terms(cfg.x)
+        # every term scaled to the largest power among those that enter: a
+        # zero coefficient's term may lie above it, and is kept finite there
+        # (0 * inf is nan)
+        enter = [n for n, c in enumerate(coeffs) if c]
+        top = exponents[enter].max(axis=0) if enter else 0
+        rows[:, 1] += 8.0 * _EPS * rows[:, 0]  # its coefficient, product and sum
+        rows = np.ldexp(rows, np.minimum(exponents - top, 0)[:, None])
+        # summed elementwise, so that a row's sums do not depend on how many
+        # rows share the call
+        energy, err = sum(rows * np.array((coeffs, sizes)).T[..., None])
+        # below the normal range each of the 5 terms, shifted and multiplied
+        # by a coefficient of at most 2, errs by up to 1.5 spacings, and as
+        # much again in the bound's own row: under 16 in all
+        err = err + 16 * spacing
+        exponent = exponent + 2 * pq_exponent + top
     else:
         from . import oracle  # loaded only for this independent check
 
@@ -268,13 +248,9 @@ def wcp(cfg: PairConfiguration, method: str = "rotated_contour",
         reps = [(w, oracle.dispersion_integral_real_axis(cfg.x, p, q)) for w, p, q in channels]
         energy = prefactor * (weight * sum(w * rep.value for w, rep in reps))
         err = abs(prefactor) * (weight * sum(w * rep.abs_err_est for w, rep in reps))
-    if np.count_nonzero(exponent):
-        energy, err = np.ldexp(energy, exponent), np.ldexp(err, exponent)
-    below = abs(energy) < sys.float_info.min
-    if np.count_nonzero(below):
-        # W and its bound each round by less than a spacing there
-        err = err + 2 * spacing * below
-    return PotentialResult(energy=energy, abs_err_est=err)
+    # W and its bound each round by less than a spacing below the normal range
+    return PotentialResult(energy=np.ldexp(energy, exponent),
+                           abs_err_est=np.ldexp(err, exponent) + 2 * spacing)
 
 
 @per_x
@@ -285,11 +261,18 @@ def vdw_near(cfg: PairConfiguration) -> PotentialResult:
     V = d_A d_B (n_a.n_b - 3 (n_a.r)(n_b.r)) / R^3 through the single
     doubly-excited intermediate state at energy 2 hbar omega0 gives
     W = -V^2 / (2 hbar omega0), i.e. -(mu^2 kappa^2 / 2) hbar omega0 / x^6
-    in reduced variables.
+    in reduced variables.  As in wcp, mu, kappa and x enter as mantissas and
+    one power of two, so W leaves the floats' range only where its value
+    does; abs_err_est holds its roundings, kappa's and the power's among
+    them, and below the normal range a spacing of the floats.
     """
-    kappa = _orientation_pq(cfg)[1]
-    energy = -0.5 * (cfg.mu * kappa) ** 2 / checked_power(cfg.x, 6)
-    return PotentialResult(energy=energy, abs_err_est=np.zeros_like(energy))
+    mu, mu_exponent = math.frexp(cfg.mu)
+    kappa, kappa_exponent = math.frexp(_orientation_pq(cfg)[1])
+    m, k = np.frexp(cfg.x)
+    energy = np.ldexp(-0.5 * (mu * kappa) ** 2 * m**-6.0,
+                      2 * (mu_exponent + kappa_exponent) - 6 * k)
+    spacing = math.ulp(0.0) if mu and kappa else 0.0
+    return PotentialResult(energy=energy, abs_err_est=4.0 * _EPS * abs(energy) + spacing)
 
 
 class PowerLawFit(Record):

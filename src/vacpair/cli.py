@@ -2,7 +2,8 @@
 and the closed-form/oracle validation suite.
 
 Exit codes: 0 success, 1 validation or accuracy failure (AccuracyError, which
-names the first x at fault), 2 usage error (DomainError), each one stderr line.
+names the first x at fault), 2 usage error (DomainError), a file that cannot
+be read or written, or an allocation that fails, each one stderr line.
 A configuration file (flat key=value lines, keys mirroring the long flags)
 can be supplied with --config or the VACPAIR_CONFIG environment variable.
 Its lines are parsed as flags placed ahead of the command line's, so file
@@ -376,6 +377,11 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"vacpair: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the array, such as a sweep's x grid of 10^17
+        # points
+        print(f"vacpair: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 2
 
 

@@ -1,6 +1,7 @@
 """The test suite's one mpmath reference and only importer of mpmath: f and g
 from Si and Ci, and T(x), X/mu, the moments I_n(2x) and the pair energy W from
-them, each a Ref of the value and the sum of its terms' magnitudes, in mpf."""
+them, and the London energy, each a Ref of the value and the sum of its
+terms' magnitudes, in mpf."""
 
 import functools
 import math
@@ -16,7 +17,7 @@ mpmath = functools.partial(pytest.importorskip, "mpmath")
 def digits(x):
     """Si and Ci lose about 2 log10(s) digits to f and g at s = 2x, the moment
     reduction 4 log10(s) more, and X cancels like 1/x^2 as x -> 0: at least 31
-    digits of f, g, T, X and W stay correct on [1e-60, 1e12]."""
+    digits of f, g, T, X and W stay correct on [1e-300, 1e300]."""
     return math.ceil(30 + 6 * max(0.0, math.log10(2 * x)) + 2 * max(0.0, -math.log10(x)))
 
 
@@ -90,3 +91,10 @@ def wcp(mp, t, mu, cos_ab, proj_product, isotropic=False):
     """W(x) = -(2 mu^2 / pi) J(x), in units of hbar omega0."""
     j, factor = dispersion(t, cos_ab, proj_product, isotropic), 2 * mp.mpf(mu) ** 2 / mp.pi
     return Ref(-factor * j.value, factor * j.scale)
+
+
+@_at_digits
+def london(mp, t, mu, cos_ab, proj_product):
+    """-(mu kappa)^2 / (2 x^6), kappa = a - 3b, in units of hbar omega0."""
+    w = -(mp.mpf(mu) * (mp.mpf(cos_ab) - 3 * mp.mpf(proj_product))) ** 2 / (2 * t**6)
+    return Ref(w, abs(w))

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from vacpair import (AccuracyError, DomainError, PairConfiguration, casimir,
@@ -51,16 +51,27 @@ class TestVdwNear:
     def test_orthogonal_geometry_vanishes(self):
         assert vdw_near(pair_from_alignment(1.0, 1.0, 0.0, 0.0)).energy == 0.0
 
+    @pytest.mark.parametrize("x, mu, expected", [(5e-54, 1e-10, -3.2e299),
+                                                 (1e-60, 1e-170, -5e19),
+                                                 (1e60, 1e170, -5e-21)])
+    def test_powers_of_x_past_the_normal_range(self, x, mu, expected):
+        # x^6 is subnormal at 5e-54 (W was 1.5e-4 off, with a bound of 0), and
+        # mu^2 and x^6 underflow or overflow at the others, where W fits
+        cfg = pair_from_alignment(x, mu)
+        assert vdw_near(cfg).energy == pytest.approx(expected, rel=1e-12)
+        check_energy(lambda: vdw_near(cfg),
+                     mpref.london(cfg.x, cfg.mu, cfg.cos_ab, cfg.proj_product))
+
     def test_array_x_gives_the_float_values(self):
         xs = np.geomspace(1e-6, 1e12, 41)
         energy = vdw_near(pair_from_alignment(xs, 1e-3, 1.0, 0.25)).energy
         assert energy.tolist() == [vdw_near(pair_from_alignment(x, 1e-3, 1.0, 0.25)).energy
                                    for x in xs.tolist()]
-        # x^6 underflows to 0 at 1e-60: both calls name that x, and the
-        # array one gives no numpy warning
+        # W, about -3e353, overflows at 1e-60: both calls name that x, and
+        # the array one gives no numpy warning
         for x in (1e-60, np.array([1.0, 1e-60])):
             with pytest.raises(AccuracyError, match=r"^out of floating-point range at "
-                               r"x=1e-60 \(ZeroDivisionError\)$"):
+                               r"x=1e-60 \(OverflowError\)$"):
                 vdw_near(pair_from_alignment(x, 1e-3))
 
     def test_concurrence_relation(self, rng):
@@ -133,16 +144,26 @@ class TestWcp:
         assert pv == pytest.approx(iso, rel=1e-6)
 
 
-def check_against_mpmath(cfg, isotropic):
-    """abs_err_est bounds the true error, and where |W| is normal the
-    conditioned error is at most 1e-12: below the normal range half a
-    spacing of the floats can exceed it."""
-    res = wcp(cfg, isotropic=isotropic)
-    value, scale = mpref.wcp(cfg.x, cfg.mu, cfg.cos_ab, cfg.proj_product, isotropic)
+def check_energy(law, reference):
+    """law() raises AccuracyError where the reference value overflows the
+    floats.  Elsewhere abs_err_est bounds the true error, and where the
+    reference is normal the conditioned error is at most 1e-12: below the
+    normal range half a spacing of the floats can exceed it."""
+    value, scale = reference
+    if abs(value) > sys.float_info.max:
+        with pytest.raises(AccuracyError, match="OverflowError"):
+            law()
+        return
+    res = law()
     err = float(abs(res.energy - value))
-    if abs(res.energy) >= sys.float_info.min:
-        assert err <= 1e-12 * float(scale), (cfg.x, err / float(scale))
-    assert err <= res.abs_err_est, (cfg.x, err, res.abs_err_est)
+    if abs(value) >= sys.float_info.min:
+        assert err <= 1e-12 * float(scale), (err / float(scale), res)
+    assert err <= res.abs_err_est, (err, res)
+
+
+def check_against_mpmath(cfg, isotropic):
+    check_energy(lambda: wcp(cfg, isotropic=isotropic),
+                 mpref.wcp(cfg.x, cfg.mu, cfg.cos_ab, cfg.proj_product, isotropic))
 
 
 class TestWcpClosedForm:
@@ -251,19 +272,37 @@ class TestWcpClosedForm:
     @pytest.mark.parametrize("x, mu", [(1.3e-103, 3.1e-160), (1.7e-104, 2.3e-170),
                                        (3e-105, 1e-172)])
     def test_bound_holds_terms_below_the_normal_range(self, x, mu):
-        # 2^-960 times x^-6 would overflow here, so the sum's terms go below
-        # the normal range and lose bits (a relative 4.5e-8, 1.2e-2, and all
-        # of them with W = 0): the bound holds each loss
-        cfg = pair_from_alignment(x, mu)
-        res = wcp(cfg)
-        value, _ = mpref.wcp(cfg.x, cfg.mu, cfg.cos_ab, cfg.proj_product, False)
-        assert float(abs(res.energy - value)) <= res.abs_err_est
+        # mu^2 is far below the normal range and x^-6 far above it, while W,
+        # about -1e298, -1e283 and -7e282, fits: no factor on the way may
+        # leave the normal range
+        check_against_mpmath(pair_from_alignment(x, mu), False)
 
-    def test_energy_with_no_digit_left_is_an_accuracy_error(self):
-        # W = -5e307, but its sum's terms all fall below the floats: the
-        # bound overflows
-        with pytest.raises(AccuracyError, match="OverflowError"):
-            wcp(pair_from_alignment(1e-120, 1e-206))
+    @pytest.mark.parametrize("x, mu, cos_ab, proj_product, expected", [
+        (1e-120, 1e-206, 1.0, 0.0, -5e307),  # mu^2 = 1e-412, x^-6 = 1e720
+        (1e100, 1e200, 1.0, 0.0, -2.069e-300),  # mu^2 = 1e400, x^-7 = 1e-700
+        # q = 0: only the p^2 term enters, and the other four, whose powers
+        # of x lie above its own, must not set the scale
+        (1e-100, 1e-3, 0.75, 0.25, -7.9577e292),
+    ])
+    def test_energy_whose_factors_leave_the_float_range_fits(self, x, mu, cos_ab,
+                                                             proj_product, expected):
+        cfg = pair_from_alignment(x, mu, cos_ab, proj_product)
+        assert wcp(cfg).energy == pytest.approx(expected, rel=1e-4)
+        check_against_mpmath(cfg, False)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=[Phase.generate])
+    @given(log_x=st.floats(math.log(1e-300), math.log(1e300)),
+           log_mu=st.floats(math.log(1e-300), math.log(1e300)), n_a=unit_vectors,
+           n_b=unit_vectors, r_hat=unit_vectors, isotropic=st.booleans())
+    def test_pair_energies_over_the_whole_domain(self, log_x, log_mu, n_a, n_b, r_hat,
+                                                 isotropic):
+        # x and mu log-uniform over the floats: each energy is returned where
+        # its value fits, within its bound and within 1e-12 where it is normal
+        cfg = PairConfiguration(x=math.exp(log_x), n_a=n_a, n_b=n_b, r_hat=r_hat,
+                                mu=math.exp(log_mu))
+        check_against_mpmath(cfg, isotropic)
+        check_energy(lambda: vdw_near(cfg),
+                     mpref.london(cfg.x, cfg.mu, cfg.cos_ab, cfg.proj_product))
 
 
 class TestFarZoneCorrelatorForm:

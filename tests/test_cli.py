@@ -170,6 +170,17 @@ class TestSweep:
         assert run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "2",
                         "--points", "2", "--columns", "x,bogus"]) == 2
 
+    @pytest.mark.parametrize("scale", ["log", "linear"])
+    def test_grid_past_the_address_space_is_one_stderr_line(self, capsys, scale):
+        # the x grid of 10^17 points would take 711 PiB: its allocation fails
+        # at once, and uses no memory
+        code = run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "10",
+                        "--points", "100000000000000000", "--scale", scale])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("vacpair: out of memory: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_bad_range_is_usage_error(self):
         assert run_cli(["sweep", "--mu", "1e-4", "--xmin", "2", "--xmax", "1",
                         "--points", "5"]) == 2
