@@ -63,7 +63,7 @@ import numpy as np
 from . import specfun
 from ._record import Record
 from .errors import DomainError
-from .kernel import per_x
+from .kernel import per_x, power_law
 from .model import PairConfiguration
 
 
@@ -262,16 +262,13 @@ def vdw_near(cfg: PairConfiguration) -> PotentialResult:
     doubly-excited intermediate state at energy 2 hbar omega0 gives
     W = -V^2 / (2 hbar omega0), i.e. -(mu^2 kappa^2 / 2) hbar omega0 / x^6
     in reduced variables.  As in wcp, mu, kappa and x enter as mantissas and
-    one power of two, so W leaves the floats' range only where its value
-    does; abs_err_est holds its roundings, kappa's and the power's among
-    them, and below the normal range a spacing of the floats.
+    one power of two (kernel.power_law), so W leaves the floats' range only
+    where its value does; abs_err_est holds its roundings, kappa's and the
+    power's among them, and below the normal range a spacing of the floats.
     """
-    mu, mu_exponent = math.frexp(cfg.mu)
-    kappa, kappa_exponent = math.frexp(_orientation_pq(cfg)[1])
-    m, k = np.frexp(cfg.x)
-    energy = np.ldexp(-0.5 * (mu * kappa) ** 2 * m**-6.0,
-                      2 * (mu_exponent + kappa_exponent) - 6 * k)
-    spacing = math.ulp(0.0) if mu and kappa else 0.0
+    kappa = _orientation_pq(cfg)[1]
+    energy = power_law((-0.5, cfg.mu, kappa, cfg.mu, kappa), cfg.x, 6)
+    spacing = math.ulp(0.0) if cfg.mu and kappa else 0.0
     return PotentialResult(energy=energy, abs_err_est=4.0 * _EPS * abs(energy) + spacing)
 
 

@@ -209,7 +209,7 @@ def _evaluate(cfg: model.PairConfiguration, r_over_a0,
         column = "r_over_a0"  # R = x / k0 overflows at a tiny omega0 where the laws hold
         overflows = np.flatnonzero(np.isinf(r_over_a0))
         if overflows.size:
-            raise kernel.out_of_range(np.ravel(cfg.x)[overflows[0]], OverflowError)
+            raise kernel.out_of_range(np.ravel(cfg.x)[overflows[0]])
     except AccuracyError as exc:  # the library's messages name x
         raise AccuracyError(f"{column}: {exc}") from None
     validity = [flag.value for flag in np.atleast_1d(full.validity.flag)]

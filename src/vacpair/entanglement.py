@@ -24,8 +24,8 @@ from ._record import Record
 from .errors import AccuracyError, DomainError
 # contracted_tensor and perturbative_validity are bound here for perfbench's
 # span tracer, which wraps them
-from .kernel import checked_power, contracted_tensor, cross_coherence_kernel, per_x
-from .model import (PairConfiguration, Validity, ValidityReport, amplitude_c_ee,
+from .kernel import contracted_tensor, cross_coherence_kernel, per_x, power_law
+from .model import (PairConfiguration, Validity, ValidityReport, amplitude_c_ee, coupled,
                     perturbative_validity)
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -117,16 +117,16 @@ def concurrence_full(cfg: PairConfiguration) -> ConcurrenceResult:
 @per_x
 def concurrence_near(cfg: PairConfiguration) -> ConcurrenceResult:
     """Near-zone law mu |n_a.n_b - 3 (n_a.r)(n_b.r)| / x^3 (for x << 1)."""
-    raw = cfg.mu * abs(cfg.cos_ab - 3.0 * cfg.proj_product) / checked_power(cfg.x, 3)
-    return _result(raw, cfg._validity)
+    near = power_law((cfg.mu, abs(cfg.cos_ab - 3.0 * cfg.proj_product)), cfg.x, 3)
+    return _result(near, cfg._validity)
 
 
 @per_x
 def concurrence_far(cfg: PairConfiguration) -> ConcurrenceResult:
     """Far-zone law (8 mu / pi) |n_a.n_b - 2 (n_a.r)(n_b.r)| / x^4 (for x >> 1)."""
-    raw = ((8.0 * cfg.mu / np.pi) * abs(cfg.cos_ab - 2.0 * cfg.proj_product)
-           / checked_power(cfg.x, 4))
-    return _result(raw, cfg._validity)
+    far = power_law((8.0 / np.pi, cfg.mu, abs(cfg.cos_ab - 2.0 * cfg.proj_product)),
+                    cfg.x, 4)
+    return _result(far, cfg._validity)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ def _one_state(cfg: PairConfiguration, name: str) -> None:
 def cross_coherence(cfg: PairConfiguration):
     """Finite cross term X = sum_k c_eg,k c*_ge,k = mu (3 T + x T') / pi,
     one value per x."""
-    return cfg.mu * cross_coherence_kernel(cfg.x, cfg.cos_ab, cfg.proj_product)
+    return coupled(cross_coherence_kernel, cfg)
 
 
 def c1_c2_from_amplitudes(cfg: PairConfiguration,

@@ -39,9 +39,10 @@ def per_x(law):
     of one value per x or a Record of them.  numpy's floating-point
     warnings are off inside it.  A law raises DomainError or AccuracyError
     only: a float of its result that is not finite raises AccuracyError at
-    its x (the first such, fields in order), and so does an OverflowError
-    from a float power such as mu**2, at the first x.  A float call is the
-    size-1 array call, checked alike, with each array then as its scalar.
+    its x (the first such, fields in order).  No law forms a power of x, so
+    this happens where a value itself leaves the floating-point range.  A
+    float call is the size-1 array call, checked alike, with each array then
+    as its scalar.
     """
     @functools.wraps(law)
     def one_value_per_x(first, *args, **kwargs):
@@ -49,11 +50,8 @@ def per_x(law):
             x, column = first.x, first.column
         else:
             x, column = first, np.atleast_1d(np.asarray(first, dtype=float))
-        try:
-            with np.errstate(all="ignore"):
-                result = law(column, *args, **kwargs)
-        except OverflowError:
-            raise out_of_range(np.ravel(x)[0], OverflowError) from None
+        with np.errstate(all="ignore"):
+            result = law(column, *args, **kwargs)
         return _finite(result, getattr(column, "x", column), scalar=not np.ndim(x))
     return one_value_per_x
 
@@ -64,30 +62,24 @@ def _finite(result, xs: np.ndarray, scalar: bool):
         if result.dtype.kind == "f":  # not the object arrays of validity flags
             bad = ~np.isfinite(result)
             if np.count_nonzero(bad):
-                raise out_of_range(xs[np.flatnonzero(bad)[0]], OverflowError)
+                raise out_of_range(xs[np.flatnonzero(bad)[0]])
         return result.item() if scalar else result
     fields = {name: _finite(getattr(result, name), xs, scalar) for name in result._fields}
     return result.replace(**fields) if scalar else result
 
 
-def out_of_range(x, error: type[ArithmeticError]) -> AccuracyError:
+def out_of_range(x) -> AccuracyError:
     """The AccuracyError of a value out of floating-point range at x."""
-    return AccuracyError(f"out of floating-point range at x={float(x)!r} ({error.__name__})")
+    return AccuracyError(f"out of floating-point range at x={float(x)!r} (OverflowError)")
 
 
-def checked_power(x: np.ndarray, n: int) -> np.ndarray:
-    """x**n at every x > 0, for a law that divides by it.
-
-    Where x**n overflows, or underflows to 0, it raises AccuracyError at the
-    first such x, naming the error that a float power (OverflowError) or the
-    division by it (ZeroDivisionError) raises there.
-    """
-    p = x**n
-    bad = np.isinf(p) | (p == 0.0)
-    if np.count_nonzero(bad):
-        i = np.flatnonzero(bad)[0]
-        raise out_of_range(x[i], OverflowError if np.isinf(p[i]) else ZeroDivisionError)
-    return p
+def power_law(factors, x: np.ndarray, power: int) -> np.ndarray:
+    """The product of factors over x^power at every x, from their mantissas
+    (math.frexp, np.frexp) and one power of two (np.ldexp) applied last: it
+    leaves the floating-point range only where its value does."""
+    mantissas, exponents = zip(*map(math.frexp, factors))
+    m, k = np.frexp(x)
+    return np.ldexp(math.prod(mantissas) * m ** -float(power), sum(exponents) - power * k)
 
 
 def _aux_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,11 +93,12 @@ def contracted_tensor(x, cos_ab: float, proj_product: float):
     """T(x) = n_a . tau(x) . n_b from the orientation invariants, one value per x.
 
     cos_ab = n_a.n_b and proj_product = (n_a.r_hat)(n_b.r_hat); x is a
-    float or a 1-d numpy array.
+    float or a 1-d numpy array.  T is linear in the two, and x enters by
+    division only, never as a power; a term with a zero coefficient is 0.
     """
     f, g, f_double_prime = _aux_columns(x)
     return ((cos_ab - proj_product) * f_double_prime
-            + (cos_ab - 3.0 * proj_product) * (f / checked_power(x, 2) + g / x)) / x
+            + (cos_ab - 3.0 * proj_product) * (f / x + g) / x) / x
 
 
 @per_x
@@ -124,4 +117,4 @@ def cross_coherence_kernel(x, cos_ab: float, proj_product: float):
     """
     f, g, _ = _aux_columns(x)
     return ((cos_ab - proj_product) * g - (cos_ab + proj_product) * f / x
-            + 2.0 * proj_product / checked_power(x, 2)) / math.pi
+            + 2.0 * proj_product / x / x) / math.pi

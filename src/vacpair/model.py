@@ -160,13 +160,8 @@ class PairConfiguration(Record, eq=False):
     @cached_property
     def column(self) -> PairConfiguration:
         """This configuration with x as a 1-d array, of size 1 for a float x:
-        the form the laws compute with, so that they share its T(x)."""
+        the form the laws compute with, so that they share its c_ee."""
         return self if np.ndim(self.x) else self.replace(x=np.array([self.x]))
-
-    @cached_property
-    def _tensor(self):
-        """T(x), evaluated once per configuration for all the laws that need it."""
-        return kernel.contracted_tensor(self.x, self.cos_ab, self.proj_product)
 
     @cached_property
     def _amplitude(self):
@@ -218,8 +213,8 @@ def reduce(atom_a: TwoLevelAtom, atom_b: TwoLevelAtom, separation) -> PairConfig
     orientations are passed through unchanged.
 
     Raises FrequencyMismatchError unless the atoms share omega0 to a relative
-    1e-9, DomainError for zero separation, and AccuracyError where mu falls
-    outside the floating-point range.
+    1e-9, DomainError for zero separation, and AccuracyError where mu
+    overflows.
     """
     if abs(atom_a.omega0 - atom_b.omega0) > 1e-9 * abs(atom_a.omega0):
         raise FrequencyMismatchError(
@@ -229,13 +224,13 @@ def reduce(atom_a: TwoLevelAtom, atom_b: TwoLevelAtom, separation) -> PairConfig
                                           "separation")
     k0 = atom_a.wavenumber()
     d_a, d_b = atom_a.dipole_magnitude, atom_b.dipole_magnitude
+    # mantissas and one power of two: mu leaves the float range only where it does
+    (ma, ea), (mb, eb), (mk, ek), (mw, ew) = map(math.frexp, (d_a, d_b, k0, atom_a.omega0))
     try:
-        mu = d_a * d_b * k0**3 / atom_a.omega0
-    except OverflowError:  # k0**3
-        mu = math.inf
-    if not math.isfinite(mu):
-        raise AccuracyError(f"reduce: mu is out of floating-point range at "
-                            f"omega0={atom_a.omega0!r}, |d_A|={d_a!r}, |d_B|={d_b!r}")
+        mu = math.ldexp(ma * mb * mk**3 / mw, ea + eb + 3 * ek - ew)
+    except OverflowError:
+        raise AccuracyError(f"reduce: mu is out of floating-point range at omega0="
+                            f"{atom_a.omega0!r}, |d_A|={d_a!r}, |d_B|={d_b!r}") from None
     return PairConfiguration(
         x=k0 * distance,
         n_a=atom_a.orientation,
@@ -266,6 +261,18 @@ _MARGIN_OK = 0.1
 _MARGIN_WARN = 1.0
 
 
+def coupled(law, cfg: PairConfiguration):
+    """mu law(x, cos_ab, proj_product) for a law linear in the invariants, which
+    mu 2^lift scales before any division by x, and 2^-lift after: lift = -2, so
+    that law values up to 4 times the result fit, or more where mu max(|a|, |b|)
+    (at least 2^(e_mu + e_size - 2)) would lose bits below the normal range; the
+    law may then overflow first, at x below about 1e-205."""
+    size = max(abs(cfg.cos_ab), abs(cfg.proj_product))
+    lift = max(-2, -1020 - math.frexp(cfg.mu)[1] - math.frexp(size)[1])
+    mu = math.ldexp(cfg.mu, lift)
+    return np.ldexp(law(cfg.x, mu * cfg.cos_ab, mu * cfg.proj_product), -lift)
+
+
 @kernel.per_x
 def amplitude_c_ee(cfg: PairConfiguration):
     """Double-excitation amplitude of the dressed ground state, one value per x.
@@ -273,7 +280,7 @@ def amplitude_c_ee(cfg: PairConfiguration):
     c_ee = -(mu/pi) T(x), real and sign carrying; the local (separation
     independent) dressing terms do not enter.
     """
-    return -cfg.mu / np.pi * cfg._tensor
+    return coupled(lambda x, a, b: kernel.contracted_tensor(x, a, b) / -np.pi, cfg)
 
 
 @kernel.per_x

@@ -144,10 +144,11 @@ def ci(x: float) -> float:
 
 
 def aux(x: float) -> AuxFunValue:
-    """Auxiliary functions f and g with f'' = 1/x - f, for x > 0."""
+    """Auxiliary functions f and g with f'' = 1/x - f, for x > 0; g ~ 1/x^2
+    underflows to 0, its correctly rounded value, from x ~ 6.3e161."""
     x = _check_arg(x, "aux", allow_zero=False)
     _, _, f, g, err = _branch(x, x < _BRANCH_CUTOVER)
     # f = pi/2 - O(x ln x), so below x ~ 1e-17 it rounds to fl(pi/2) itself
-    if not (0.0 < f <= math.pi / 2) or g <= 0.0:
+    if not (0.0 < f <= math.pi / 2) or g < 0.0:
         raise AccuracyError(f"auxiliary function out of theoretical range at x={x}")
     return AuxFunValue(f=f, g=g, f_double_prime=1.0 / x - f, abs_err_est=err)

@@ -1,7 +1,8 @@
 """The test suite's one mpmath reference and only importer of mpmath: f and g
 from Si and Ci, and T(x), X/mu, the moments I_n(2x) and the pair energy W from
-them, and the London energy, each a Ref of the value and the sum of its
-terms' magnitudes, in mpf."""
+them, the London energy and the near- and far-zone concurrence laws, each a
+Ref of the value and the sum of its terms' magnitudes, in mpf; and the
+coupling mu of two dimensional atoms."""
 
 import functools
 import math
@@ -98,3 +99,29 @@ def london(mp, t, mu, cos_ab, proj_product):
     """-(mu kappa)^2 / (2 x^6), kappa = a - 3b, in units of hbar omega0."""
     w = -(mp.mpf(mu) * (mp.mpf(cos_ab) - 3 * mp.mpf(proj_product))) ** 2 / (2 * t**6)
     return Ref(w, abs(w))
+
+
+def _power_law(mp, t, coefficient, cos_ab, proj_product, weight, power):
+    """coefficient |a - weight b| / x^power, in mpf."""
+    law = _sum(mp, coefficient * mp.mpf(cos_ab), -coefficient * weight * mp.mpf(proj_product))
+    return Ref(abs(law.value) / t**power, law.scale / t**power)
+
+
+@_at_digits
+def concurrence_near(mp, t, mu, cos_ab, proj_product):
+    """mu |a - 3b| / x^3."""
+    return _power_law(mp, t, mp.mpf(mu), cos_ab, proj_product, 3, 3)
+
+
+@_at_digits
+def concurrence_far(mp, t, mu, cos_ab, proj_product):
+    """(8 mu / pi) |a - 2b| / x^4."""
+    return _power_law(mp, t, 8 * mp.mpf(mu) / mp.pi, cos_ab, proj_product, 2, 4)
+
+
+def coupling(omega0, d_a, d_b, speed_of_light):
+    """mu = |d_A||d_B| k0^3 / omega0 with k0 = omega0 / c, exact products of
+    the given floats, in mpf (whose exponent range has no limit)."""
+    mp = mpmath()
+    with mp.workdps(30):
+        return mp.mpf(d_a) * mp.mpf(d_b) * (mp.mpf(omega0) / speed_of_light) ** 3 / omega0

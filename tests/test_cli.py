@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacpair import PairConfiguration, cli, fit_powerlaw, validate
-from vacpair.entanglement import concurrence_full, effective_density_matrix
+from vacpair.entanglement import (concurrence_full, concurrence_near,
+                                  effective_density_matrix)
 from vacpair.errors import AccuracyError
 from vacpair.model import pair_from_alignment
 
@@ -155,7 +156,7 @@ class TestSweep:
             x = float(row["x"])
             cfg = pair_from_alignment(x, 3e-4, 1.0, 0.0)
             assert concurrence_full(cfg).raw == float(row["concurrence_full"])
-            assert cfg.mu * 1.0 / x**3 == float(row["concurrence_near"])
+            assert concurrence_near(cfg).raw == float(row["concurrence_near"])
 
     def test_column_subset(self, capsys):
         code = run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "2",
@@ -213,6 +214,11 @@ def _count_calls(monkeypatch):
     return calls
 
 
+# dimensional atoms with k0 = 7.3e-153, whose r_over_a0 = x / k0 leaves the
+# float range from x ~ 1.3e156 on
+_TINY_OMEGA0 = ["--omega0", "1e-150", "--dmag-a", "1", "--dmag-b", "1"]
+
+
 class TestSweepStreaming:
     @pytest.mark.parametrize("x, aux_calls", [(0.5, 2), (1.99, 2), (2.0, 1), (10.0, 1)])
     def test_a_row_evaluates_the_tensor_once(self, monkeypatch, capsys, x, aux_calls):
@@ -257,11 +263,12 @@ class TestSweepStreaming:
 
     @pytest.mark.parametrize("before", [None, "# an earlier sweep\n"])
     def test_failed_sweep_leaves_the_output_as_it_was(self, tmp_path, capsys, before):
-        # a power of x overflows from x ~ 1e77, several rows into the sweep
+        # k0 = 7.3e-153 puts r_over_a0 = x / k0 past the float range from
+        # x ~ 1.3e156 on, several rows into the sweep
         path = tmp_path / "out.csv"
         if before is not None:
             path.write_text(before)
-        assert run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "1e300",
+        assert run_cli(["sweep", *_TINY_OMEGA0, "--xmin", "1", "--xmax", "1e300",
                         "--points", "50", "--output", str(path)]) == 1
         assert capsys.readouterr().err.startswith("vacpair: accuracy failure: ")
         assert os.listdir(tmp_path) == ([] if before is None else ["out.csv"])
@@ -309,8 +316,8 @@ class TestBatchEqualsScalar:
             assert _bits(values) == _bits(row[name][0] for row in singles), name
 
     def test_overflowing_sweep_prints_the_rows_before_then_what_point_prints(self, capsys):
-        # a power of x overflows from x ~ 1e77, several rows into the sweep
-        argv = ["--mu", "1e-4", "--dipole-a=0.3,-0.4,1.1", "--sep-dir=1,2,3"]
+        # r_over_a0 overflows from x ~ 1.3e156, several rows into the sweep
+        argv = [*_TINY_OMEGA0, "--dipole-a=0.3,-0.4,1.1", "--sep-dir=1,2,3"]
         assert run_cli(["sweep", *argv, "--xmin", "1", "--xmax", "1e300",
                         "--points", "50"]) == 1
         out, err = capsys.readouterr()
@@ -343,11 +350,12 @@ class TestBatchEqualsScalar:
         assert len(rows) == 5
 
     def test_a_failing_chunk_names_its_first_bad_x_in_one_line(self):
-        cfg = pair_from_alignment(np.array([1.0, 1e50, 1e120, 1e150]), 1e-4)
+        # c_ee ~ mu / x^3 overflows from x ~ 1e-104
+        cfg = pair_from_alignment(np.array([1.0, 1e-50, 1e-120, 1e-150]), 1e-4)
         with pytest.raises(AccuracyError) as info:
             cli._evaluate(cfg, cfg.x, False)
-        assert str(info.value) == ("concurrence_near: out of floating-point range at "
-                                   "x=1e+120 (OverflowError)")
+        assert str(info.value) == ("concurrence_full: out of floating-point range at "
+                                   "x=1e-120 (OverflowError)")
 
 
 class TestConfigFile:
@@ -476,15 +484,34 @@ class TestExtremeSeparation:
         assert run_cli(["point", "--mu", "1e-4", "--x", "1e-18"]) == 0
         assert "validity            = INVALID" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("x", ["1e100", "1e-200"])
-    def test_overflow_and_underflow_are_accuracy_failures(self, capsys, x):
-        # x**4 overflows at 1e100 in the far-zone law; x**2 underflows to 0 at
-        # 1e-200 in T(x), which concurrence_full evaluates first
-        column = {"1e100": "concurrence_far", "1e-200": "concurrence_full"}[x]
+    @pytest.mark.parametrize("x", ["1e-200", "1e-300"])
+    def test_overflow_is_an_accuracy_failure(self, capsys, x):
+        # c_ee ~ mu / x^3 overflows in concurrence_full, which runs first
         assert run_cli(["point", "--mu", "1e-4", "--x", x]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"vacpair: accuracy failure: {column}: ")
-        assert f"x={float(x)!r}" in err
+        assert capsys.readouterr().err == (
+            "vacpair: accuracy failure: concurrence_full: out of floating-point "
+            f"range at x={float(x)!r} (OverflowError)\n")
+
+    @pytest.mark.parametrize("x, far", [("1e78", 2.546e-316), ("1e100", 0.0),
+                                        ("1e300", 0.0)])
+    def test_huge_x_whose_values_fit_exits_0(self, capsys, x, far):
+        # every value fits or underflows: the far-zone law (8 mu / pi) / x^4
+        # is a subnormal float at 1e78
+        assert run_cli(["point", "--mu", "1e-4", "--x", x]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = parse_point_report(captured.out)
+        assert float(report["concurrence_far"]) == pytest.approx(far, rel=1e-3)
+
+    @pytest.mark.parametrize("x", ["1e-160", "1e-200"])
+    def test_crossed_dipoles_give_zero_at_tiny_x(self, capsys, x):
+        # both orientation invariants are 0, so each concurrence is exactly 0
+        # however small x is
+        assert run_cli(["point", "--mu", "1e-4", "--x", x, "--dipole-a", "1,0,0",
+                        "--dipole-b", "0,1,0"]) == 0
+        report = parse_point_report(capsys.readouterr().out)
+        for column in ("concurrence_full", "concurrence_near", "concurrence_far"):
+            assert float(report[column]) == 0.0
 
     def test_huge_x_prints_its_row_without_warnings(self, capsys):
         # |W| < 1e-400 underflows to 0; no power of x may overflow on the way
@@ -500,12 +527,19 @@ class TestExtremeSeparation:
             "at x=1e-60 (OverflowError)\n")
 
     def test_overflowing_concurrence_names_concurrence_full_and_x(self, capsys):
-        # T(x) ~ 1/x^3 overflows where x**2 is still normal; the far-zone
-        # law's x**4 underflows to 0 there, but concurrence_full runs first
+        # c_ee ~ mu / x^3 = 1e311 overflows, and so does the near-zone law,
+        # but concurrence_full runs first
         assert run_cli(["point", "--mu", "1e-4", "--x", "1e-105"]) == 1
         assert capsys.readouterr().err == (
             "vacpair: accuracy failure: concurrence_full: out of floating-point "
             "range at x=1e-105 (OverflowError)\n")
+
+    def test_coupling_whose_factors_leave_the_float_range_fits(self, capsys):
+        # k0^3 overflows and |d_A||d_B| underflows to 0, but mu is 3.886e-207
+        assert run_cli(["point", "--omega0", "1e200", "--dmag-a", "1e-300",
+                        "--dmag-b", "1e-300", "--x", "1"]) == 0
+        mu = float(parse_point_report(capsys.readouterr().out)["mu"])
+        assert mu == pytest.approx(3.886e-207, rel=1e-4)
 
     def test_overflowing_coupling_names_mu_and_omega0(self, capsys):
         # mu = |d_A||d_B| k0^3 / omega0: k0^3 overflows before any row

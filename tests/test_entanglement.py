@@ -7,8 +7,10 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from vacpair import (AccuracyError, DomainError, SpinCorrelators,
+from vacpair import (AccuracyError, DomainError, PairConfiguration, SpinCorrelators,
                      TwoQubitState, Validity, amplitude_c_ee,
                      c1_c2_from_amplitudes, concurrence_far, concurrence_full,
                      concurrence_near, correlators_from_state,
@@ -18,8 +20,9 @@ from vacpair import (AccuracyError, DomainError, SpinCorrelators,
 from vacpair import kernel
 from vacpair.entanglement import cross_coherence, regularized_local_population
 
+import mpref
 from conftest import (random_density_matrix, random_rotation, random_unit,
-                      random_x_state, transverse_pair)
+                      random_x_state, transverse_pair, unit_vectors)
 
 G_1 = 0.343377961556427
 
@@ -166,6 +169,77 @@ class TestConcurrenceRegimes:
                                     r_hat=rot @ r_hat, mu=1e-3)
         assert concurrence_full(rotated).raw == pytest.approx(
             concurrence_full(cfg).raw, rel=1e-12)
+
+
+def check_law(value, reference, rel):
+    """value() within rel of the reference's scale where the reference fits
+    the floats (and a few spacings of them below the normal range), and
+    AccuracyError where it does not."""
+    exact, scale = reference
+    if abs(exact) > sys.float_info.max:
+        with pytest.raises(AccuracyError, match="OverflowError"):
+            value()
+        return
+    v = value()
+    assert abs(v - exact) <= rel * scale + 4 * math.ulp(0.0), (v, float(exact))
+
+
+def check_full_law(cfg):
+    """concurrence_full, 2 mu |T| / pi, against mpmath's T."""
+    tensor = mpref.tensor(cfg.x, cfg.cos_ab, cfg.proj_product)
+    factor = 2 * cfg.mu / math.pi
+    check_law(lambda: concurrence_full(cfg).raw,
+              mpref.Ref(factor * abs(tensor.value), factor * tensor.scale), 1e-13)
+
+
+log_floats = st.floats(math.log(1e-300), math.log(1e300))
+
+
+class TestLawsOverTheWholeDomain:
+    # each law raises only where a value of its result leaves the float
+    # range; the power laws lose a few roundings, T a few 1e-14 to
+    # cancellation near x = 10 and X/mu a few 1e-12
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=[Phase.generate])
+    @given(log_x=log_floats, log_mu=log_floats, n_a=unit_vectors, n_b=unit_vectors,
+           r_hat=unit_vectors)
+    def test_power_laws(self, log_x, log_mu, n_a, n_b, r_hat):
+        cfg = PairConfiguration(x=math.exp(log_x), n_a=n_a, n_b=n_b, r_hat=r_hat,
+                                mu=math.exp(log_mu))
+        invariants = cfg.x, cfg.mu, cfg.cos_ab, cfg.proj_product
+        try:
+            concurrence_full(cfg)
+        except AccuracyError:  # the validity margin that all three laws carry
+            for law in (concurrence_near, concurrence_far):
+                with pytest.raises(AccuracyError, match="OverflowError"):
+                    law(cfg)
+            return
+        check_law(lambda: concurrence_near(cfg).raw, mpref.concurrence_near(*invariants),
+                  8 * sys.float_info.epsilon)
+        check_law(lambda: concurrence_far(cfg).raw, mpref.concurrence_far(*invariants),
+                  8 * sys.float_info.epsilon)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=[Phase.generate])
+    @given(log_x=st.floats(math.log(1e-300), math.log(10.0)), log_mu=log_floats,
+           n_a=unit_vectors, n_b=unit_vectors, r_hat=unit_vectors)
+    def test_full_law_and_cross_coherence(self, log_x, log_mu, n_a, n_b, r_hat):
+        cfg = PairConfiguration(x=math.exp(log_x), n_a=n_a, n_b=n_b, r_hat=r_hat,
+                                mu=math.exp(log_mu))
+        check_full_law(cfg)
+        x_over_mu = mpref.x_over_mu(cfg.x, cfg.cos_ab, cfg.proj_product)
+        check_law(lambda: cross_coherence(cfg),
+                  mpref.Ref(cfg.mu * x_over_mu.value, cfg.mu * x_over_mu.scale), 1e-11)
+
+    @pytest.mark.xfail(strict=True, raises=AccuracyError, reason=(
+        "mu |cos_ab| and mu |proj_product| both lie below the normal range, so "
+        "model.coupled raises mu by a power of two to keep their bits, and T "
+        "then overflows below x ~ 1e-205 although c_ee, about 5e284, fits"))
+    def test_tiny_invariants_at_tiny_x(self):
+        # found by test_full_law_and_cross_coherence with random draws
+        n_b = np.array([-1.14487384e-221, -8.17116557e-001, 5.76472490e-001])
+        n_b /= np.linalg.norm(n_b)
+        cfg = PairConfiguration(x=3.4727e-219, mu=2.2124e-229, n_b=n_b, r_hat=n_b,
+                                n_a=[1.0, -1.10489689e-226, -1.51871424e-142])
+        check_full_law(cfg)
 
 
 class TestWootters:

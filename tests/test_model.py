@@ -1,9 +1,13 @@
 """Constants, atom records and the dimensionless reduction."""
 
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from vacpair import (AccuracyError, DomainError, FrequencyMismatchError,
@@ -11,6 +15,8 @@ from vacpair import (AccuracyError, DomainError, FrequencyMismatchError,
                      hydrogen_1s2p, pair_from_alignment, perturbative_validity,
                      reduce)
 from vacpair.model import FINE_STRUCTURE, SPEED_OF_LIGHT
+
+import mpref
 
 HYDROGEN_DIPOLE = 128.0 * np.sqrt(2.0) / 243.0
 HYDROGEN_K0 = 0.0027365072134875002  # 0.375 * alpha, alpha = 7.2973525693e-3
@@ -84,6 +90,23 @@ class TestReduce:
                     f"mu is out of floating-point range at omega0={omega0!r}, "
                     f"|d_A|={d!r}, |d_B|={d!r}")):
                 reduce(a, a, [0.0, 0.0, 1.0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, phases=[Phase.generate])
+    @given(log_omega0=st.floats(math.log(1e-300), math.log(1e300)),
+           log_d_a=st.floats(math.log(1e-300), math.log(1e300)),
+           log_d_b=st.floats(math.log(1e-300), math.log(1e300)))
+    def test_mu_over_the_whole_domain(self, log_omega0, log_d_a, log_d_b):
+        # mu is returned wherever it fits, within a few roundings (and a
+        # spacing below the normal range), whichever factor leaves the range
+        omega0, d_a, d_b = map(math.exp, (log_omega0, log_d_a, log_d_b))
+        expected = mpref.coupling(omega0, d_a, d_b, SPEED_OF_LIGHT)
+        a, b = TwoLevelAtom(omega0, [d_a, 0, 0]), TwoLevelAtom(omega0, [0, d_b, 0])
+        if expected > sys.float_info.max:
+            with pytest.raises(AccuracyError, match="mu is out of floating-point range"):
+                reduce(a, b, [0.0, 0.0, 1.0])
+            return
+        mu = reduce(a, b, [0.0, 0.0, 1.0]).mu
+        assert abs(mu - expected) <= 8 * sys.float_info.epsilon * expected + math.ulp(0.0)
 
     def test_dipole_scaling(self):
         # scaling both dipoles by s multiplies mu by s^2, x unchanged

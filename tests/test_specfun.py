@@ -151,6 +151,14 @@ class TestAux:
             assert abs(v.f * x - 1.0) <= 1e-12
             assert abs(v.g * x * x - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("x", [1e165, 1e300])
+    def test_underflowing_g_is_zero(self, x):
+        # g ~ 1/x^2 is below the smallest float from x ~ 6.3e161: 0 is its
+        # correctly rounded value, not an error
+        v = aux(x)
+        assert v.g == 0.0
+        assert v.f == pytest.approx(1.0 / x, rel=1e-15)
+
     def test_error_estimate_present(self):
         assert aux(1.0).abs_err_est >= 0
         assert aux(100.0).abs_err_est >= 0
