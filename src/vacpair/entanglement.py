@@ -182,7 +182,7 @@ def wootters_concurrence(state: TwoQubitState | np.ndarray, method: str = "auto"
     return _per_state(c)
 
 
-@per_x  # log2(0) in the branches np.where discards is no warning
+@per_x  # log(0) in the branches np.where discards is no warning
 def entanglement_of_formation(c):
     """Entanglement of formation of a two-qubit state with concurrence c,
     a float or a 1-d array; one value per c.
@@ -193,9 +193,12 @@ def entanglement_of_formation(c):
     bad = ~((c >= 0.0) & (c <= 1.0))  # NaN too; inf lies outside
     if np.count_nonzero(bad):
         raise DomainError(f"concurrence must lie in [0, 1], got {c[bad][0]}")
-    x = 0.5 * (1.0 + np.sqrt(1.0 - c * c))
-    entropy = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-    return np.where(x >= 1.0, 0.0, np.where(x <= 0.5, 1.0, entropy))
+    # y = 1 - x formed without the cancellation, and x log x as
+    # (1 - y) log1p(-y): x rounds to 1 for c below about 1e-8
+    c2 = c * c
+    y = c2 / (2.0 + 2.0 * np.sqrt(1.0 - c2))
+    entropy = ((y - 1.0) * np.log1p(-y) - y * np.log(y)) / math.log(2.0)
+    return np.where(y <= 0.0, 0.0, np.where(y >= 0.5, 1.0, entropy))
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +267,19 @@ def regularized_local_population(cutoff: float) -> float:
 
     (2/3pi) * [L^2/2 - 2L + 3 ln(1+L) + 1/(1+L) - 1]: the exact antiderivative
     of the oracle's cutoff integral.  Diverges like cutoff^2, which raises
-    AccuracyError where it overflows (cutoff above about 1.3e154).
+    AccuracyError where the population overflows (cutoff above about 4.1e154).
     """
     if not (np.isfinite(cutoff) and cutoff > 1):
         raise DomainError(f"cutoff must exceed 1, got {cutoff}")
-    try:
-        ell = (0.5 * float(cutoff)**2 - 2.0 * cutoff + 3.0 * np.log1p(cutoff)
-               + 1.0 / (1.0 + cutoff) - 1.0)
-    except OverflowError:  # cutoff**2
+    ell = float(cutoff)
+    scale = 2.0 / (3.0 * math.pi)
+    # the scale goes in before the square, which overflows only with the value
+    population = ((0.5 * scale * ell) * ell
+                  + scale * (-2.0 * ell + 3.0 * math.log1p(ell) + 1.0 / (1.0 + ell) - 1.0))
+    if not math.isfinite(population):
         raise AccuracyError(f"regularized_local_population: the population is out "
-                            f"of floating-point range at cutoff={cutoff!r}") from None
-    return 2.0 / (3.0 * np.pi) * ell
+                            f"of floating-point range at cutoff={cutoff!r}")
+    return population
 
 
 def _one_state(cfg: PairConfiguration, name: str) -> None:

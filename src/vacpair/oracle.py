@@ -23,7 +23,12 @@ and nothing from the production closed forms.  Two engines do the work:
   conditionally convergent and Abel-summable tails of vacuum mode sums
   where naive truncation fails.  The m rounds of pairwise means are
   binomial means 2^-m sum_i C(m, i) s_(j+i) of the partial sums, so a tail
-  of n segments costs O(n) work.
+  of n segments costs O(n) work.  Every tail is _TAIL_SEGMENTS = 40
+  segments at every x: the Euler transformation (DLMF 3.9) sums a smooth
+  alternating tail from any length, and a longer tail only adds round-off
+  over terms that grow like u^2.  So from x = 1e-6 to 1e12 the first-order
+  mode sum and the field correlator hold 1e-10 of their exact values, and
+  every mode sum's estimate bounds its error.
 
 The mode sums, `aux_integral_rep` and `dispersion_integral_rotated` take x
 as a float or a 1-d array, one row per x, and each entry of an array call
@@ -56,15 +61,18 @@ class QuadratureReport(Record):
 
 # Gauss-Legendre order of the phase-folded segments of _oscillatory
 _GAUSS_ORDER = 24
-# most segments of an oscillatory tail, at 40 node values (320 B) each 32 MB:
-# a mode sum reaches it near x = 1.1e4, the real-axis integral near 3.3e3
-_MAX_SEGMENTS = 100_000
+# half-period segments of every oscillatory tail past its head [0, pi], at
+# every x
+_TAIL_SEGMENTS = 40
+# rows whose tails share one _gauss_pair call: a long x array holds the
+# segment edges, values and estimates of this many tails at a time
+_TAIL_ROWS = 256
 # the orders of _quad's rule and of its embedded error estimate
 _QUAD_ORDERS = (21, 10)
 # _quad's rounding floor per interval, in ulps of the integral of |f|
 _QUAD_ROUNDING = 50.0 * np.finfo(float).eps
 # func sees at most this many nodes per call, and _gauss_pair sums them
-# before the next call, which bounds the memory a long oscillatory tail takes
+# before the next call, which bounds the memory a call over many intervals takes
 _FUNC_BLOCK = 1 << 14
 
 
@@ -248,9 +256,7 @@ def _quad(func, a, b, *, scale, where, epsrel: float, limit: int, points=(), arg
             in zip((lo, hi, row, value, err, floor), added))
 
 
-# a full validate run reads 65 distinct m; the bound keeps the weights of
-# many long tails (m of 9x at separation x) from piling up
-@functools.lru_cache(maxsize=128)
+@functools.cache
 def _binomial_weights(m: int) -> np.ndarray:
     """C(m, i) / 2^m for i = 0..m, the weights of m rounds of pairwise means.
 
@@ -314,67 +320,51 @@ def _rule_phases(order: int) -> tuple[np.ndarray, np.ndarray]:
     return phases
 
 
-def _segment_budget(n_segments: int, where: str) -> None:
-    if n_segments > _MAX_SEGMENTS:
-        raise DomainError(f"{where}: {n_segments} tail segments exceed {_MAX_SEGMENTS}")
-
-
-def _oscillatory(phased, n_segments, where, *, scale, args=()
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _oscillatory(phased, where, *, scale, args=()) -> tuple[np.ndarray, np.ndarray]:
     """(value, abs_err_est), arrays of one entry per integral, of integrals
     over u >= 0 of integrands that oscillate like sin u and cos u, given as
     phased(u, sin u, cos u, *columns of args), as _quad hands func its args.
 
-    n_segments, where (the names for errors) and scale hold one entry per
-    integral, as does each array in args.  The heads [0, pi] are one
-    _quad call on phased(u, sin u, cos u), graded from 0 by scale, with a
-    breakpoint at pi/2, where sin u turns (without it one of 660 mode-sum
-    heads at x in [1e-3, 300] took a second pass, its last interval
-    [0.8, pi] at x = 0.05).  Past the head, segment j = 0 .. n_segments - 1
-    is [pi (j+1), pi (j+2)] and its nodes are u = pi (j+1) + phi,
+    where (the names for errors) and scale hold one entry per integral, as
+    does each array in args.  The heads [0, pi] are one _quad call on
+    phased(u, sin u, cos u), graded from 0 by scale, with a breakpoint at
+    pi/2, where sin u turns (without it one of 660 mode-sum heads at x in
+    [1e-3, 300] took a second pass, its last interval [0.8, pi] at
+    x = 0.05).  Past the head, segment j = 0 .. _TAIL_SEGMENTS - 1 is
+    [pi (j+1), pi (j+2)] and its nodes are u = pi (j+1) + phi,
     phi = (pi/2)(1 + t) for the rule nodes t, where
     sin u = (-1)^(j+1) sin phi and cos u = (-1)^(j+1) cos phi.  The
     integrand there is (-1)^(j+1) phased(u, sin phi, cos phi), with sin phi
     and cos phi from the cached rule phases, so no node rounds a sine or
     cosine of a large u.  One _gauss_pair call takes the segments of
-    consecutive integrals while their count stays within _MAX_SEGMENTS, at
-    (_GAUSS_ORDER, max(8, _GAUSS_ORDER - 8)); the sign multiplies whole
-    segment values, which leaves their error estimates and floors as they
-    are.  Each integral's tail has its own Euler average.  An integral past
-    the budget raises DomainError before anything is evaluated.
+    _TAIL_ROWS consecutive integrals at (_GAUSS_ORDER,
+    max(8, _GAUSS_ORDER - 8)); the sign multiplies whole segment values,
+    which leaves their error estimates and floors as they are.  Each
+    integral's tail has its own Euler average.
     """
-    for n, name in zip(n_segments, where):
-        _segment_budget(n, name)
-    n_segments = np.array(n_segments)
     value, err, _ = _quad(lambda u, *cols: phased(u, np.sin(u), np.cos(u), *cols),
                           0.0, np.pi, scale=scale, limit=800, epsrel=1e-12,
                           points=(0.5 * np.pi,), where=where, args=args)
     orders = (_GAUSS_ORDER, max(8, _GAUSS_ORDER - 8))
     (sin_hi, cos_hi), (sin_lo, cos_lo) = (_rule_phases(n) for n in orders)
     sin_phi, cos_phi = np.concatenate((sin_hi, sin_lo)), np.concatenate((cos_hi, cos_lo))
-    ends = np.cumsum(n_segments)
-    begins = ends - n_segments
-    start = 0
-    while start < n_segments.size:
-        # this row and the next ones whose segments fit the budget with it
-        stop = start + 1 + int(np.searchsorted(ends[start + 1:], begins[start] + _MAX_SEGMENTS,
-                                               side="right"))
-        base = begins[start]
-        rows = np.repeat(np.arange(start, stop), n_segments[start:stop])
+    n = _TAIL_SEGMENTS
+    for start in range(0, value.size, _TAIL_ROWS):
+        block = np.arange(start, min(start + _TAIL_ROWS, value.size))
+        rows = np.repeat(block, n)
         # in units of pi the edges are the integers j + 1, so every segment
         # is exactly one unit wide, with no rounding in hi - lo to perturb
         # its weight
-        j = np.arange(base, ends[stop - 1]) - begins[rows]
+        j = np.arange(rows.size) % n
         values, seg_err, _ = _gauss_pair(
             lambda v, *cols: phased(np.pi * v, sin_phi, cos_phi, *cols),
             j + 1.0, j + 2.0, orders, where=where, rows=rows, args=args)
         terms = np.pi * np.where(j % 2 == 0, -values, values)
-        for r in range(start, stop):
-            tail = slice(begins[r] - base, ends[r] - base)
-            tail_value, tail_err = _tail(terms[tail], seg_err[tail])
+        for r, tail_terms, tail_seg_err in zip(block.tolist(), terms.reshape(-1, n),
+                                               seg_err.reshape(-1, n)):
+            tail_value, tail_err = _tail(tail_terms, tail_seg_err)
             value[r] += tail_value
             err[r] += tail_err
-        start = stop
     return value, err
 
 
@@ -390,12 +380,6 @@ def _tail(terms: np.ndarray, seg_err: np.ndarray) -> tuple[float, float]:
     spread = max(abs(value - t) for t in truncations)
     noise = 1e-15 * float(np.abs(terms).sum())
     return value, 4.0 * diff + 2.0 * spread + np.pi * float(seg_err.sum()) + noise
-
-
-def _default_segments(x: float) -> int:
-    # the tail must reach past kappa ~ 25 before asymptotic alternation is
-    # clean, which costs ~ x/pi segments per unit kappa
-    return int(60 + 9.0 * x)
 
 
 def _rows(x) -> np.ndarray:
@@ -439,8 +423,7 @@ def _modesum(name: str, x, cos_ab: float, proj_product: float, power: int,
         numerator = (p * rho * rho - q) * sin_rho + rho * (q * cos_rho)
         return numerator / ((resonance * x + rho) ** power * x ** (4 - power))
 
-    return _oscillatory(phased, [_default_segments(v) for v in xs.tolist()],
-                        [f"oracle.{name} at x={v!r}" for v in xs.tolist()],
+    return _oscillatory(phased, [f"oracle.{name} at x={v!r}" for v in xs.tolist()],
                         scale=resonance * xs, args=(xs,))
 
 
@@ -603,14 +586,13 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
     Against the rotated contour, in the transverse, longitudinal and mixed
     geometries: a relative error of at most 2e-14 for x <= 1, 2e-11 at 5,
     1e-6 at 50 and 2e-3 at 300, within the estimate up to x = 1000.  At and
-    below x = 5e-3 (transverse), 6e-3 (longitudinal) or 2e-3 (mixed) the
-    adaptive quadrature needs more than 800 intervals: AccuracyError.
+    below x = 5e-3 (transverse), 6e-3 (longitudinal) or 2e-3 (mixed), and
+    from about x = 1.9e3 (2.5e3 transverse) on, where the real axis left of
+    the arc holds more periods of the phase than it resolves, the adaptive
+    quadrature needs more than 800 intervals: AccuracyError.
     """
     xs = _rows(x)
     names = [f"oracle.dispersion_integral_real_axis at x={v!r}" for v in xs.tolist()]
-    n_segments = [int(100 + 30 * v) for v in xs.tolist()]
-    for n, name in zip(n_segments, names):
-        _segment_budget(n, name)  # before any power of x is formed
     delta = 0.05  # radius of the arc around the pole
     with np.errstate(all="ignore"):  # a power of x out of range raises in _quad
         pi_c = _pi_coefficients(p, q, xs)
@@ -634,7 +616,7 @@ def dispersion_integral_real_axis(x: float, p: float, q: float) -> QuadratureRep
     args = (xs, np.sin(base), np.cos(base), pi_c[0].real, pi_c[1].imag, pi_c[2].real,
             pi_c[3].imag, pi_c[4].real)
     pole = 2.0 * xs * delta
-    right, right_err = _oscillatory(phased, n_segments, names, scale=pole, args=args)
+    right, right_err = _oscillatory(phased, names, scale=pole, args=args)
     # left of the arc: kappa in [0, 1 - delta] is u in [-2x (1 + delta),
     # -2 pole], integrated in w = -u from 2 pole so as to grade toward the pole
     left, left_err, _ = _quad(lambda w, *cols: phased(-w, -np.sin(w), np.cos(w), *cols),

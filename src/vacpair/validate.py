@@ -268,7 +268,7 @@ def _far_correlator_checks():
     c_from_corr = 2.0 * cfg.mu / np.pi * abs(corr)
     return [
         _compare("far-zone correlator form vs concurrence_far x=100",
-                 c_from_corr, entanglement.concurrence_far(cfg).raw, 1e-2),
+                 c_from_corr, entanglement.concurrence_far(cfg).raw, 1e-10),
         _compare("far-zone correlator form vs concurrence_full x=100",
                  c_from_corr, entanglement.concurrence_full(cfg).raw, 1e-2),
     ]

@@ -1,8 +1,9 @@
 """The test suite's one mpmath reference and only importer of mpmath: f and g
 from Si and Ci, and T(x), X/mu, the moments I_n(2x) and the pair energy W from
-them, the London energy and the near- and far-zone concurrence laws, each a
-Ref of the value and the sum of its terms' magnitudes, in mpf; and the
-coupling mu of two dimensional atoms."""
+them, the London energy, the near- and far-zone concurrence laws and the
+entanglement of formation, each a Ref of the value and the sum of its terms'
+magnitudes, in mpf; and the local one-photon population and the coupling mu
+of two dimensional atoms."""
 
 import functools
 import math
@@ -117,6 +118,24 @@ def concurrence_near(mp, t, mu, cos_ab, proj_product):
 def concurrence_far(mp, t, mu, cos_ab, proj_product):
     """(8 mu / pi) |a - 2b| / x^4."""
     return _power_law(mp, t, 8 * mp.mpf(mu) / mp.pi, cos_ab, proj_product, 2, 4)
+
+
+@_at_digits
+def eof(mp, c):
+    """E_F(c) = H(x) in bits, x = (1 + sqrt(1 - c^2))/2, with 1 - x formed as
+    y = c^2 / (2 (1 + sqrt(1 - c^2))) and x log x as x log1p(-y), so that x
+    does not round to 1 at small c."""
+    y = c * c / (2 * (1 + mp.sqrt(1 - c * c)))
+    return _sum(mp, -(1 - y) * mp.log1p(-y) / mp.log(2), -y * mp.log(y, 2))
+
+
+def local_population(cutoff):
+    """(2/(3 pi)) [L^2/2 - 2L + 3 ln(1 + L) + 1/(1 + L) - 1] at L = cutoff, the
+    local one-photon population per unit coupling, in mpf."""
+    mp = mpmath()
+    with mp.workdps(30):
+        ell = mp.mpf(float(cutoff))
+        return 2 * (ell**2 / 2 - 2 * ell + 3 * mp.log1p(ell) + 1 / (1 + ell) - 1) / (3 * mp.pi)
 
 
 def coupling(omega0, d_a, d_b, speed_of_light):

@@ -312,7 +312,7 @@ class TestFarZoneCorrelatorForm:
         cfg = transverse_pair(x, mu=1e-4)
         corr = field_correlator(x, cfg.cos_ab, cfg.proj_product).value
         c_corr = 2.0 * cfg.mu / np.pi * abs(corr)
-        assert c_corr == pytest.approx(concurrence_far(cfg).raw, rel=1e-2)
+        assert c_corr == pytest.approx(concurrence_far(cfg).raw, rel=1e-10)
 
     def test_matches_full_concurrence_at_large_x(self):
         cfg = transverse_pair(100.0, mu=1e-4)

@@ -364,6 +364,14 @@ class TestEntanglementOfFormation:
                                                                rel=1e-14)
         assert entanglement_of_formation(0.5) == pytest.approx(0.3546, abs=1e-4)
 
+    def test_against_mpmath_down_to_tiny_concurrence(self, rng):
+        # 1 - x with x = (1 + sqrt(1 - c^2))/2 used to cancel: E_F was 8.2e-9
+        # off at c = 1e-4, 2% at 1e-7 and 0 from 1e-8 down
+        cs = np.concatenate((10.0 ** rng.uniform(-150.0, 0.0, 200), [1e-4, 1e-7, 1e-8]))
+        for c, value in zip(cs.tolist(), entanglement_of_formation(cs).tolist()):
+            ref = mpref.eof(c).value
+            assert abs(value - ref) <= 1e-15 * ref, c
+
     def test_monotone(self):
         grid = np.linspace(0.0, 1.0, 1000)
         vals = [entanglement_of_formation(c) for c in grid]
@@ -514,9 +522,16 @@ class TestCutoffStructure:
         with pytest.raises(DomainError):
             regularized_local_population(0.5)
 
-    @pytest.mark.parametrize("cutoff", [1e155, 1e200, 1e308])
+    @pytest.mark.parametrize("cutoff", [2e154, 4e154])
+    def test_local_population_up_to_its_overflow(self, cutoff):
+        # the 2/(3 pi) goes in before the cutoff is squared: cutoff**2 used to
+        # raise from 1.34e154 on, below the population's own overflow
+        assert regularized_local_population(cutoff) == pytest.approx(
+            float(mpref.local_population(cutoff)), rel=1e-15)
+
+    @pytest.mark.parametrize("cutoff", [4.2e154, 1e155, 1e200, 1e308])
     def test_cutoff_out_of_range_is_an_accuracy_error(self, cutoff):
-        # cutoff^2 overflows; this used to be a bare OverflowError
+        # the population overflows; this used to be a bare OverflowError
         with pytest.raises(AccuracyError, match=re.escape(f"cutoff={cutoff!r}")):
             regularized_local_population(cutoff)
         with pytest.raises(AccuracyError, match="regularized_local_population"):

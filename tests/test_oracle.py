@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vacpair import AccuracyError, DomainError, oracle, pair_from_alignment, validate, wcp
+from vacpair import (AccuracyError, DomainError, PairConfiguration, oracle,
+                     pair_from_alignment, validate, wcp)
 from vacpair.entanglement import regularized_local_population
 from vacpair.kernel import contracted_tensor, cross_coherence_kernel
-from vacpair.oracle import (_binomial_weights, _default_segments, _euler_average,
+from vacpair.oracle import (_binomial_weights, _euler_average,
                             _gauss_pair, _gauss_rule, _quad, _start_partition,
                             aux_integral_rep,
                             dispersion_integral_real_axis,
@@ -20,7 +21,7 @@ from vacpair.oracle import (_binomial_weights, _default_segments, _euler_average
                             modesum_first_order, modesum_second_order)
 
 import mpref
-from conftest import STANDARD_GRID, longitudinal_pair, transverse_pair
+from conftest import STANDARD_GRID, longitudinal_pair, random_unit, transverse_pair
 
 G_1 = 0.343377961556427
 # exact antiderivative of k^3/(1+k)^2 on [0, L], times 2/(3 pi)
@@ -69,21 +70,21 @@ class TestModesumFirstOrder:
     @pytest.mark.parametrize("x", [300.0, 1000.0, 3000.0])
     def test_estimate_covers_the_error_at_large_x(self, x):
         # the estimate is honest, and with the phases folded out of the tail
-        # it is small too: the transverse estimate is 0.07% of the value at
-        # x = 1000 and 2.0% at x = 3000
+        # it is small too: the transverse estimate is 1.3e-9 of the value at
+        # x = 1000 and 3000
         for cfg in (transverse_pair(x), longitudinal_pair(x)):
             rep = modesum_first_order(x, cfg=cfg)
             ref = float(mpref.tensor(x, cfg.cos_ab, cfg.proj_product).value) / math.pi
             assert abs(rep.value - ref) <= rep.abs_err_est, (cfg.proj_product, x)
             if x == 3000.0 and cfg.proj_product == 0.0:
-                assert rep.abs_err_est < 0.05 * abs(rep.value)
+                assert rep.abs_err_est < 1e-8 * abs(rep.value)
 
     @pytest.mark.parametrize("x", [0.01, 1.0, 100.0])
     @_GEOMETRIES
     def test_matches_mpmath(self, x, cos_ab, proj_product):
         # the head's integrand cancels at small rho (sin rho - rho cos rho);
         # each tail node takes its phase from the rule's own sin and cos, so
-        # no term carries the rounding of sin(rho) at rho up to 3000
+        # no term carries the rounding of sin(rho)
         rep = modesum_first_order(x, cfg=pair_from_alignment(x, 1.0, cos_ab, proj_product))
         _assert_matches(rep, float(mpref.tensor(x, cos_ab, proj_product).value) / math.pi)
 
@@ -254,7 +255,7 @@ class TestFieldCorrelator:
 
 def _refined(monkeypatch):
     """Twice the segments, at Gauss order 32, for the mode sums run after it."""
-    monkeypatch.setattr(oracle, "_default_segments", lambda x: 2 * _default_segments(x))
+    monkeypatch.setattr(oracle, "_TAIL_SEGMENTS", 2 * oracle._TAIL_SEGMENTS)
     monkeypatch.setattr(oracle, "_GAUSS_ORDER", 32)
 
 
@@ -277,24 +278,35 @@ class TestHonestErrors:
         assert abs(rep.value - hi.value) <= rep.abs_err_est
 
 
-class TestSegmentBudget:
-    def test_a_tail_past_the_budget_raises_before_it_allocates(self):
-        # 9x + 60 segments of 40 node values would take 2.9 GB at x = 1e6, and
-        # the real axis's 30x + 100 of them 9.6 GB; at 1e9 both are refused
-        cfg = transverse_pair(1e9)
-        with pytest.raises(DomainError, match="modesum_first_order at x=1000000000.0: "):
-            modesum_first_order(1e9, cfg=cfg)
-        with pytest.raises(DomainError,
-                           match="dispersion_integral_real_axis at x=1000000000.0: "):
-            wcp(cfg, method="principal_value_oracle")
-        # at 1e300 the outgoing-wave polynomial's x**2 overflowed before the
-        # budget was checked, a bare OverflowError
-        with pytest.raises(DomainError, match="dispersion_integral_real_axis at x=1e\\+300: "):
-            dispersion_integral_real_axis(1e300, 1.0, 1.0)
-
-    def test_the_budget_leaves_mode_sums_up_to_x_1e4(self):
-        # the tests take mode sums up to x = 3000 and the real axis up to 1000
-        assert _default_segments(1.1e4) <= oracle._MAX_SEGMENTS < _default_segments(1.2e4)
+class TestModeSumsOverTheCliDomain:
+    def test_match_mpmath_within_their_estimates(self, rng):
+        # one array call per mode sum and geometry, x log-spaced over the
+        # CLI's range: every tail is 40 segments long, at x = 1e-6 as at 1e12.
+        # The second-order head cancels like rho^3 as x -> 0, and is 1.4e-9
+        # off at x = 1e-6
+        xs = np.geomspace(1e-6, 1e12, 37)
+        z, e_x, tilted = (np.array(v) for v in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                                                 [0.75**0.5, 0.0, 0.5]))
+        geometries = [(e_x, e_x, z), (z, z, z), (tilted, tilted, z),
+                      *((random_unit(rng), random_unit(rng), random_unit(rng))
+                        for _ in range(3))]
+        for n_a, n_b, r_hat in geometries:
+            cfg = PairConfiguration(x=xs, n_a=n_a, n_b=n_b, r_hat=r_hat, mu=1.0)
+            a, b = cfg.cos_ab, cfg.proj_product
+            reports = {
+                "first": (modesum_first_order(xs, cfg=cfg), 1e-10,
+                          lambda x: float(mpref.tensor(x, a, b).value) / math.pi),
+                "second": (modesum_second_order(xs, cfg=cfg), 1e-8,
+                           lambda x: float(mpref.x_over_mu(x, a, b).value)),
+                "correlator": (field_correlator(xs, a, b), 1e-10,
+                               lambda x: math.fsum((-4.0 * a, 8.0 * b)) / x**4),
+            }
+            for name, (rep, tol, reference) in reports.items():
+                for x, value, est in zip(xs.tolist(), rep.value, rep.abs_err_est):
+                    ref = reference(x)
+                    err = abs(value - ref)
+                    assert err <= est, (name, a, b, x)
+                    assert err <= tol * abs(ref), (name, a, b, x, err / abs(ref))
 
 
 class TestDispersionRealAxis:
@@ -347,6 +359,28 @@ class TestDispersionRealAxis:
         with pytest.raises(AccuracyError,
                            match=f"dispersion_integral_real_axis at x={x!r}: .*not finite"):
             wcp(transverse_pair(x), method="principal_value_oracle")
+
+    @pytest.mark.parametrize("x", [5e3, 1e9])
+    def test_past_its_range_is_an_accuracy_error(self, x):
+        # left of the arc the real axis holds about x/pi periods of the phase,
+        # more than the adaptive quadrature's 800 intervals resolve
+        with pytest.raises(AccuracyError,
+                           match=f"dispersion_integral_real_axis at x={x!r}: .*800 intervals"):
+            dispersion_integral_real_axis(x, 1.0, 1.0)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e300])
+    def test_no_bare_exception_at_the_ends_of_the_float_range(self, x):
+        # each oracle returns, or raises DomainError or AccuracyError only
+        cfg = pair_from_alignment(x, 1.0, 1.0, 0.25)
+        for call in (lambda: dispersion_integral_real_axis(x, 0.75, 0.25),
+                     lambda: modesum_first_order(x, cfg=cfg),
+                     lambda: modesum_second_order(x, cfg=cfg),
+                     lambda: field_correlator(x, 1.0, 0.25)):
+            try:
+                rep = call()
+            except (AccuracyError, DomainError):
+                continue
+            assert math.isfinite(rep.value) and rep.abs_err_est >= 0.0
 
 
 class TestDispersionRotated:
@@ -627,15 +661,14 @@ class TestArrayEqualsFloat:
         assert _bits(batch.value) == _bits(r.value for r in singles)
         assert _bits(batch.abs_err_est) == _bits(r.abs_err_est for r in singles)
 
-    def test_tails_share_a_call_within_the_budget(self, monkeypatch):
-        # at a budget of 500 segments, the tails of 69, 150, 330, 420 and 69
-        # segments take three calls: 69 + 150, then 330, then 420 + 69
-        monkeypatch.setattr(oracle, "_MAX_SEGMENTS", 500)
-        xs = np.array([1.0, 10.0, 30.0, 40.0, 1.0])
+    def test_tails_share_a_call_per_block_of_rows(self, monkeypatch):
+        # at 2 rows a block, the 40-segment tails of 5 rows take three calls
+        monkeypatch.setattr(oracle, "_TAIL_ROWS", 2)
+        xs = np.array([1.0, 10.0, 1e6, 40.0, 1.0])
         cfg = pair_from_alignment(xs, 1.0, 1.0, 0.25)
         seen = _passes(monkeypatch)
         batch = modesum_first_order(xs, cfg=cfg)
-        assert seen[1:] == [219, 330, 489]
+        assert seen[1:] == [80, 80, 40]
         singles = [modesum_first_order(x, cfg=cfg) for x in xs.tolist()]
         assert _bits(batch.value) == _bits(r.value for r in singles)
         assert _bits(batch.abs_err_est) == _bits(r.abs_err_est for r in singles)
@@ -654,8 +687,6 @@ class TestArrayEqualsFloat:
             modesum_first_order(np.ones((2, 2)), cfg=transverse_pair(1.0))
         with pytest.raises(DomainError, match="1-d array"):
             dispersion_integral_rotated(np.array([]), 1.0, 1.0)
-        with pytest.raises(DomainError, match="modesum_first_order at x=1000000000.0: "):
-            modesum_first_order(np.array([1.0, 1e9]), cfg=transverse_pair(1.0))
 
 
 def _five_pass(terms, lengths):
@@ -684,7 +715,8 @@ def _assert_near_five_pass(terms, lengths):
 
 
 _K = np.arange(2000.0)
-_SIZES = [5, 8, 360, 401, 960, 3100, _default_segments(1000.0)]
+# up to 9060 terms, to hold the closed form to long tails as well
+_SIZES = [5, 8, 360, 401, 960, 3100, 9060]
 
 
 def _growing_alternating(rng, n):
