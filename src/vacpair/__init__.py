@@ -16,17 +16,17 @@ from .kernel import contracted_tensor
 from .model import (PairConfiguration, TwoLevelAtom, Validity, ValidityReport,
                     hydrogen_1s2p, pair_from_alignment, perturbative_validity,
                     reduce)
-from .specfun import AuxFunValue, aux, ci, si
+from .specfun import AuxFunValue, aux
 
 __all__ = [
     "AccuracyError", "AuxFunValue", "ConcurrenceResult", "DomainError",
     "FrequencyMismatchError", "PairConfiguration", "PotentialResult",
     "PowerLawFit", "SpinCorrelators", "TwoLevelAtom", "TwoQubitState",
     "Validity", "ValidityReport",
-    "amplitude_c_ee", "aux", "c1_c2_from_amplitudes", "ci", "concurrence_far",
+    "amplitude_c_ee", "aux", "c1_c2_from_amplitudes", "concurrence_far",
     "concurrence_full", "concurrence_near", "contracted_tensor",
     "correlators_from_state", "effective_density_matrix",
     "entanglement_of_formation", "fit_powerlaw", "hydrogen_1s2p",
     "pair_from_alignment", "palma_concurrence", "perturbative_validity",
-    "reduce", "si", "vdw_near", "wcp", "wootters_concurrence",
+    "reduce", "vdw_near", "wcp", "wootters_concurrence",
 ]

@@ -1,9 +1,9 @@
-"""The test suite's one mpmath reference and only importer of mpmath: f and g
-from Si and Ci, and T(x), X/mu, the moments I_n(2x) and the pair energy W from
-them, the London energy, the near- and far-zone concurrence laws and the
-entanglement of formation, each a Ref of the value and the sum of its terms'
-magnitudes, in mpf; and the local one-photon population and the coupling mu
-of two dimensional atoms."""
+"""The test suite's one mpmath reference and only importer of mpmath: Si and
+Ci, f and g from them, and T(x), X/mu, the moments I_n(2x) and the pair
+energy W from them, the London energy, the near- and far-zone concurrence
+laws and the entanglement of formation, each a Ref of the value and the sum
+of its terms' magnitudes, in mpf; and the local one-photon population and
+the coupling mu of two dimensional atoms."""
 
 import functools
 import math
@@ -44,6 +44,12 @@ def _fg(mp, t):
 
 
 fg = _at_digits(_fg)
+
+
+@_at_digits
+def si_ci(mp, t):
+    """Si(t) and Ci(t)."""
+    return mp.si(t), mp.ci(t)
 
 
 @_at_digits

@@ -578,8 +578,7 @@ class TestQuad:
             # left of, on and right of the arc around the pole, at 6 x
             "oracle.dispersion_integral_real_axis": 18,
             "oracle.local_population": 1,
-            # the 10 grid x of the f and g checks, which hold the 4 x of the
-            # Si and Ci reconstruction
+            # the 10 grid x of the f and g checks
             "oracle.aux_integral_rep('f')": 10,
             "oracle.aux_integral_rep('g')": 10,
         }

@@ -1,4 +1,5 @@
-"""Sine/cosine integrals and the auxiliary f, g pair against quadrature oracles."""
+"""The auxiliary f, g pair against quadrature oracles and mpmath, directly and
+through the sine and cosine integrals they rebuild."""
 
 import math
 
@@ -8,17 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from vacpair import DomainError, aux, ci, si
-from vacpair.specfun import EULER_GAMMA
+from vacpair import DomainError, aux
+from vacpair.specfun import EULER_GAMMA, _branch, _si_cin_series
 
 import mpref
 
 # frozen oracle values (adaptive quadrature of the defining integrals)
 SI_PI = 1.851937051982466          # int_0^pi sin(t)/t dt
-SI_1 = 0.9460830703671831
 CI_1 = 0.33740392290096816
 F_1 = 0.6214496242358134           # int_0^inf exp(-t)/(1+t^2) dt
 G_1 = 0.343377961556427            # int_0^inf t exp(-t)/(1+t^2) dt
+
+
+def si_from_aux(x):
+    """Si(x) = pi/2 - f cos(x) - g sin(x)."""
+    v = aux(x)
+    return math.pi / 2 - (v.f * math.cos(x) + v.g * math.sin(x))
+
+
+def ci_from_aux(x):
+    """Ci(x) = f sin(x) - g cos(x)."""
+    v = aux(x)
+    return v.f * math.sin(x) - v.g * math.cos(x)
 
 
 def si_oracle(x):
@@ -34,60 +46,57 @@ def laplace_oracle(x, weight):
 
 class TestSi:
     def test_zero(self):
-        assert si(0.0) == 0.0
+        assert _si_cin_series(0.0)[:2] == (0.0, 0.0)
+        assert si_from_aux(1e-8) == pytest.approx(1e-8, abs=1e-15)
 
     def test_at_pi(self):
-        assert si(math.pi) == pytest.approx(SI_PI, rel=1e-12)
-        assert si(math.pi) == pytest.approx(si_oracle(math.pi), rel=1e-11)
+        assert si_from_aux(math.pi) == pytest.approx(SI_PI, rel=1e-12)
+        assert si_from_aux(math.pi) == pytest.approx(si_oracle(math.pi), rel=1e-11)
 
     def test_large_argument_limit(self):
-        assert abs(si(1e4) - math.pi / 2) < 1e-4
+        assert abs(si_from_aux(1e4) - math.pi / 2) < 1e-4
 
     @pytest.mark.parametrize("x", [-1.0, float("nan"), float("inf")])
     def test_domain(self, x):
         with pytest.raises(DomainError):
-            si(x)
+            si_from_aux(x)
 
     @pytest.mark.parametrize("x", [0.3, 1.0, 3.0, 4.0, 7.0, 20.0])
     def test_against_quadrature(self, x):
-        assert si(x) == pytest.approx(si_oracle(x), rel=1e-11, abs=1e-13)
+        assert si_from_aux(x) == pytest.approx(si_oracle(x), rel=1e-11, abs=1e-13)
 
 
 class TestCi:
     def test_at_one(self):
-        assert ci(1.0) == pytest.approx(CI_1, rel=1e-12)
+        assert ci_from_aux(1.0) == pytest.approx(CI_1, rel=1e-12)
 
     def test_small_argument_log_singularity(self):
         # Ci(x) - ln(x) -> gamma, with O(x^2) remainder from the series
         for x in (1e-6, 1e-4):
-            assert ci(x) - math.log(x) == pytest.approx(EULER_GAMMA, abs=1e-8)
+            assert ci_from_aux(x) - math.log(x) == pytest.approx(EULER_GAMMA, abs=1e-8)
 
     def test_large_argument_asymptotics(self):
         # four-term asymptotic expansion, truncation ~ 1e-6 relative at x=100
         x = 100.0
         expansion = (math.sin(x) / x * (1 - 2.0 / x**2)
                      - math.cos(x) / x**2 * (1 - 6.0 / x**2))
-        assert ci(x) == pytest.approx(expansion, rel=1e-4)
+        assert ci_from_aux(x) == pytest.approx(expansion, rel=1e-4)
 
     @pytest.mark.parametrize("x", [0.0, -2.0])
     def test_domain(self, x):
         with pytest.raises(DomainError):
-            ci(x)
+            ci_from_aux(x)
 
 
 class TestBranchSeam:
     def test_both_branches_agree_at_cutover(self):
-        # evaluate the series and continued-fraction branches at the same x
-        from vacpair.specfun import _fg_continued_fraction, _si_cin_series
-
-        x = 4.0
-        si_series, cin, _ = _si_cin_series(x)
-        ci_series = EULER_GAMMA + math.log(x) - cin
-        f_cf, g_cf, _ = _fg_continued_fraction(x)
-        si_cf = math.pi / 2 - (f_cf * math.cos(x) + g_cf * math.sin(x))
-        ci_cf = f_cf * math.sin(x) - g_cf * math.cos(x)
-        assert si_series == pytest.approx(si_cf, abs=1e-13)
-        assert ci_series == pytest.approx(ci_cf, abs=1e-13)
+        # the series and continued-fraction branches at the same x around
+        # x = 4, each difference within the two branches' estimates together
+        for x in np.linspace(3.5, 4.5, 41).tolist():
+            f_series, g_series, err_series = _branch(x, True)
+            f_cf, g_cf, err_cf = _branch(x, False)
+            assert abs(f_series - f_cf) <= err_series + err_cf, x
+            assert abs(g_series - g_cf) <= err_series + err_cf, x
 
 
 class TestAux:
@@ -139,10 +148,9 @@ class TestAux:
     @settings(max_examples=150, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3))
     def test_trigonometric_reconstruction(self, x):
-        v = aux(x)
-        assert v.f * math.sin(x) - v.g * math.cos(x) == pytest.approx(ci(x), abs=1e-12)
-        assert v.f * math.cos(x) + v.g * math.sin(x) == pytest.approx(
-            math.pi / 2 - si(x), abs=1e-12)
+        si, ci = mpref.si_ci(x)
+        assert ci_from_aux(x) == pytest.approx(float(ci), abs=1e-12)
+        assert si_from_aux(x) == pytest.approx(float(si), abs=1e-12)
 
     def test_continued_fraction_converges_up_to_1e12(self):
         # a stopping test tighter than rounding allows made some of these raise
@@ -164,9 +172,10 @@ class TestAux:
         assert aux(100.0).abs_err_est >= 0
 
     def test_error_estimate_bounds_true_error(self):
-        # the continued fraction's estimate used to count only its last
-        # step's rounding
-        for x in np.geomspace(1e-3, 1e4, 500):
+        # over the CLI's domain and both branches: the estimate must count
+        # every rounding of the continued fraction's steps and of the
+        # series' products and sums that form f and g
+        for x in np.geomspace(1e-6, 1e12, 1000):
             v = aux(x)
             (f, _), (g, _) = mpref.fg(x)
             assert abs(v.f - f) <= v.abs_err_est, x
