@@ -33,11 +33,12 @@ Below s = 4 they reduce exactly to the auxiliary functions f, g at s
 which specfun.aux evaluates on its power-series branch.  The subtractions
 cancel like s^4, so from s = 4 on a 60-node Gauss-Laguerre rule in t = s v
 (A&S 25.4.45; numpy's laggauss to the bit, built without numpy.polynomial
-by _laguerre_rule) takes over: the integrand's poles at t = +-i s are far
-from its nodes there.  Against 120-digit mpmath over 300 log-spaced x in
-[1e-6, 1e12], three random geometries and the isotropic average, the worst
-relative error is 2.2e-14.  Where the I_4 term dominates (|q| << |p|) it
-is larger just below s = 4, where I_4 cancels most: 3.7e-13 for q = 0.
+by specfun._laguerre_rule, the rule aux also sums from x = 4 on) takes over:
+the integrand's poles at t = +-i s are far from its nodes there.  Against
+120-digit mpmath over 300 log-spaced x in [1e-6, 1e12], three random
+geometries and the isotropic average, the worst relative error is 2.2e-14.
+Where the I_4 term dominates (|q| << |p|) it is larger just below s = 4,
+where I_4 cancels most: 3.7e-13 for q = 0.
 
 Each term is a float mantissa times a power of two: with x = m 2^k
 (np.frexp), x^(n-6) is m^(n-6) 2^((n-6)k), and from s = 4 on every term
@@ -54,7 +55,6 @@ indented above the resonance pole by a small arc
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -105,43 +105,6 @@ def _channels(cfg: PairConfiguration, isotropic: bool):
 
 
 _EPS = sys.float_info.epsilon
-# worst relative error of the 60-node Laguerre moments against 120-digit
-# mpmath on 400 log-spaced s in [4, 1e13], half of them in [4, 8], is 3.7e-14
-# (node and weight rounding; the truncation error is smaller); the stated
-# bound keeps a factor 2.7 over it
-_LAGUERRE_REL_ERR = 1e-13
-
-
-def _laguerre_series(t: np.ndarray, c: list[float]) -> np.ndarray:
-    """sum_k c[k] L_k(t) by the Clenshaw recurrence of numpy's lagval."""
-    nd, c0, c1 = len(c), c[-2], c[-1]
-    for ck in c[-3::-1]:
-        nd -= 1
-        c0, c1 = ck - (c1 * (nd - 1)) / nd, c0 + (c1 * ((2 * nd - 1) - t)) / nd
-    return c0 + c1 * (1 - t)
-
-
-@functools.cache
-def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 60-point Gauss-Laguerre rule (A&S 25.4.45), by numpy's laggauss
-    steps: eigenvalues of the symmetric companion matrix, one Newton step
-    (L_60' = -sum_{k<60} L_k), weights 1/(L_59 L_60') from max-scaled
-    factors, normalised.  It matches numpy's rule bit for bit, which the
-    errors quoted above and every printed energy were measured with; a rule
-    as accurate but rounded otherwise (Golub-Welsch) would move them.
-    """
-    n = 60
-    k = np.arange(1.0, n)
-    t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) - np.diag(k, 1) - np.diag(k, -1))
-    c = [0.0] * n + [1.0]
-    dy, df = _laguerre_series(t, c), _laguerre_series(t, [-1.0] * n)
-    t -= dy / df
-    fm = _laguerre_series(t, c[1:])
-    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
-    w /= w.sum()
-    for a in (t, w):
-        a.setflags(write=False)  # shared by every caller
-    return t, w
 
 
 def _terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,11 +112,12 @@ def _terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shape (5, 2, x.size) of the mantissas a and bounds on their errors, and
     one of shape (5, x.size) of the integer exponents e.  Every a is positive.
 
-    With x = m 2^k (np.frexp), below the specfun series/continued-fraction
-    seam the moments follow exactly from f and g at s = 2x, and
-    x^(n-6) = m^(n-6) 2^((n-6)k).  From x = 2 on the Gauss-Laguerre rule in
-    t = s v sums s^(n+1) I_n = sum w t^n / (1 + t^2/s^2)^2, which no x can
-    underflow, so each term is that sum times 2^-(n+1) m^-7 2^(-7k).
+    With x = m 2^k (np.frexp), below specfun's series/Gauss-Laguerre seam
+    the moments follow exactly from f and g at s = 2x, and
+    x^(n-6) = m^(n-6) 2^((n-6)k).  From x = 2 on the Gauss-Laguerre rule
+    that specfun.aux sums from x = 4 on, in t = s v, sums
+    s^(n+1) I_n = sum w t^n / (1 + t^2/s^2)^2, which no x can underflow, so
+    each term is that sum times 2^-(n+1) m^-7 2^(-7k).
     """
     m, k = np.frexp(x)
     s = 2.0 * x
@@ -174,7 +138,7 @@ def _terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows[:, 1, low] = 0.5 * (5.0 + s_low) * aux_err + 4.0 * _EPS * magnitudes
     high = ~low
     if np.count_nonzero(high):
-        t, w = _laguerre_rule()
+        t, w = specfun._laguerre_rule()
         v = t / s[high, None]
         # 2^-(n+1) as the halves of w and of t, which round as w and t do;
         # elementwise products summed along each row, so that a row's sums do
@@ -183,7 +147,7 @@ def _terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for n in range(5):
             rows[n, 0, high] = term.sum(axis=-1)
             term *= half_t
-        rows[:, 1, high] = _LAGUERRE_REL_ERR * rows[:, 0, high]
+        rows[:, 1, high] = specfun._LAGUERRE_REL_ERR * rows[:, 0, high]
     rows *= (m ** powers)[:, None]
     return rows, powers * k
 

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError
-from .specfun import aux
+from .specfun import _BRANCH_CUTOVER, aux
 
 
 def per_x(law):
@@ -82,10 +82,10 @@ def power_law(factors, x: np.ndarray, power: int) -> np.ndarray:
     return np.ldexp(math.prod(mantissas) * m ** -float(power), sum(exponents) - power * k)
 
 
-def _aux_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f, g and f'' at every x, from one aux call per element."""
+def _aux_columns(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """f, g, f'' and h = g - 1/x^2 at every x, from one aux call per element."""
     values = [aux(v) for v in x.tolist()]
-    return np.array([(v.f, v.g, v.f_double_prime) for v in values]).reshape(-1, 3).T
+    return np.array([(v.f, v.g, v.f_double_prime, v.h) for v in values]).reshape(-1, 4).T
 
 
 @per_x
@@ -96,7 +96,7 @@ def contracted_tensor(x, cos_ab: float, proj_product: float):
     float or a 1-d numpy array.  T is linear in the two, and x enters by
     division only, never as a power; a term with a zero coefficient is 0.
     """
-    f, g, f_double_prime = _aux_columns(x)
+    f, g, f_double_prime, _ = _aux_columns(x)
     return ((cos_ab - proj_product) * f_double_prime
             + (cos_ab - 3.0 * proj_product) * (f / x + g) / x) / x
 
@@ -114,7 +114,12 @@ def cross_coherence_kernel(x, cos_ab: float, proj_product: float):
     order 1/x^2 cancel as x -> 0:
 
         X / mu = [ (a - b) g - (a + b) f/x + 2 b/x^2 ] / pi
+
+    and from x = 4 on, in aux's direct f'' = 1/x - f and h = g - 1/x^2, so
+    that none cancel as x -> infinity: X / mu = [ (a - b) h + (a + b) f''/x ] / pi
     """
-    f, g, _ = _aux_columns(x)
-    return ((cos_ab - proj_product) * g - (cos_ab + proj_product) * f / x
-            + 2.0 * proj_product / x / x) / math.pi
+    f, g, f_double_prime, h = _aux_columns(x)
+    near = ((cos_ab - proj_product) * g - (cos_ab + proj_product) * f / x
+            + 2.0 * proj_product / x / x)
+    far = (cos_ab - proj_product) * h + (cos_ab + proj_product) * f_double_prime / x
+    return np.where(x < _BRANCH_CUTOVER, near, far) / math.pi

@@ -27,6 +27,7 @@ from ._record import Record
 from .model import pair_from_alignment
 
 _STANDARD_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0)
+_FAR_GRID = (1e3, 1e6, 1e9, 1e12)  # up to the CLI's largest x
 _GEOMETRIES = {
     "transverse": (1.0, 0.0),
     "longitudinal": (1.0, 1.0),
@@ -264,13 +265,12 @@ def _far_correlator_checks():
 
 
 def _seam_checks():
-    # evaluate both evaluation branches at the cutover point itself
-    f_series, g_series, _ = specfun._branch(4.0, True)
-    f_cf, g_cf, _ = specfun._branch(4.0, False)
-    return [
-        _compare("f branch seam at x=4", f_cf, f_series, 1e-13, relative=False),
-        _compare("g branch seam at x=4", g_cf, g_series, 1e-13, relative=False),
-    ]
+    # evaluate both evaluation branches at the cutover point itself: f and
+    # g, and the f'' and h that the laws read
+    series = specfun._branch(4.0, True)
+    rule = specfun._branch(4.0, False)
+    return [_compare(f"{name} branch seam at x=4", ruled, summed, 1e-13, relative=False)
+            for name, ruled, summed in zip(("f", "g", "f''", "h"), rule, series)]
 
 
 def run_validation(level: str = "fast") -> list[CheckResult]:
@@ -285,12 +285,12 @@ def run_validation(level: str = "fast") -> list[CheckResult]:
         "kernel.contracted_tensor",
         lambda x, a, b: kernel.contracted_tensor(x, a, b) / np.pi,
         oracle.modesum_first_order, 1e-6,
-        (0.1, 1.0, 10.0) if fast else _STANDARD_GRID,
+        (0.1, 1.0, 10.0) if fast else _STANDARD_GRID + _FAR_GRID,
         _GEOMETRIES if not fast else {"transverse": (1.0, 0.0),
                                       "longitudinal": (1.0, 1.0)})
     second_order = _modesum_checks(
         "cross_coherence_kernel", kernel.cross_coherence_kernel,
-        oracle.modesum_second_order, 1e-8, (1.0,) if fast else (0.1, 1.0, 10.0),
+        oracle.modesum_second_order, 1e-8, (1.0,) if fast else (0.1, 1.0, 10.0, *_FAR_GRID),
         {"transverse": (1.0, 0.0)} if fast else _GEOMETRIES)
     results += second_order
     results += _zone_checks()

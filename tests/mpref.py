@@ -1,9 +1,9 @@
 """The test suite's one mpmath reference and only importer of mpmath: Si and
-Ci, f and g from them, and T(x), X/mu, the moments I_n(2x) and the pair
-energy W from them, the London energy, the near- and far-zone concurrence
-laws and the entanglement of formation, each a Ref of the value and the sum
-of its terms' magnitudes, in mpf; and the local one-photon population and
-the coupling mu of two dimensional atoms."""
+Ci, f and g from them, f'' and h = g - 1/x^2, and T(x), X/mu, the moments
+I_n(2x) and the pair energy W from them, the London energy, the near- and
+far-zone concurrence laws and the entanglement of formation, each a Ref of
+the value and the sum of its terms' magnitudes, in mpf; and the local
+one-photon population and the coupling mu of two dimensional atoms."""
 
 import functools
 import math
@@ -19,7 +19,7 @@ mpmath = functools.partial(pytest.importorskip, "mpmath")
 def digits(x):
     """Si and Ci lose about 2 log10(s) digits to f and g at s = 2x, the moment
     reduction 4 log10(s) more, and X cancels like 1/x^2 as x -> 0: at least 31
-    digits of f, g, T, X and W stay correct on [1e-300, 1e300]."""
+    digits of f, g, f'', h, T, X and W stay correct on [1e-300, 1e300]."""
     return math.ceil(30 + 6 * max(0.0, math.log10(2 * x)) + 2 * max(0.0, -math.log10(x)))
 
 
@@ -44,6 +44,13 @@ def _fg(mp, t):
 
 
 fg = _at_digits(_fg)
+
+
+@_at_digits
+def derivatives(mp, t):
+    """f''(t) = 1/t - f and h(t) = g - 1/t^2."""
+    (f, _), (g, _) = _fg(mp, t)
+    return _sum(mp, 1 / t, -f), _sum(mp, g, -1 / t**2)
 
 
 @_at_digits

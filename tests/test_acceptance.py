@@ -24,8 +24,8 @@ from vacpair.validate import run_validation
 # criterion -> (label, the name prefixes of its `validate --level full`
 # checks, how many checks they select)
 CRITERIA = {
-    1: ("mode-sum identity on the 10 x 3 grid",
-        ("kernel.contracted_tensor vs oracle.modesum_first_order",), 30),
+    1: ("mode-sum identity on the 14 x 3 grid",
+        ("kernel.contracted_tensor vs oracle.modesum_first_order",), 42),
     2: ("near-zone law and x^-3 slope",
         ("near-zone law", "concurrence log-log slope on (0.005"), 4),
     3: ("far-zone law and x^-4 slope",

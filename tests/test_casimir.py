@@ -9,7 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from vacpair import (AccuracyError, DomainError, PairConfiguration, casimir,
+from vacpair import (AccuracyError, DomainError, PairConfiguration,
                      concurrence_far, concurrence_full, concurrence_near,
                      fit_powerlaw, pair_from_alignment, vdw_near, wcp)
 from vacpair.oracle import dispersion_integral_rotated, field_correlator
@@ -193,13 +193,6 @@ class TestWcpClosedForm:
         cfg = pair_from_alignment(x, 1.0, 1.0, 0.25)
         j = dispersion_integral_rotated(x, 0.75, 0.25).value
         assert wcp(cfg).energy == pytest.approx(-(2.0 / np.pi) * j, rel=1e-10)
-
-    def test_laguerre_rule_is_numpys_bit_for_bit(self):
-        # built without numpy.polynomial, and shared read-only by every caller
-        t, w = casimir._laguerre_rule()
-        expected = np.polynomial.laguerre.laggauss(60)
-        assert np.array_equal(t, expected[0]) and np.array_equal(w, expected[1])
-        assert not (t.flags.writeable or w.flags.writeable)
 
     def test_huge_x_underflows_to_zero(self):
         # the true |W| is below 1e-400; no power of x may overflow on the way,

@@ -675,7 +675,7 @@ class TestLazyImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         out = proc.stdout
-        assert "121/121 checks passed" in out
+        assert "147/147 checks passed" in out
         assert "39/39 checks passed" in out
         _, rows = parse_csv(out[out.index("# vacpair sweep"):out.index("[PASS]")])
         assert len(rows) == 50

@@ -164,19 +164,17 @@ class TestCrossCoherenceKernel:
                 ref, rel=1e-14, abs=0.0), x
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "far-zone cancellation: aux stores f'' as 1/x - f, and X subtracts O(1/x^2) "
-    "terms to leave O(1/x^4); ROADMAP item 5, one Gauss-Laguerre moment engine, "
-    "computes f'' and h directly"))
 @pytest.mark.parametrize("x", [1e4, 1e6, 1e8, 1e12])
 @pytest.mark.parametrize("law, reference", [(contracted_tensor, mpref.tensor),
                                             (cross_coherence_kernel, mpref.x_over_mu)],
                          ids=["T", "X"])
-def test_transverse_far_zone_matches_mpmath(law, reference, x):
-    # the closed forms miss by a relative 3.0e-9, 3.9e-5, 0.33 and 0.5 (T) and
-    # 1.2e-8, 2.5e-4, 0.54 and 1.0 (X) at these x
-    assert law(x, 1.0, 0.0) == pytest.approx(float(reference(x, 1.0, 0.0).value),
-                                             rel=1e-12, abs=0.0)
+@pytest.mark.parametrize("cos_ab, proj_product", [(1.0, 0.0), (1.0, 1.0), (1.0, 0.25)],
+                         ids=["transverse", "longitudinal", "mixed"])
+def test_far_zone_matches_mpmath(cos_ab, proj_product, law, reference, x):
+    # T and X of order 1/x^3 and 1/x^4 from aux's direct f'' and h: formed
+    # from 1/x - f and g - 1/x^2 they missed by up to 0.5 and 1.0 here
+    assert law(x, cos_ab, proj_product) == pytest.approx(
+        float(reference(x, cos_ab, proj_product).value), rel=1e-12, abs=0.0)
 
 
 # every law of one value per x, on a configuration

@@ -25,7 +25,8 @@ def test_fg_match_their_laplace_integrals(x):
 @pytest.mark.parametrize("x", [1e-300, 1e-60, 1e-6, 1.0, 1e6, 1e12, 1e300])
 def test_digit_rule_holds_against_40_more_digits(monkeypatch, x):
     mp = mpref.mpmath()
-    references = (lambda: mpref.tensor(x, 1.0, 0.0), lambda: mpref.x_over_mu(x, 1.0, 0.0),
+    references = (lambda: mpref.derivatives(x)[0], lambda: mpref.derivatives(x)[1],
+                  lambda: mpref.tensor(x, 1.0, 0.0), lambda: mpref.x_over_mu(x, 1.0, 0.0),
                   lambda: mpref.wcp(x, 1.0, 1.0, 0.25),
                   lambda: mpref.wcp(x, 1.0, 1.0, 0.0, isotropic=True))
     values = [ref().value for ref in references]

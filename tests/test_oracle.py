@@ -568,11 +568,13 @@ class TestQuad:
         assert all(r.passed for r in validate.run_validation("full"))
         counts = {name: seen.count(name) for name in set(seen)}
         assert counts == {
-            # 10 grid x times 3 geometries, plus the second-order check's 2
-            "oracle.modesum_first_order": 32,
-            # 3 x times 3 geometries of the cross-coherence check, whose
-            # x = 1 transverse value the second-order check reuses
-            "oracle.modesum_second_order": 9,
+            # 14 grid x, 4 of them in the far zone, times 3 geometries, plus
+            # the second-order check's 2
+            "oracle.modesum_first_order": 44,
+            # 7 x, 4 of them in the far zone, times 3 geometries of the
+            # cross-coherence check, whose x = 1 transverse value the
+            # second-order check reuses
+            "oracle.modesum_second_order": 21,
             "oracle.field_correlator": 1,
             "oracle.dispersion_integral_rotated": 10,
             # left of, on and right of the arc around the pole, at 6 x

@@ -108,8 +108,9 @@ class TestEquality:
 
     def test_repr(self):
         assert repr(Point(1.0, 2.0)) == "Point(x=1.0, y=2.0)"
-        value = AuxFunValue(1.0, 2.0, 3.0, 0.0)
-        assert repr(value) == "AuxFunValue(f=1.0, g=2.0, f_double_prime=3.0, abs_err_est=0.0)"
+        value = AuxFunValue(1.0, 2.0, 3.0, 4.0, 0.0)
+        assert repr(value) == ("AuxFunValue(f=1.0, g=2.0, f_double_prime=3.0, h=4.0, "
+                               "abs_err_est=0.0)")
 
 
 class TestReplace:

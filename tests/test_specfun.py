@@ -1,7 +1,9 @@
-"""The auxiliary f, g pair against quadrature oracles and mpmath, directly and
-through the sine and cosine integrals they rebuild."""
+"""The auxiliary f, g pair and the derivatives f'' and h = g - 1/x^2 against
+quadrature oracles and mpmath, directly and through the sine and cosine
+integrals they rebuild, and the Gauss-Laguerre rule behind them from x = 4 on."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from vacpair import DomainError, aux
-from vacpair.specfun import EULER_GAMMA, _branch, _si_cin_series
+from vacpair.specfun import (_LAGUERRE_REL_ERR, EULER_GAMMA, _branch, _laguerre_rule,
+                             _si_cin_series)
 
 import mpref
 
@@ -90,13 +93,13 @@ class TestCi:
 
 class TestBranchSeam:
     def test_both_branches_agree_at_cutover(self):
-        # the series and continued-fraction branches at the same x around
-        # x = 4, each difference within the two branches' estimates together
+        # the series and Gauss-Laguerre branches at the same x around x = 4,
+        # each of f, g, f'' and h within the two branches' estimates together
         for x in np.linspace(3.5, 4.5, 41).tolist():
-            f_series, g_series, err_series = _branch(x, True)
-            f_cf, g_cf, err_cf = _branch(x, False)
-            assert abs(f_series - f_cf) <= err_series + err_cf, x
-            assert abs(g_series - g_cf) <= err_series + err_cf, x
+            *series, err_series = _branch(x, True)
+            *rule, err_rule = _branch(x, False)
+            for summed, ruled in zip(series, rule):
+                assert abs(summed - ruled) <= err_series + err_rule, x
 
 
 class TestAux:
@@ -152,8 +155,9 @@ class TestAux:
         assert ci_from_aux(x) == pytest.approx(float(ci), abs=1e-12)
         assert si_from_aux(x) == pytest.approx(float(si), abs=1e-12)
 
-    def test_continued_fraction_converges_up_to_1e12(self):
-        # a stopping test tighter than rounding allows made some of these raise
+    def test_far_zone_f_and_g_up_to_1e12(self):
+        # a continued fraction's stopping test tighter than rounding allows
+        # once made some of these raise
         for x in np.geomspace(1.07e11, 1e12, 200):
             v = aux(x)
             assert abs(v.f * x - 1.0) <= 1e-12
@@ -173,10 +177,34 @@ class TestAux:
 
     def test_error_estimate_bounds_true_error(self):
         # over the CLI's domain and both branches: the estimate must count
-        # every rounding of the continued fraction's steps and of the
-        # series' products and sums that form f and g
-        for x in np.geomspace(1e-6, 1e12, 1000):
+        # every rounding of the series' products and sums that form f and g,
+        # and the rule's error from x = 4 on.  Below x = 4, f'' = 1/x - f and
+        # h = g - 1/x/x also round 1/x, 1/x/x and the difference: at most
+        # epsilon/x and 1.5 epsilon/x^2
+        eps = sys.float_info.epsilon
+        for x in np.geomspace(1e-6, 1e12, 1000).tolist():
             v = aux(x)
             (f, _), (g, _) = mpref.fg(x)
+            (f_double_prime, _), (h, _) = mpref.derivatives(x)
+            series = x < 4.0
             assert abs(v.f - f) <= v.abs_err_est, x
             assert abs(v.g - g) <= v.abs_err_est, x
+            assert abs(v.f_double_prime - f_double_prime) <= v.abs_err_est + series * eps / x, x
+            assert abs(v.h - h) <= v.abs_err_est + series * 1.5 * eps / x / x, x
+
+    def test_far_zone_derivatives_are_direct_sums(self):
+        # from x = 4 on f'' and h are the rule's own sums, right to its stated
+        # relative error where 1/x - f and g - 1/x^2 would keep none of it
+        # (as f'', 1/x - f is 7.8e-5 off at x = 1e6 and 0.65 at 1e8)
+        for x in np.geomspace(4.0, 1e12, 60).tolist():
+            v = aux(x)
+            for value, (ref, _) in zip((v.f_double_prime, v.h), mpref.derivatives(x)):
+                assert abs(value - ref) <= _LAGUERRE_REL_ERR * abs(ref), x
+
+
+def test_laguerre_rule_is_numpys_bit_for_bit():
+    # built without numpy.polynomial, and shared read-only by every caller
+    t, w = _laguerre_rule()
+    expected = np.polynomial.laguerre.laggauss(60)
+    assert np.array_equal(t, expected[0]) and np.array_equal(w, expected[1])
+    assert not (t.flags.writeable or w.flags.writeable)
