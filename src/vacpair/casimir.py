@@ -31,14 +31,14 @@ Below s = 4 they reduce exactly to the auxiliary functions f, g at s
     I_3 = g - I_1,      I_4 = 1/s - 2 f + I_0,
 
 which specfun.aux evaluates on its power-series branch.  The subtractions
-cancel like s^4, so from s = 4 on a 60-node Gauss-Laguerre rule in t = s v
-(A&S 25.4.45; numpy's laggauss to the bit, built without numpy.polynomial
-by specfun._laguerre_rule, the rule aux also sums from x = 4 on) takes over:
-the integrand's poles at t = +-i s are far from its nodes there.  Against
-120-digit mpmath over 300 log-spaced x in [1e-6, 1e12], three random
-geometries and the isotropic average, the worst relative error is 2.2e-14.
-Where the I_4 term dominates (|q| << |p|) it is larger just below s = 4,
-where I_4 cancels most: 3.7e-13 for q = 0.
+cancel like s^4, so from s = 4 on the 60-node Gauss-Laguerre rule that aux
+sums from x = 4 on takes over (A&S 25.4.45; t = s v): specfun's table of
+w t^n over (1 + t^2/s^2)^2, summed, is s^(n+1) I_n, and the integrand's
+poles at t = +-i s are far from the nodes.  Against mpmath over 600 x in
+[1e-6, 1e12], five geometries and the isotropic average, the worst relative
+error is 2.4e-14 from x = 2 on.  Below, where the I_4 term dominates
+(|q| << |p|), it peaks just below s = 4, where I_4 cancels most: 5.0e-14
+for q = p/3 and 2.0e-13 for q = 0.
 
 Each term is a float mantissa times a power of two: with x = m 2^k
 (np.frexp), x^(n-6) is m^(n-6) 2^((n-6)k), and from s = 4 on every term
@@ -63,7 +63,7 @@ import numpy as np
 from . import specfun
 from ._record import Record
 from .errors import DomainError
-from .kernel import per_x, power_law
+from .kernel import _aux_columns, per_x, power_law
 from .model import PairConfiguration
 
 
@@ -113,11 +113,10 @@ def _terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one of shape (5, x.size) of the integer exponents e.  Every a is positive.
 
     With x = m 2^k (np.frexp), below specfun's series/Gauss-Laguerre seam
-    the moments follow exactly from f and g at s = 2x, and
-    x^(n-6) = m^(n-6) 2^((n-6)k).  From x = 2 on the Gauss-Laguerre rule
-    that specfun.aux sums from x = 4 on, in t = s v, sums
-    s^(n+1) I_n = sum w t^n / (1 + t^2/s^2)^2, which no x can underflow, so
-    each term is that sum times 2^-(n+1) m^-7 2^(-7k).
+    the moments follow exactly from f and g at s = 2x (kernel._aux_columns),
+    and x^(n-6) = m^(n-6) 2^((n-6)k).  From x = 2 on row n of specfun's table
+    gives s^(n+1) I_n = sum w t^n / (1 + t^2/s^2)^2, which no x can
+    underflow, so each term is that sum times 2^-(n+1) m^-7 2^(-7k).
     """
     m, k = np.frexp(x)
     s = 2.0 * x
@@ -126,8 +125,7 @@ def _terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     powers = np.where(low, np.arange(-6, -1)[:, None], -7)
     if np.count_nonzero(low):
         s_low = s[low]
-        fg = [specfun.aux(v) for v in s_low.tolist()]
-        f, g, aux_err = np.array([(v.f, v.g, v.abs_err_est) for v in fg]).T
+        f, g, _, _, aux_err = _aux_columns(s_low)
         i0 = 0.5 * (f + s_low * g)
         i1 = 0.5 * (1.0 - s_low * f)
         rows[:, 0, low] = i0, i1, f - i0, g - i1, 1.0 / s_low - 2.0 * f + i0
@@ -138,15 +136,14 @@ def _terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows[:, 1, low] = 0.5 * (5.0 + s_low) * aux_err + 4.0 * _EPS * magnitudes
     high = ~low
     if np.count_nonzero(high):
-        t, w = specfun._laguerre_rule()
+        t, table = specfun._weighted_powers()
         v = t / s[high, None]
-        # 2^-(n+1) as the halves of w and of t, which round as w and t do;
-        # elementwise products summed along each row, so that a row's sums do
-        # not depend on how many rows share the call, as a matrix product's can
-        term, half_t = 0.5 * w / (1.0 + v * v) ** 2, 0.5 * t
-        for n in range(5):
-            rows[n, 0, high] = term.sum(axis=-1)
-            term *= half_t
+        weight = (1.0 + v * v) ** 2
+        # one table row at a time, no (x, 5, 60) array; elementwise quotients
+        # summed along each row, so that a row's sums do not depend on how
+        # many rows share the call, as a matrix product's can
+        for n, wt in enumerate(table):
+            rows[n, 0, high] = np.ldexp((wt / weight).sum(axis=-1), -n - 1)
         rows[:, 1, high] = specfun._LAGUERRE_REL_ERR * rows[:, 0, high]
     rows *= (m ** powers)[:, None]
     return rows, powers * k
@@ -160,8 +157,8 @@ def wcp(cfg: PairConfiguration, method: str = "rotated_contour",
     method "rotated_contour" is the production path: the closed form of the
     imaginary-wavenumber integral through the moments I_n (module
     docstring), reduced to f and g below x = 2 and by Gauss-Laguerre from
-    x = 2 on; its worst measured relative error is 2.2e-14 for x in
-    [1e-6, 1e12], and 3.7e-13 for q = 0.  abs_err_est carries aux's
+    x = 2 on; its worst measured relative error is 2.4e-14 for x in
+    [2, 1e12], and 2.0e-13 below, for q = 0.  abs_err_est carries aux's
     error through the reduction, or the rule's stated bound of 1e-13 per
     moment, plus the rounding, which below the normal range is a few of the
     floats' spacings there.

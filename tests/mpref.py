@@ -1,5 +1,5 @@
-"""The test suite's one mpmath reference and only importer of mpmath: Si and
-Ci, f and g from them, f'' and h = g - 1/x^2, and T(x), X/mu, the moments
+"""The test suite's one mpmath reference and only importer of mpmath: Si, Ci
+and Cin, f and g from Si and Ci, f'' and h = g - 1/x^2, and T(x), X/mu, the moments
 I_n(2x) and the pair energy W from them, the London energy, the near- and
 far-zone concurrence laws and the entanglement of formation, each a Ref of
 the value and the sum of its terms' magnitudes, in mpf; and the local
@@ -57,6 +57,13 @@ def derivatives(mp, t):
 def si_ci(mp, t):
     """Si(t) and Ci(t)."""
     return mp.si(t), mp.ci(t)
+
+
+@_at_digits
+def si_cin(mp, t):
+    """Si(t) and Cin(t) = gamma + ln t - Ci(t), which cancels like t^2 as
+    t -> 0: the digit rule keeps at least 27 of its digits on [1e-300, 4)."""
+    return mp.si(t), mp.euler + mp.log(t) - mp.ci(t)
 
 
 @_at_digits

@@ -1,6 +1,7 @@
 """Pair interaction energy: London limit, retardation scaling, the closed
 form against mpmath and the quadrature oracle, fitting."""
 
+import functools
 import math
 import sys
 
@@ -63,10 +64,14 @@ class TestVdwNear:
                      mpref.london(cfg.x, cfg.mu, cfg.cos_ab, cfg.proj_product))
 
     def test_array_x_gives_the_float_values(self):
-        xs = np.geomspace(1e-6, 1e12, 41)
-        energy = vdw_near(pair_from_alignment(xs, 1e-3, 1.0, 0.25)).energy
-        assert energy.tolist() == [vdw_near(pair_from_alignment(x, 1e-3, 1.0, 0.25)).energy
-                                   for x in xs.tolist()]
+        # bit for bit, over more x than the 256 rows of one sweep chunk and
+        # across wcp's seam at x = 2
+        xs = np.geomspace(1e-6, 1e12, 301)
+        for law in (vdw_near, wcp, functools.partial(wcp, isotropic=True)):
+            array = law(pair_from_alignment(xs, 1e-3, 1.0, 0.25))
+            floats = [law(pair_from_alignment(x, 1e-3, 1.0, 0.25)) for x in xs.tolist()]
+            assert array.energy.tolist() == [v.energy for v in floats]
+            assert array.abs_err_est.tolist() == [v.abs_err_est for v in floats]
         # W, about -3e353, overflows at 1e-60: both calls name that x, and
         # the array one gives no numpy warning
         for x in (1e-60, np.array([1.0, 1e-60])):

@@ -1,6 +1,7 @@
 """The auxiliary f, g pair and the derivatives f'' and h = g - 1/x^2 against
 quadrature oracles and mpmath, directly and through the sine and cosine
-integrals they rebuild, and the Gauss-Laguerre rule behind them from x = 4 on."""
+integrals they rebuild, and the Si and Cin series behind them below x = 4 and
+the Gauss-Laguerre rule from x = 4 on."""
 
 import math
 import sys
@@ -67,6 +68,19 @@ class TestSi:
     @pytest.mark.parametrize("x", [0.3, 1.0, 3.0, 4.0, 7.0, 20.0])
     def test_against_quadrature(self, x):
         assert si_from_aux(x) == pytest.approx(si_oracle(x), rel=1e-11, abs=1e-13)
+
+
+def test_series_is_within_two_epsilon_of_mpmath():
+    # 17 fixed terms by Horner's rule: 1.84 epsilon at worst on 20 000 x.  A
+    # series stopped by an absolute test of 1e-18 left Si 1.8e-13 off at
+    # x = 1.8e-6 and Cin 2.0e-10 off at 7.0e-5, which Ci = gamma + ln x - Cin
+    # and so f and g absorb
+    eps = sys.float_info.epsilon
+    for x in np.geomspace(1e-6, 4.0, 321)[:-1].tolist():
+        si, cin, _ = _si_cin_series(x)
+        si_ref, cin_ref = mpref.si_cin(x)
+        assert abs(si - si_ref) <= 2 * eps * si_ref, x
+        assert abs(cin - cin_ref) <= 2 * eps * cin_ref, x
 
 
 class TestCi:
