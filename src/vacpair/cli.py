@@ -114,15 +114,18 @@ def _build_parsers() -> tuple[argparse.ArgumentParser,
 
 def _load_config_file(path: str) -> dict[str, str]:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise DomainError(f"{path}:{lineno}: expected key=value")
+                key, _, val = line.partition("=")
+                values[key.strip().replace("-", "_")] = val.strip()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return values
 
 
@@ -259,7 +262,7 @@ def cmd_point(args) -> int:
 
 
 def _selected_columns(args) -> list[str]:
-    if not args.columns:
+    if args.columns is None:
         return list(CSV_COLUMNS)
     cols = [c.strip() for c in args.columns.split(",") if c.strip()]
     known = set(CSV_COLUMNS) | set(EXTRA_COLUMNS)

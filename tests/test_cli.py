@@ -171,6 +171,15 @@ class TestSweep:
         assert run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "2",
                         "--points", "2", "--columns", "x,bogus"]) == 2
 
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_column_list_is_usage_error(self, capsys, value):
+        # an empty --columns selects nothing; it does not mean the defaults
+        assert run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "2",
+                        "--points", "2", f"--columns={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "vacpair: error: --columns selected nothing\n"
+
     @pytest.mark.parametrize("scale", ["log", "linear"])
     def test_grid_past_the_address_space_is_one_stderr_line(self, capsys, scale):
         # the x grid of 10^17 points would take 711 PiB: its allocation fails
@@ -450,6 +459,29 @@ class TestConfigFile:
         assert exit_code(["sweep", "--preset", "hydrogen-1s2p", "--xmin", "0.01",
                           "--xmax", "0.1", "--points", "3", flag]) == 2
 
+    def test_empty_columns_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("columns =\n")
+        assert run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "2",
+                        "--points", "2", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "vacpair: error: --columns selected nothing\n"
+
+    @pytest.mark.parametrize("from_environment", [False, True])
+    def test_file_that_is_not_utf8_is_one_stderr_line(self, tmp_path, capsys, monkeypatch,
+                                                       from_environment):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"mu = 1e-4\n\xff\n")
+        argv = ["point", "--x", "1"]
+        if from_environment:
+            monkeypatch.setenv("VACPAIR_CONFIG", str(cfg))
+        else:
+            argv += ["--config", str(cfg)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"vacpair: error: {cfg}: not UTF-8 text")
+        assert captured.err.count("\n") == 1
+
     def test_command_and_help_keys_are_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mu = 1e-4\ncommand = sweep\nhelp = yes\n")
@@ -704,3 +736,38 @@ class TestValidateCommand:
         failing = [ln for ln in out.splitlines() if ln.startswith("[FAIL]")]
         assert any("contracted_tensor" in ln and "modesum" in ln
                    for ln in failing)
+
+    def test_full_level_calls_each_traced_function_on_its_module(self, monkeypatch):
+        # a span tracer wraps these module attributes after validate is
+        # imported: validate must look each one up as it runs, not keep the
+        # function it found at import
+        from vacpair import casimir, entanglement, kernel, oracle
+
+        calls = set()
+
+        def count(module, name, default_method=None):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.add((name, kwargs.get("method", default_method)))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        oracles = ("modesum_first_order", "modesum_second_order", "aux_integral_rep",
+                   "local_population", "field_correlator", "dispersion_integral_real_axis")
+        for name in oracles:
+            count(oracle, name)
+        count(casimir, "wcp", "rotated_contour")
+        count(kernel, "contracted_tensor")
+        count(entanglement, "wootters_concurrence", "auto")
+        assert all(r.passed for r in validate.run_validation("full"))
+        assert calls >= {*((name, None) for name in oracles),
+                         ("wcp", "rotated_contour"), ("wcp", "principal_value_oracle"),
+                         ("contracted_tensor", None), ("wootters_concurrence", "xstate"),
+                         ("wootters_concurrence", "general")}
+
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    def test_check_names_are_unique(self, level):
+        names = [r.name for r in validate.run_validation(level)]
+        assert len(set(names)) == len(names)
