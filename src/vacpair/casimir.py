@@ -35,10 +35,10 @@ cancel like s^4, so from s = 4 on the 60-node Gauss-Laguerre rule that aux
 sums from x = 4 on takes over (A&S 25.4.45; t = s v): specfun's table of
 w t^n over (1 + t^2/s^2)^2, summed, is s^(n+1) I_n, and the integrand's
 poles at t = +-i s are far from the nodes.  Against mpmath over 600 x in
-[1e-6, 1e12], five geometries and the isotropic average, the worst relative
-error is 2.4e-14 from x = 2 on.  Below, where the I_4 term dominates
-(|q| << |p|), it peaks just below s = 4, where I_4 cancels most: 5.0e-14
-for q = p/3 and 2.0e-13 for q = 0.
+[1e-6, 1e12], six geometries and the isotropic average, the worst relative
+error is 7.8e-16 from x = 2 on, 1.4e-15 at x = 2 (I_4's truncation at s = 4).
+Below, where the I_4 term dominates (|q| << |p|), it peaks just below
+s = 4, where I_4 cancels most: 5.0e-14 for q = p/3 and 2.0e-13 for q = 0.
 
 Each term is a float mantissa times a power of two: with x = m 2^k
 (np.frexp), x^(n-6) is m^(n-6) 2^((n-6)k), and from s = 4 on every term
@@ -136,13 +136,12 @@ def _terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows[:, 1, low] = 0.5 * (5.0 + s_low) * aux_err + 4.0 * _EPS * magnitudes
     high = ~low
     if np.count_nonzero(high):
-        t, table = specfun._weighted_powers()
-        v = t / s[high, None]
+        v = specfun._NODES / s[high, None]
         weight = (1.0 + v * v) ** 2
         # one table row at a time, no (x, 5, 60) array; elementwise quotients
         # summed along each row, so that a row's sums do not depend on how
         # many rows share the call, as a matrix product's can
-        for n, wt in enumerate(table):
+        for n, wt in enumerate(specfun._WEIGHTED_POWERS):
             rows[n, 0, high] = np.ldexp((wt / weight).sum(axis=-1), -n - 1)
         rows[:, 1, high] = specfun._LAGUERRE_REL_ERR * rows[:, 0, high]
     rows *= (m ** powers)[:, None]
@@ -157,9 +156,9 @@ def wcp(cfg: PairConfiguration, method: str = "rotated_contour",
     method "rotated_contour" is the production path: the closed form of the
     imaginary-wavenumber integral through the moments I_n (module
     docstring), reduced to f and g below x = 2 and by Gauss-Laguerre from
-    x = 2 on; its worst measured relative error is 2.4e-14 for x in
+    x = 2 on; its worst measured relative error is 1.4e-15 for x in
     [2, 1e12], and 2.0e-13 below, for q = 0.  abs_err_est carries aux's
-    error through the reduction, or the rule's stated bound of 1e-13 per
+    error through the reduction, or the rule's stated bound of 4e-15 per
     moment, plus the rounding, which below the normal range is a few of the
     floats' spacings there.
     "principal_value_oracle" evaluates the equivalent real-axis integral, on

@@ -115,7 +115,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser,
 def _load_config_file(path: str) -> dict[str, str]:
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -280,8 +280,10 @@ def cmd_sweep(args) -> int:
         raise DomainError("xmin and xmax must be finite")
     if args.xmin <= 0 or args.xmin >= args.xmax:
         raise DomainError("need 0 < xmin < xmax")
-    if args.points < 2:
-        raise DomainError("need at least 2 sweep points")
+    if not 2 <= args.points < 2**59:
+        # 2^59 points of x take 4 EiB, past any address space; from about 2^60
+        # numpy's grids raise ValueError or IndexError, not MemoryError
+        raise DomainError(f"need 2 to 2^59 - 1 sweep points, got {args.points}")
     columns = _selected_columns(args)
     if args.scale == "log":
         xs = np.geomspace(args.xmin, args.xmax, args.points)

@@ -2,13 +2,15 @@
 and Cin, f and g from Si and Ci, f'' and h = g - 1/x^2, and T(x), X/mu, the moments
 I_n(2x) and the pair energy W from them, the London energy, the near- and
 far-zone concurrence laws and the entanglement of formation, each a Ref of
-the value and the sum of its terms' magnitudes, in mpf; and the local
-one-photon population and the coupling mu of two dimensional atoms."""
+the value and the sum of its terms' magnitudes, in mpf; the local one-photon
+population and the coupling mu of two dimensional atoms; and the 60-node
+Gauss-Laguerre rule."""
 
 import functools
 import math
 from collections import namedtuple
 
+import numpy as np
 import pytest
 
 Ref = namedtuple("Ref", "value scale")
@@ -164,3 +166,29 @@ def coupling(omega0, d_a, d_b, speed_of_light):
     mp = mpmath()
     with mp.workdps(30):
         return mp.mpf(d_a) * mp.mpf(d_b) * (mp.mpf(omega0) / speed_of_light) ** 3 / omega0
+
+
+@functools.cache
+def laguerre_rule(n):
+    """The n-node Gauss-Laguerre rule (A&S 25.4.45) at 80 digits, in mpf: the
+    nodes t by Newton on L_n, started from numpy's, with the recurrence
+    (k + 1) L_(k+1) = (2k + 1 - t) L_k - k L_(k-1) and t L_n' = n (L_n - L_(n-1));
+    the weights t / ((n + 1)^2 L_(n+1)(t)^2); and the weights' sum."""
+    mp = mpmath()
+    with mp.workdps(80):
+        def laguerre(t):
+            """L_(n-1)(t), L_n(t) and L_(n+1)(t)."""
+            before, now = mp.mpf(0), mp.mpf(1)
+            for k in range(n):
+                before, now = now, ((2 * k + 1 - t) * now - k * before) / (k + 1)
+            return before, now, ((2 * n + 1 - t) * now - n * before) / (n + 1)
+
+        nodes = []
+        for t in np.polynomial.laguerre.laggauss(n)[0].tolist():
+            t = mp.mpf(t)
+            for _ in range(5):  # from numpy's 13 digits, each step doubling them
+                l_prev, l_n, _ = laguerre(t)
+                t -= t * l_n / (n * (l_n - l_prev))
+            nodes.append(t)
+        weights = [t / ((n + 1) ** 2 * laguerre(t)[2] ** 2) for t in nodes]
+        return nodes, weights, mp.fsum(weights)

@@ -183,13 +183,16 @@ class TestSweep:
     @pytest.mark.parametrize("scale", ["log", "linear"])
     def test_grid_past_the_address_space_is_one_stderr_line(self, capsys, scale):
         # the x grid of 10^17 points would take 711 PiB: its allocation fails
-        # at once, and uses no memory
-        code = run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "10",
-                        "--points", "100000000000000000", "--scale", scale])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("vacpair: out of memory: ")
-        assert captured.err.count("\n") == 1 and captured.out == ""
+        # at once, and uses no memory.  Counts from 2^59 on are refused before
+        # any allocation: from about 2^60 numpy's grids raise other errors
+        for points, message in ((10**17, "out of memory: "), (2**60, "error: "),
+                                (2**63 - 1, "error: "), (10**30, "error: ")):
+            code = run_cli(["sweep", "--mu", "1e-4", "--xmin", "1", "--xmax", "10",
+                            "--points", str(points), "--scale", scale])
+            captured = capsys.readouterr()
+            assert code == 2, points
+            assert captured.err.startswith("vacpair: " + message), points
+            assert captured.err.count("\n") == 1 and captured.out == "", points
 
     def test_bad_range_is_usage_error(self):
         assert run_cli(["sweep", "--mu", "1e-4", "--xmin", "2", "--xmax", "1",
@@ -481,6 +484,15 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err.startswith(f"vacpair: error: {cfg}: not UTF-8 text")
         assert captured.err.count("\n") == 1
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # as some editors save UTF-8: the first key is mu, not "\ufeffmu"
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfmu = 5e-4\n")
+        assert run_cli(["point", "--x", "1", "--config", str(cfg)]) == 0
+        from_file = capsys.readouterr()
+        assert run_cli(["point", "--x", "1", "--mu", "5e-4"]) == 0
+        assert from_file.out == capsys.readouterr().out and from_file.err == ""
 
     def test_command_and_help_keys_are_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -134,6 +134,15 @@ class TestConcurrenceRegimes:
         far = concurrence_far(cfg).raw
         assert abs(full - far) / full <= 0.01
 
+    @pytest.mark.parametrize("cos_ab, proj_product", [(1.0, 0.0), (1.0, 1.0), (0.75, 0.25),
+                                                      (0.3, -0.2)])
+    def test_far_zone_full_is_the_far_law(self, cos_ab, proj_product):
+        # the full law's relative correction, of order 1/x^2, is below the
+        # rounding from x = 1e8 on
+        cfg = pair_from_alignment(np.array([1e8, 1e12, 1e20]), 1e-4, cos_ab, proj_product)
+        full, far = concurrence_full(cfg).raw, concurrence_far(cfg).raw
+        assert np.all(np.abs(full - far) <= 1e-14 * far), np.abs(full / far - 1)
+
     def test_hydrogen_preset_near_zone(self):
         atom = hydrogen_1s2p()
         cfg = reduce(atom, atom, [0.0, 0.0, 10.0])

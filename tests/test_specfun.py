@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from vacpair import DomainError, aux
-from vacpair.specfun import (_LAGUERRE_REL_ERR, EULER_GAMMA, _branch, _laguerre_rule,
-                             _si_cin_series)
+from vacpair.specfun import (_LAGUERRE_REL_ERR, _NODES, _WEIGHTED_POWERS, _WEIGHTS,
+                             EULER_GAMMA, _branch, _si_cin_series)
 
 import mpref
 
@@ -216,9 +216,11 @@ class TestAux:
                 assert abs(value - ref) <= _LAGUERRE_REL_ERR * abs(ref), x
 
 
-def test_laguerre_rule_is_numpys_bit_for_bit():
-    # built without numpy.polynomial, and shared read-only by every caller
-    t, w = _laguerre_rule()
-    expected = np.polynomial.laguerre.laggauss(60)
-    assert np.array_equal(t, expected[0]) and np.array_equal(w, expected[1])
-    assert not (t.flags.writeable or w.flags.writeable)
+def test_laguerre_table_is_the_correctly_rounded_rule():
+    # every literal is its 80-digit value rounded to nearest, and the table is
+    # shared read-only by every caller
+    nodes, weights, total = mpref.laguerre_rule(60)
+    assert _NODES.tolist() == [float(t) for t in nodes]
+    assert _WEIGHTS.tolist() == [float(w) for w in weights]
+    assert abs(total - 1) < 1e-60
+    assert not (_NODES.flags.writeable or _WEIGHTED_POWERS.flags.writeable)
